@@ -38,7 +38,6 @@ REGISTER_FUNCTIONS = {
     "register_fault_model": "fault-model",
     "register_chaos_injector": "chaos-injector",
     "register_invariant": "invariant",
-    "register_kernel_backend": "kernel-backend",
     "register_analysis_rule": "analysis-rule",
     "register_bench_size": "bench-size",
     "register_fuzz_budget": "fuzz-budget",
@@ -54,7 +53,6 @@ DOCUMENTED_KINDS = (
     "fault-model",
     "chaos-injector",
     "invariant",
-    "kernel-backend",
     "analysis-rule",
 )
 
@@ -291,7 +289,7 @@ def check_signature(kind: str, target: ast.AST) -> Optional[str]:
                     f"keyword arguments 'key' and 'attempt' (or **params)"
                 )
         return None
-    if kind in ("invariant", "kernel-backend", "analysis-rule"):
+    if kind in ("invariant", "analysis-rule"):
         complaint = _zero_arg_constructible(target)
         if complaint is not None:
             return f"{kind} factories must be zero-argument: {complaint}"
@@ -366,8 +364,8 @@ class RegistryDocsRule(AnalysisRule):
     family = "consistency"
     description = (
         "every statically-registered policy/preemption-rule/arrival-"
-        "process/fault-model/chaos-injector/invariant/kernel-backend/"
-        "analysis-rule name must appear (backticked) in docs/api.md"
+        "process/fault-model/chaos-injector/invariant/analysis-rule "
+        "name must appear (backticked) in docs/api.md"
     )
 
     def check_project(self, project: Project) -> Iterable[Finding]:

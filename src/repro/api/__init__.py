@@ -69,7 +69,6 @@ from repro.registry import (
     register_fault_model,
     register_fuzz_budget,
     register_invariant,
-    register_kernel_backend,
     register_policy,
     register_preemption_rule,
 )
@@ -122,6 +121,5 @@ __all__ = [
     "register_invariant",
     "register_fuzz_budget",
     "register_chaos_injector",
-    "register_kernel_backend",
     "register_analysis_rule",
 ]

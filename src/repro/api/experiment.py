@@ -793,7 +793,6 @@ class Experiment:
             policy=spec.policy,
             preemption_rule=spec.preemption,
             use_cache=use_cache,
-            kernel_backend=spec.kernel_backend,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

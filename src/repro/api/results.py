@@ -28,17 +28,18 @@ from repro.utils.tables import Table
 SCHEMA_VERSION = 1
 
 
-def environment_block(kernel_backend: str) -> Dict[str, str]:
+def environment_block() -> Dict[str, str]:
     """The additive ``environment`` payload block.
 
     Records what is needed to interpret a result or benchmark number
-    away from the machine that produced it: the kernel event-queue
-    backend it ran under and the python/numpy versions.  The block is
+    away from the machine that produced it: the python/numpy versions.
+    ``kernel_backend`` is always ``"heapq"`` (the simulator has one
+    event queue); schema v1 keeps the key.  The block is
     schema-v1-additive -- it never feeds :func:`result_digest`, which
     hashes only the simulation core.
     """
     return {
-        "kernel_backend": kernel_backend,
+        "kernel_backend": "heapq",
         "python": sys.version.split()[0],
         "numpy": np.__version__,
     }
@@ -119,7 +120,7 @@ class RunResult:
         return {
             "schema_version": SCHEMA_VERSION,
             "scenario": self.scenario,
-            "environment": environment_block(self.spec.kernel_backend),
+            "environment": environment_block(),
             **self.raw.to_dict(include_timings=include_timings),
         }
 
@@ -340,7 +341,7 @@ class ProfileResult:
         return {
             "schema_version": SCHEMA_VERSION,
             "scenario": self.scenario,
-            "environment": environment_block(self.run.spec.kernel_backend),
+            "environment": environment_block(),
             "wall_seconds": round(self.wall_seconds, 4),
             "events_processed": self.events_processed,
             "events_per_second": round(self.events_per_second, 2),
@@ -432,6 +433,6 @@ class ProfileResult:
             "displayTimeUnit": "ms",
             "otherData": {
                 "scenario": self.scenario,
-                **environment_block(self.run.spec.kernel_backend),
+                **environment_block(),
             },
         }

@@ -86,7 +86,7 @@ TENANT_KEYS = (
 
 
 def _check_environment(payload: Mapping[str, Any], where: str) -> None:
-    """The additive ``environment`` block (kernel backend + versions).
+    """The additive ``environment`` block (event queue + versions).
 
     Digest-neutral provenance: checked only when present, so payloads
     recorded before the block existed stay valid.

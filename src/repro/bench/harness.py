@@ -138,7 +138,6 @@ def run_case(
     *,
     use_cache: bool = True,
     seed: int = 0,
-    backend: str = "heapq",
 ) -> CaseTiming:
     """Build and run one benchmark case, cold (shared caches cleared).
 
@@ -171,7 +170,6 @@ def run_case(
             policy=policy,
             preemption_rule=deadline_preemption_rule if case.preemption else None,
             use_cache=use_cache,
-            kernel_backend=backend,
         )
         horizon = arrival_window_seconds(case.size, case.num_executors)
         t1 = time.perf_counter()
@@ -191,9 +189,7 @@ def run_case(
         jobs = build_bench_jobs(
             case.size, num_executors=case.num_executors, seed=seed
         )
-        simulator = ClusterSimulator(
-            system.executors, use_cache=use_cache, kernel_backend=backend
-        )
+        simulator = ClusterSimulator(system.executors, use_cache=use_cache)
         horizon = arrival_window_seconds(case.size, case.num_executors)
         t1 = time.perf_counter()
         result = simulator.run(jobs, horizon_seconds=horizon)
@@ -420,20 +416,15 @@ def run_bench(
     *,
     baseline: bool = False,
     seed: int = 0,
-    backend: str = "heapq",
     sweep_case: bool = False,
     progress=None,
 ) -> Dict[str, Any]:
     """Run every case of one benchmark size; returns the JSON payload.
 
-    ``backend`` selects the kernel event-queue backend (a
-    ``kernel_backends`` registry name) for every run, so ``repro bench
-    --backend soa`` measures the batched structure-of-arrays kernel on
-    the identical workloads; the ``result_digest`` of each case is
-    backend-independent by construction.  With ``baseline=True`` each
-    case is additionally run in the brute-force (``use_cache=False``)
-    mode and the payload carries the measured speedup plus an
-    ``identical_results`` flag comparing the two modes' result digests.
+    With ``baseline=True`` each case is additionally run in the
+    brute-force (``use_cache=False``) mode and the payload carries the
+    measured speedup plus an ``identical_results`` flag comparing the two
+    modes' result digests.
     """
     try:
         size = SIZES[size_name]
@@ -444,7 +435,7 @@ def run_bench(
     for case in cases_for(size):
         if progress is not None:
             progress(f"  {case.name}: {size.num_jobs} jobs, {case.num_executors} executors")
-        optimized = run_case(case, use_cache=True, seed=seed, backend=backend)
+        optimized = run_case(case, use_cache=True, seed=seed)
         entry: Dict[str, Any] = {
             "name": case.name,
             "num_jobs": size.num_jobs,
@@ -455,7 +446,7 @@ def run_bench(
         if baseline:
             if progress is not None:
                 progress(f"  {case.name}: baseline (no-cache) run ...")
-            brute = run_case(case, use_cache=False, seed=seed, backend=backend)
+            brute = run_case(case, use_cache=False, seed=seed)
             entry["baseline"] = brute.to_dict()
             entry["speedup"] = (
                 round(brute.run_seconds / optimized.run_seconds, 2)
@@ -477,7 +468,8 @@ def run_bench(
         "created_unix": int(time.time()),
         # Environment block: enough to interpret absolute numbers when
         # BENCH files from different machines/configurations meet.
-        "kernel_backend": backend,
+        # ``kernel_backend`` is always "heapq"; schema v1 keeps the key.
+        "kernel_backend": "heapq",
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),

@@ -614,7 +614,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         shrink=not args.no_shrink,
         workers=args.workers,
         timeout_seconds=args.timeout,
-        kernel_backend=args.backend,
         log=say,
     )
     if args.json:
@@ -680,7 +679,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             size,
             baseline=args.baseline,
             seed=args.seed,
-            backend=args.backend,
             sweep_case=args.sweep_case,
             progress=say,
         )
@@ -1002,15 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the campaign report as JSON to PATH ('-' for stdout)",
     )
-    from repro.registry import kernel_backends as _FUZZ_BACKENDS
-
-    fuzz_p.add_argument(
-        "--backend",
-        default=None,
-        choices=_FUZZ_BACKENDS.names(),
-        help="force this kernel backend on every generated scenario "
-        "(default: the scenario default, heapq)",
-    )
     _add_cache_flags(fuzz_p)
     fuzz_p.set_defaults(func=cmd_fuzz)
 
@@ -1062,14 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--seed", type=int, default=0, help="workload generation seed"
-    )
-    from repro.registry import kernel_backends as _KERNEL_BACKENDS
-
-    bench_p.add_argument(
-        "--backend",
-        default="heapq",
-        choices=_KERNEL_BACKENDS.names(),
-        help="kernel event-queue backend to benchmark (default: heapq)",
     )
     bench_p.add_argument(
         "--sweep-case",

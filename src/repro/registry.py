@@ -247,12 +247,6 @@ fuzz_budgets = Registry("fuzz budget", seed_module="repro.verify.fuzz")
 #: Chaos injectors: ``f(*, key, attempt, **params) -> None`` fault hooks
 #: fired inside supervised worker attempts (see :mod:`repro.exec.chaos`).
 chaos_injectors = Registry("chaos injector", seed_module="repro.exec.chaos")
-#: Kernel event-queue backends: zero-argument factories producing queue
-#: objects for :class:`repro.sim.kernel.SimKernel` (``push``/``pop``/
-#: ``peek``/``__len__``; an optional ``pop_batch`` unlocks the kernel's
-#: batched same-timestamp dispatch loop).  Shipped: ``heapq`` (default)
-#: and ``soa``; see ``docs/performance.md``.
-kernel_backends = Registry("kernel backend", seed_module="repro.sim.events")
 #: Static-analysis lint rules: zero-argument factories producing
 #: :class:`repro.analysis.core.AnalysisRule` instances.  Registered
 #: names are addressable as ``repro lint --rule <name>`` and every
@@ -314,20 +308,6 @@ def register_invariant(name: str, factory: Any = None, *, overwrite: bool = Fals
 def register_fuzz_budget(budget: Any, *, overwrite: bool = False) -> Any:
     """Register a :class:`~repro.verify.fuzz.FuzzBudget` under its name."""
     return fuzz_budgets.register(budget.name, budget, overwrite=overwrite)
-
-
-def register_kernel_backend(name: str, factory: Any = None, *, overwrite: bool = False):
-    """Register a kernel event-queue backend (decorator or direct call).
-
-    ``factory`` is a zero-argument callable returning a fresh queue with
-    the :class:`~repro.sim.events.EventQueue` contract.  If the queue also
-    implements ``pop_batch()`` (return every event at the head timestamp,
-    ``(time, sequence)``-ordered), :class:`~repro.sim.kernel.SimKernel`
-    runs its batched dispatch loop over it.  Registered names are usable
-    as ``kernel_backend`` in scenario files and ``--set
-    kernel_backend=<name>`` on the CLI.
-    """
-    return kernel_backends.register(name, factory, overwrite=overwrite)
 
 
 def register_chaos_injector(name: str, injector: Any = None, *, overwrite: bool = False):

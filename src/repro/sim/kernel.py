@@ -74,7 +74,8 @@ class FaultSpec:
 
     def __post_init__(self) -> None:
         check_non_negative(self.fail_at, "fail_at")
-        if self.recover_at is not None and self.recover_at <= self.fail_at:
+        # ``not >`` rather than ``<=`` so a NaN recovery time is rejected too.
+        if self.recover_at is not None and not self.recover_at > self.fail_at:
             raise ValueError(
                 f"recover_at ({self.recover_at}) must be after fail_at ({self.fail_at})"
             )
@@ -116,14 +117,8 @@ class SimKernel:
     resolve an open-ended run's horizon to the last real completion.
     """
 
-    def __init__(self, backend: str = "heapq") -> None:
-        from repro.registry import kernel_backends
-
-        self.backend = str(backend).lower()
-        self.queue = kernel_backends.get(self.backend)()
-        # A queue that can surrender the whole same-timestamp batch at
-        # once unlocks the batched dispatch loop in :meth:`run`.
-        self._batched = hasattr(self.queue, "pop_batch")
+    def __init__(self) -> None:
+        self.queue = EventQueue()
         self.now = 0.0
         self.last_completion = 0.0
         self.events_processed = 0
@@ -212,15 +207,10 @@ class SimKernel:
         if self._event_observer is not None:
             # The observed loop pays the extra call; the plain loop below
             # stays branch-free so unobserved runs cost exactly what they
-            # did before the observer API existed.  Observers are a
-            # per-event contract, so observed runs always take the serial
-            # loop, whatever the backend.
+            # did before the observer API existed.
             for _ in self._iter_events(horizon_seconds):
                 pass
             return self._resolve_horizon(horizon_seconds)
-
-        if self._batched:
-            return self._run_batched(horizon_seconds)
 
         timings = self.timings_by_kind
         while self.queue:
@@ -239,57 +229,6 @@ class SimKernel:
             start = perf_counter()
             handler(event)
             timings[event.kind] = timings.get(event.kind, 0.0) + (perf_counter() - start)
-
-        return self._resolve_horizon(horizon_seconds)
-
-    def _run_batched(self, horizon_seconds: Optional[float]) -> float:
-        """The batched event loop for ``pop_batch``-capable backends.
-
-        Pops every event sharing the head timestamp in one queue
-        operation, advances the clock once per timestamp, and amortizes
-        the per-event loop costs (handler lookup, ``perf_counter`` pair,
-        per-kind accounting) over each contiguous same-kind group.
-        Handlers still run one event at a time in ``(time, sequence)``
-        order -- dispatch and the stale-completion guard are
-        order-dependent -- so results are identical to the serial loop.
-        Events a handler schedules at the current timestamp surface as
-        the *next* batch (same time, later sequences), exactly where the
-        serial loop would pop them.
-        """
-        timings = self.timings_by_kind
-        counts = self.events_by_kind
-        handlers = self._handlers
-        queue = self.queue
-        while queue:
-            batch = queue.pop_batch()
-            time = batch[0].time
-            if horizon_seconds is not None and time > horizon_seconds:
-                # Same semantics as the serial loop: the beyond-horizon
-                # event(s) are consumed but not counted.  The serial loop
-                # consumes only the first; the difference is unobservable
-                # because the run ends here either way.
-                self.now = horizon_seconds
-                break
-            self.now = time
-            self.events_processed += len(batch)
-            size = len(batch)
-            start_index = 0
-            while start_index < size:
-                kind = batch[start_index].kind
-                end_index = start_index + 1
-                while end_index < size and batch[end_index].kind is kind:
-                    end_index += 1
-                handler = handlers.get(kind)
-                if handler is None:
-                    raise RuntimeError(
-                        f"no handler registered for event kind {kind.value!r}"
-                    )
-                counts[kind] = counts.get(kind, 0) + (end_index - start_index)
-                start = perf_counter()
-                for event_index in range(start_index, end_index):
-                    handler(batch[event_index])
-                timings[kind] = timings.get(kind, 0.0) + (perf_counter() - start)
-                start_index = end_index
 
         return self._resolve_horizon(horizon_seconds)
 

@@ -301,9 +301,8 @@ class MultiTenantSimulator:
         policy: Union[SchedulingPolicy, str] = sjf_policy,
         preemption_rule: Optional[Union[PreemptionRule, str]] = None,
         use_cache: bool = True,
-        kernel_backend: str = "heapq",
     ) -> None:
-        from repro.registry import kernel_backends, resolve_policy, resolve_preemption_rule
+        from repro.registry import resolve_policy, resolve_preemption_rule
 
         if not tenants:
             raise ValueError("the multi-tenant simulator needs at least one tenant")
@@ -314,15 +313,6 @@ class MultiTenantSimulator:
         self.policy = resolve_policy(policy)
         self.preemption_rule = resolve_preemption_rule(preemption_rule)
         self.use_cache = use_cache
-        kernel_backends.get(kernel_backend)  # fail on unknown names at setup time
-        self.kernel_backend = str(kernel_backend).lower()
-        if self.kernel_backend == "auto":
-            from repro.sim.events import resolve_auto_backend
-
-            self.kernel_backend = resolve_auto_backend(
-                num_tenants=len(self.tenants),
-                preemptive=self.preemption_rule is not None,
-            )
 
     # -- helpers -----------------------------------------------------------------
 
@@ -436,7 +426,7 @@ class MultiTenantSimulator:
         global_sched = self._build_global_scheduler()
         stream = self._arrival_stream(extra_jobs)
         jobs_by_id: Dict[str, FillJob] = {job.job_id: job for job in stream}
-        kernel = SimKernel(self.kernel_backend)
+        kernel = SimKernel()
         queue = kernel.queue
         for job in stream:
             kernel.schedule(job.arrival_time, EventKind.JOB_ARRIVAL, job_id=job.job_id)

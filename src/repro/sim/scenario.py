@@ -371,7 +371,6 @@ class ScenarioSpec:
     policy: str = "sjf"
     preemption: Optional[str] = None
     seed: int = 0
-    kernel_backend: str = "heapq"
     faults: Sequence[FaultSpec] = ()
     sweep: Optional[SweepSpec] = None
 
@@ -386,9 +385,6 @@ class ScenarioSpec:
             get_policy(self.policy)  # validate eagerly
             if self.preemption is not None:
                 get_preemption_rule(self.preemption)
-            from repro.registry import kernel_backends
-
-            kernel_backends.get(self.kernel_backend)
         except KeyError as exc:
             raise ScenarioError(exc.args[0]) from None
         by_name = {t.name: t for t in self.tenants}
@@ -426,6 +422,13 @@ class ScenarioSpec:
             ],
             "scenario",
         )
+        if "kernel_backend" in raw:
+            warnings.warn(
+                "the scenario key 'kernel_backend' is deprecated and ignored: "
+                "the simulator has a single event queue",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         tenants_raw = raw.get("tenants")
         if not isinstance(tenants_raw, (list, tuple)):
             raise ScenarioError("'tenants' must be a list of tenant blocks")
@@ -451,7 +454,6 @@ class ScenarioSpec:
             policy=str(raw.get("policy", "sjf")),
             preemption=raw.get("preemption"),
             seed=int(raw.get("seed", 0)),
-            kernel_backend=str(raw.get("kernel_backend", "heapq")).lower(),
             tenants=tenants,
             faults=faults,
             sweep=None if sweep is None else SweepSpec.from_dict(sweep),
@@ -479,8 +481,6 @@ def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
     }
     if spec.preemption is not None:
         raw["preemption"] = spec.preemption
-    if spec.kernel_backend != "heapq":
-        raw["kernel_backend"] = spec.kernel_backend
     for t in spec.tenants:
         workload: Dict[str, Any] = {
             "arrival_rate_per_hour": t.workload.arrival_rate_per_hour,

@@ -121,21 +121,12 @@ class ClusterSimulator:
         *,
         policy: SchedulingPolicy = sjf_policy,
         use_cache: bool = True,
-        kernel_backend: str = "heapq",
     ) -> None:
-        from repro.registry import kernel_backends
-
         if not executors:
             raise ValueError("the simulator needs at least one executor")
         self.executors = dict(executors)
         self.policy = policy
         self.use_cache = use_cache
-        kernel_backends.get(kernel_backend)  # fail on unknown names at setup time
-        self.kernel_backend = str(kernel_backend).lower()
-        if self.kernel_backend == "auto":
-            # One tenant, one backlog: the single-tenant simulator is the
-            # shape heapq wins on (see repro.sim.events.resolve_auto_backend).
-            self.kernel_backend = "heapq"
 
     # -- helpers -----------------------------------------------------------------
 
@@ -210,7 +201,7 @@ class ClusterSimulator:
         scheduler = FillJobScheduler(
             self.executors, policy=self.policy, use_cache=self.use_cache
         )
-        kernel = SimKernel(self.kernel_backend)
+        kernel = SimKernel()
         queue = kernel.queue
         for job in job_list:
             kernel.schedule(job.arrival_time, EventKind.JOB_ARRIVAL, job_id=job.job_id)

@@ -19,7 +19,7 @@ def check_positive(value: float, name: str) -> float:
 
 def check_non_negative(value: float, name: str) -> float:
     """Validate that ``value`` is >= 0 and return it."""
-    if value < 0:
+    if not value >= 0:  # also rejects NaN
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

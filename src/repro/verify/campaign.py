@@ -117,9 +117,8 @@ def _oracle_predicate(check) -> Callable[[Dict[str, Any]], bool]:
 def _fuzz_case_worker(payload) -> Dict[str, Any]:
     """Run one fuzz case in a supervised worker process.
 
-    The payload is ``(seed, budget, index, differential, cache_dir,
-    kernel_backend)`` -- everything needed to *regenerate* the case, so
-    nothing scenario-sized
+    The payload is ``(seed, budget, index, differential, cache_dir)`` --
+    everything needed to *regenerate* the case, so nothing scenario-sized
     crosses the process boundary and the parent can rebuild the exact
     spec (for shrinking and reproducers) from the index alone.  Stage
     failures come back as data; only a crash/hang/unexpected error
@@ -128,11 +127,9 @@ def _fuzz_case_worker(payload) -> Dict[str, Any]:
     from repro.api import Experiment
     from repro.utils import plancache
 
-    seed, budget, index, differential, cache_dir, kernel_backend = payload
+    seed, budget, index, differential, cache_dir = payload
     plancache.configure(cache_dir, enabled=cache_dir is not None)
-    raw = ScenarioFuzzer(
-        seed=seed, budget=budget, kernel_backend=kernel_backend
-    ).spec_dict(index)
+    raw = ScenarioFuzzer(seed=seed, budget=budget).spec_dict(index)
     failures: List[Dict[str, str]] = []
     try:
         result = Experiment.from_dict(dict(raw)).run(
@@ -174,7 +171,6 @@ def run_fuzz_campaign(
     workers: int = 1,
     timeout_seconds: Optional[float] = None,
     max_retries: int = 0,
-    kernel_backend: Optional[str] = None,
     log: Optional[LogSink] = None,
 ) -> FuzzReport:
     """Run one fuzz campaign; returns a :class:`FuzzReport`.
@@ -209,17 +205,13 @@ def run_fuzz_campaign(
         killing (or stalling) the whole campaign.  ``max_retries``
         defaults to 0: fuzz cases are deterministic, so a crash is
         itself a finding, not noise to retry away.
-    kernel_backend:
-        Force this kernel backend (a ``kernel_backends`` registry name)
-        onto every generated scenario; ``None`` keeps the default
-        (``heapq``) and byte-identical specs to earlier campaigns.
     log:
         Optional line sink for progress output (the CLI passes one).
     """
     from repro.api import Experiment
 
     budget = resolve_budget(budget)
-    fuzzer = ScenarioFuzzer(seed=seed, budget=budget, kernel_backend=kernel_backend)
+    fuzzer = ScenarioFuzzer(seed=seed, budget=budget)
     observer_factory = invariant_observer or (
         lambda: InvariantObserver(check_every=1)
     )
@@ -278,9 +270,7 @@ def run_fuzz_campaign(
         tasks = [
             SupervisedTask(
                 key=f"{seed}-{index}",
-                payload=(
-                    seed, budget, index, differential, cache_dir, kernel_backend
-                ),
+                payload=(seed, budget, index, differential, cache_dir),
                 description=f"fuzz case {index}",
             )
             for index in range(runs)

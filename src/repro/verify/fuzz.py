@@ -154,24 +154,15 @@ class ScenarioFuzzer:
         A :class:`FuzzBudget` or registered preset name (``"smoke"``,
         ``"deep"``, or anything added via
         :func:`repro.registry.register_fuzz_budget`).
-    kernel_backend:
-        When set, every generated scenario carries this
-        ``kernel_backend`` (a :data:`repro.registry.kernel_backends`
-        name), so a campaign can exercise e.g. the ``soa`` fast path
-        end to end.  ``None`` (the default) omits the key -- specs for
-        a fixed ``(seed, budget, index)`` stay byte-identical to
-        pre-backend campaigns.
     """
 
     def __init__(
         self,
         seed: int = 0,
         budget: Union[str, FuzzBudget] = "smoke",
-        kernel_backend: Optional[str] = None,
     ) -> None:
         self.seed = int(seed)
         self.budget = resolve_budget(budget)
-        self.kernel_backend = kernel_backend
 
     def _rng(self, index: int) -> random.Random:
         # String seeding hashes via sha512 (seed version 2): stable across
@@ -251,8 +242,6 @@ class ScenarioFuzzer:
             "seed": rng.randrange(2**16),
             "tenants": tenants,
         }
-        if self.kernel_backend is not None:
-            raw["kernel_backend"] = self.kernel_backend
         if any(t["workload"].get("deadline_fraction") for t in tenants):
             if rng.random() < 0.5:
                 raw["preemption"] = "deadline"

@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.executor import FillJobExecutor
 from repro.core.global_scheduler import GlobalScheduler
@@ -293,3 +295,87 @@ class TestInvalidationExplicitly:
         assert finite  # and those times price the remaining samples only
         full_view_time = gs.tenants["y"].processing_times(job)[0]
         assert view.proc_times[0] == pytest.approx(full_view_time / 2.0, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Scorer parity: vectorized vs scalar scans, property-based
+# ---------------------------------------------------------------------------
+
+#: Policies covering every vectorized program: plain scans (fifo, edf,
+#: slack, makespan) and the composed two-term scans (slack+sjf, edf+sjf)
+#: which additionally exercise the no-deadline class split.
+_SCAN_POLICIES = ["fifo", "edf", "slack", "makespan", "slack+sjf", "edf+sjf"]
+
+_PARITY_MODELS = ["bert-base", "bert-large", "efficientnet"]
+
+
+def _parity_executors():
+    roomy = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)
+    tight = BubbleCycle.from_durations([0.6, 0.9], 1.2 * GIB, period=5.0)
+    return {0: FillJobExecutor(roomy), 1: FillJobExecutor(tight)}
+
+
+def _churn(scheduler, rng, steps):
+    """One deterministic churn trajectory; yields ``now`` after each step."""
+    now = 0.0
+    for step in range(steps):
+        now += rng.uniform(0.0, 30.0)
+        op = rng.random()
+        if op < 0.55:
+            deadline = now + rng.uniform(50.0, 5_000.0) if rng.random() < 0.5 else None
+            scheduler.submit(
+                FillJob(
+                    job_id=f"j{step}",
+                    model_name=rng.choice(_PARITY_MODELS),
+                    job_type=JobType.BATCH_INFERENCE,
+                    num_samples=rng.uniform(50.0, 5_000.0),
+                    arrival_time=now,
+                    deadline=deadline,
+                )
+            )
+        elif op < 0.75:
+            idle = scheduler.idle_executor_indices()
+            if idle:
+                scheduler.dispatch(rng.choice(idle), now)
+        elif op < 0.9:
+            busy = [i for i, s in scheduler.executors.items() if s.is_busy]
+            if busy:
+                scheduler.preempt(rng.choice(busy), now)
+        else:
+            busy = [i for i, s in scheduler.executors.items() if s.is_busy]
+            if busy:
+                idx = rng.choice(busy)
+                scheduler.complete(idx, scheduler.executors[idx].busy_until)
+        yield now
+
+
+class TestVectorScalarScorerParity:
+    """The vectorized candidate scan must return bit-identical (score,
+    tie-break) selections to the scalar scan on randomized churn -- forced
+    against each other by pinning ``scan_cutoff`` to 0 (always vectorize)
+    vs "infinity" (always scalar)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        policy_name=st.sampled_from(_SCAN_POLICIES),
+        seed=st.integers(0, 2**20),
+    )
+    def test_bit_identical_selection_under_churn(self, policy_name, seed):
+        policy = POLICIES[policy_name]
+        vector = FillJobScheduler(_parity_executors(), policy=policy)
+        scalar = FillJobScheduler(_parity_executors(), policy=policy)
+        vector._index.scan_cutoff = 0  # every class takes the array pass
+        scalar._index.scan_cutoff = 10**9  # every class stays scalar
+        churn_v = _churn(vector, random.Random(seed), steps=60)
+        churn_s = _churn(scalar, random.Random(seed), steps=60)
+        for step, (now_v, now_s) in enumerate(zip(churn_v, churn_s)):
+            assert now_v == now_s
+            for idx in vector.executors:
+                job_v, score_v = vector.select_job_scored(idx, now_v)
+                job_s, score_s = scalar.select_job_scored(idx, now_s)
+                context = f"{policy_name}: step {step}, executor {idx}"
+                assert (job_v is None) == (job_s is None), context
+                if job_v is not None:
+                    # Bit-identical score AND identical tie-break winner.
+                    assert score_v == score_s, context
+                    assert job_v.job_id == job_s.job_id, context

@@ -657,35 +657,3 @@ class TestCliDist:
                 ]
             )
             assert code != 0, spec
-
-
-# -- auto kernel backend -----------------------------------------------------------
-
-
-class TestAutoBackend:
-    def test_heuristic(self):
-        from repro.sim.events import resolve_auto_backend
-
-        assert resolve_auto_backend(num_tenants=2, preemptive=False) == "soa"
-        assert resolve_auto_backend(num_tenants=1, preemptive=False) == "heapq"
-        assert resolve_auto_backend(num_tenants=2, preemptive=True) == "heapq"
-
-    def test_auto_is_registered(self):
-        from repro.registry import kernel_backends
-
-        assert "auto" in kernel_backends.names()
-
-    def test_auto_matches_explicit_backend_digest(self):
-        exp = Experiment.from_yaml(SCENARIO_DIR / "smoke.yaml")
-        auto = exp.with_override("kernel_backend", "auto").run()
-        explicit = exp.with_override("kernel_backend", "heapq").run()
-        assert auto.digest() == explicit.digest()
-
-    def test_auto_resolves_per_scenario_shape(self):
-        exp = Experiment.from_yaml(SCENARIO_DIR / "multi_tenant.yaml")
-        result = exp.with_override("kernel_backend", "auto").run()
-        # Multi-tenant without preemption is the soa-winning shape; the
-        # environment block records the *requested* backend while the
-        # digest proves the resolved one changes nothing.
-        reference = exp.with_override("kernel_backend", "soa").run()
-        assert result.digest() == reference.digest()

@@ -98,3 +98,35 @@ class TestBenchPayloadBlocks:
         # in the timing block must not perturb it (cross-checked by the
         # plancache and equivalence suites).
         assert "timings_by_kind" not in payload["result_digest"]
+
+
+class TestEnvironmentStamps:
+    def test_bench_payload_records_backend_and_numpy(self):
+        from repro.api import validate_bench_payload
+        from repro.bench.harness import run_bench
+
+        payload = validate_bench_payload(run_bench("smoke", seed=0))
+        assert payload["kernel_backend"] == "heapq"
+        assert payload["numpy"]
+        assert payload["python"]
+
+    def test_profile_trace_is_perfetto_loadable(self, tmp_path):
+        out = tmp_path / "trace.json"
+        code = main(["profile", "scenarios/smoke.yaml", "--trace", str(out)])
+        assert code == 0
+        trace = json.loads(out.read_text())
+        assert trace["displayTimeUnit"] == "ms"
+        assert trace["otherData"]["kernel_backend"] == "heapq"
+        kinds = {
+            e["name"]
+            for e in trace["traceEvents"]
+            if e["ph"] == "X" and e["tid"] != 0
+        }
+        assert "job_arrival" in kinds
+        run_slices = [
+            e
+            for e in trace["traceEvents"]
+            if e["ph"] == "X" and e["tid"] == 0 and e["name"] == "run"
+        ]
+        assert len(run_slices) == 1
+        assert run_slices[0]["args"]["events_processed"] > 0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Experiment
 from repro.cli import main
 from repro.sim.scenario import (
     ScenarioError,
@@ -14,7 +15,10 @@ from repro.sim.scenario import (
     load_scenario,
     run_scenario,
     set_by_path,
+    spec_to_dict,
 )
+
+from test_api_schema import GOLDEN_DIGESTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SMOKE_SCENARIO = REPO_ROOT / "scenarios" / "smoke.yaml"
@@ -227,6 +231,18 @@ class TestDynamicBlocks:
                 )
             )
 
+    def test_nan_fault_times_rejected_at_load(self, tmp_path):
+        # NaN fails every comparison, so a ``< 0`` or ``<=`` check lets it
+        # through and the failure (or recovery) silently never happens.
+        for fault in ("fail_at: .nan, recover_at: 100", "fail_at: 60, recover_at: .nan"):
+            path = tmp_path / "nan_fault.yaml"
+            path.write_text(
+                SMOKE_SCENARIO.read_text()
+                + f"faults:\n  - {{tenant: llm-5b-16, executor: 0, {fault}}}\n"
+            )
+            with pytest.raises(ScenarioError, match="faults\\[0\\]"):
+                Experiment.from_yaml(path).validate()
+
     def test_elastic_tenant_fields_parse(self):
         raw = json.loads(json.dumps(MINIMAL))
         raw["tenants"][0].update(join_at=60, leave_at=300, leave_mode="requeue")
@@ -295,3 +311,26 @@ class TestValidateCommand:
     def test_validate_missing_file_exits_nonzero(self, capsys):
         assert main(["validate", "scenarios/does-not-exist.yaml"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestDeprecatedKernelBackendKey:
+    """``kernel_backend:`` predates the single event queue: still accepted,
+    ignored, and never written back."""
+
+    @pytest.fixture
+    def legacy_smoke(self, tmp_path):
+        path = tmp_path / "legacy_smoke.yaml"
+        path.write_text(SMOKE_SCENARIO.read_text() + "kernel_backend: soa\n")
+        return path
+
+    def test_loads_with_warning_and_runs_to_golden_digest(self, legacy_smoke):
+        with pytest.warns(DeprecationWarning, match="kernel_backend"):
+            spec = Experiment.from_yaml(legacy_smoke).validate()
+        assert "kernel_backend" not in spec_to_dict(spec)
+        result = Experiment.from_spec(spec).run()
+        assert result.digest() == GOLDEN_DIGESTS["smoke"]
+        assert result.to_dict()["environment"]["kernel_backend"] == "heapq"
+
+    def test_validate_command_accepts_it(self, capsys, legacy_smoke):
+        assert main(["validate", str(legacy_smoke)]) == 0
+        assert "ok:" in capsys.readouterr().out

@@ -40,6 +40,8 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventQueue().push(-1.0, EventKind.JOB_ARRIVAL)
+        with pytest.raises(ValueError):
+            EventQueue().push(float("nan"), EventKind.JOB_ARRIVAL)
 
     def test_bool_and_len(self):
         q = EventQueue()

@@ -140,10 +140,14 @@ class TestFaultSpec:
     def test_recover_must_follow_failure(self):
         with pytest.raises(ValueError, match="recover_at"):
             FaultSpec(executor_index=0, fail_at=10.0, recover_at=10.0)
+        with pytest.raises(ValueError, match="recover_at"):
+            FaultSpec(executor_index=0, fail_at=10.0, recover_at=float("nan"))
 
     def test_negative_fail_time_rejected(self):
         with pytest.raises(ValueError):
             FaultSpec(executor_index=0, fail_at=-1.0)
+        with pytest.raises(ValueError):
+            FaultSpec(executor_index=0, fail_at=float("nan"))
 
     def test_permanent_failure_allowed(self):
         fault = FaultSpec(executor_index=3, fail_at=5.0, tenant="t")

@@ -33,6 +33,8 @@ class TestCheckNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="x must be >= 0"):
             check_non_negative(-0.1, "x")
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            check_non_negative(float("nan"), "x")
 
 
 class TestCheckFraction:
