@@ -170,18 +170,12 @@ def build_bench_jobs(
     """
     rng = random.Random(seed)
     window = arrival_window_seconds(size, num_executors)
-    throughput_cache: Dict[Tuple[str, JobType], float] = {}
     jobs: List[FillJob] = []
     log_lo, log_hi = math.log(_MIN_GPU_SECONDS), math.log(_MAX_GPU_SECONDS)
     for i in range(size.num_jobs):
         model_name = _BENCH_MODELS[i % len(_BENCH_MODELS)]
         job_type = _job_type_for(model_name, rng)
-        key = (model_name, job_type)
-        if key not in throughput_cache:
-            throughput_cache[key] = isolated_throughput(
-                build_model(model_name), job_type, device
-            )
-        throughput = throughput_cache[key]
+        throughput = isolated_throughput(build_model(model_name), job_type, device)
         gpu_seconds = math.exp(rng.uniform(log_lo, log_hi))
         num_samples = max(1.0, gpu_seconds * throughput)
         arrival = rng.uniform(0.0, window)

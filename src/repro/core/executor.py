@@ -6,8 +6,8 @@ One executor runs per device.  Given the device's repeating bubble cycle it
    size, CPU offloading, activation checkpointing), discarding those whose
    device footprint exceeds the bubbles' usable free memory,
 2. runs the Fill Job Execution Plan Algorithm (Algorithm 1) for each
-   surviving configuration and keeps the one with the highest effective
-   throughput,
+   surviving configuration whose throughput bound can still beat the best
+   plan so far, and keeps the one with the highest effective throughput,
 3. enforces the per-process memory cap so that a fill-job OOM can never
    affect the main job, and
 4. exposes the throughput/recovered-FLOPs estimates the scheduler and the
@@ -23,6 +23,7 @@ out of the profile and the plan; the third is modelled by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -40,7 +41,13 @@ from repro.hardware.memory import DeviceOOMError, MemoryAllocator
 from repro.models.base import ModelSpec
 from repro.models.configs import ExecutionConfig, JobType, candidate_configs
 from repro.models.efficiency import DEFAULT_EFFICIENCY, EfficiencyModel
-from repro.models.profiles import ModelProfile, best_profile, profile_model
+from repro.models.profiles import (
+    ModelProfile,
+    best_profile,
+    cached_profile,
+    clear_profile_cache,
+    profile_model,
+)
 from repro.pipeline.bubbles import BubbleCycle
 from repro.utils import plancache
 from repro.utils.validation import check_positive
@@ -51,33 +58,36 @@ from repro.utils.validation import check_positive
 # efficiency model, model, job type) -- never on scheduler state -- so
 # executors constructed with identical inputs (every device of a stage, every
 # run over the same system) can share one memo instead of each re-running the
-# profile + Algorithm-1 plan search.  Cycle, device and config are frozen
-# dataclasses keyed by value.  The efficiency model holds dicts and the
-# model spec would be expensive to hash on the estimate hot path, so both
-# are keyed by identity: the efficiency id is resolved once per executor and
-# pinned, and every cached entry stores the model spec it was computed for
-# (the strong reference keeps that id from ever being reused, so two
-# *different* specs -- even ones sharing a registry name -- can never
-# collide, while the registry's one-canonical-spec-per-name behaviour still
-# shares entries across runs).
+# Algorithm-1 plan search.  Cycle, device and config are frozen dataclasses
+# keyed by value.  The efficiency model holds dicts and the model spec would
+# be expensive to hash on the estimate hot path, so both are keyed by
+# identity: the efficiency id is resolved once per executor and pinned, and
+# every cached entry stores the model spec it was computed for (the strong
+# reference keeps that id from ever being reused, so two *different* specs --
+# even ones sharing a registry name -- can never collide, while the
+# registry's one-canonical-spec-per-name behaviour still shares entries
+# across runs).  Profiles do not depend on the cycle; they live in the one
+# process-wide profile memo of :mod:`repro.models.profiles`.
 
 #: One cached estimate: the model it was computed for plus the result.
 _EstimateEntry = Tuple[ModelSpec, Optional["FillExecutionEstimate"]]
 
 _PINNED_EFFICIENCY: Dict[int, EfficiencyModel] = {}
 _SHARED_ESTIMATES: Dict[tuple, Dict[Tuple[int, JobType], "_EstimateEntry"]] = {}
-_SHARED_ISOLATED: Dict[tuple, Dict[Tuple[int, JobType], Tuple[ModelSpec, float]]] = {}
-_SHARED_PROFILES: Dict[tuple, Dict[tuple, ModelProfile]] = {}
 
 #: Crude growth bounds: when this many distinct (cycle, device, config,
 #: efficiency) namespaces accumulate (a long-lived process iterating many
-#: systems in one process), the shared maps are flushed wholesale; and a
+#: systems in one process), the shared map is flushed wholesale; and a
 #: single namespace fed distinct spec objects (a non-memoizing model
 #: resolver) is cleared once it holds this many entries.  Executors
 #: constructed earlier keep their (now orphaned) namespace dicts and stay
 #: correct; only future sharing restarts cold.
 _MAX_SHARED_NAMESPACES = 128
 _MAX_NAMESPACE_ENTRIES = 4096
+
+#: Relative slack on the configuration search's throughput bound; it covers
+#: the float rounding of the up to ~10^4-term sums behind an estimate.
+_BOUND_MARGIN = 1e-9
 
 
 def _efficiency_id(efficiency: EfficiencyModel) -> int:
@@ -92,8 +102,6 @@ def _efficiency_id(efficiency: EfficiencyModel) -> int:
 def _flush_if_oversized() -> None:
     if len(_SHARED_ESTIMATES) > _MAX_SHARED_NAMESPACES:
         _SHARED_ESTIMATES.clear()
-        _SHARED_ISOLATED.clear()
-        _SHARED_PROFILES.clear()
         _PINNED_EFFICIENCY.clear()
 
 
@@ -103,9 +111,8 @@ def clear_shared_caches() -> None:
     from repro.models.registry import clear_model_cache
 
     _SHARED_ESTIMATES.clear()
-    _SHARED_ISOLATED.clear()
-    _SHARED_PROFILES.clear()
     _PINNED_EFFICIENCY.clear()
+    clear_profile_cache()
     clear_model_cache()
 
 
@@ -218,16 +225,13 @@ class FillJobExecutor:
         _flush_if_oversized()
         eff_id = _efficiency_id(efficiency)
         estimate_key = (cycle, device, self.config, eff_id)
-        device_key = (device, eff_id)
         self._estimate_cache: Dict[Tuple[int, JobType], _EstimateEntry] = (
             _SHARED_ESTIMATES.setdefault(estimate_key, {})
         )
-        self._isolated_cache: Dict[Tuple[int, JobType], Tuple[ModelSpec, float]] = (
-            _SHARED_ISOLATED.setdefault(device_key, {})
-        )
-        self._profile_cache: Dict[tuple, ModelProfile] = _SHARED_PROFILES.setdefault(
-            device_key, {}
-        )
+        # The efficiency-weighted usable share of the cycle behind the
+        # search's throughput bound (computed on the first search, so
+        # construction stays cheap).
+        self._bubble_share: Optional[float] = None
         # Content hash of this executor's estimate namespace for the
         # persistent cross-process plan cache (computed lazily: hashing
         # the cycle is pointless when the disk cache is disabled).
@@ -255,25 +259,15 @@ class FillJobExecutor:
     # -- estimation ------------------------------------------------------------
 
     def _isolated_throughput(self, model: ModelSpec, job_type: JobType) -> float:
-        # repro: lint-ignore[hash-id] -- identity-memo cache key; the entry
-        # pins the spec and the key is never ordered or serialized.
-        key = (id(model), job_type)
-        entry = self._isolated_cache.get(key)
-        # The entry pins the spec it was computed for, so a hit can only
-        # ever be the same object (an id cannot be reused while pinned).
-        if entry is None or entry[0] is not model:
-            profile = best_profile(
-                model,
-                job_type,
-                memory_limit_bytes=self.device.usable_memory_bytes,
-                device=self.device,
-                efficiency_model=self.efficiency,
-            )
-            entry = (model, 0.0 if profile is None else profile.throughput_samples_per_s)
-            if len(self._isolated_cache) >= _MAX_NAMESPACE_ENTRIES:
-                self._isolated_cache.clear()
-            self._isolated_cache[key] = entry
-        return entry[1]
+        """Exclusive-device samples/s (0 when no configuration fits the device)."""
+        profile = best_profile(
+            model,
+            job_type,
+            memory_limit_bytes=self.device.usable_memory_bytes,
+            device=self.device,
+            efficiency_model=self.efficiency,
+        )
+        return 0.0 if profile is None else profile.throughput_samples_per_s
 
     def _profile(
         self,
@@ -283,31 +277,50 @@ class FillJobExecutor:
         *,
         use_cache: bool = True,
     ) -> ModelProfile:
-        """Memoised :func:`profile_model` (profiles do not depend on the cycle)."""
+        """The job's profile under one configuration (independent of the cycle)."""
         if not use_cache:
             return profile_model(model, job_type, exec_config, self.device, self.efficiency)
-        key = (model, job_type, exec_config)
-        profile = self._profile_cache.get(key)
-        if profile is None:
-            profile = profile_model(
-                model, job_type, exec_config, self.device, self.efficiency
+        return cached_profile(model, job_type, exec_config, self.device, self.efficiency)
+
+    def _throughput_bound(self, profile: ModelProfile) -> float:
+        """Upper bound on the effective samples/s of any plan of ``profile``.
+
+        A plan spanning ``n`` cycles visits each plannable bubble at most
+        ``n`` times and packs at most its usable seconds ``U_i`` per visit,
+        each at a bubble efficiency of at most ``eta(max U)``
+        (``bubble_efficiency`` is non-decreasing).  With batch size ``b``,
+        graph duration ``T`` and cycle period ``P`` its effective samples/s
+        is therefore at most ``sum(U) * eta(max U) * b / (T * P)``: the
+        exclusive throughput ``b / T`` scaled by the efficiency-weighted
+        usable share of the cycle.  Infinite when there is nothing to bound
+        (no plannable bubble, a zero period or a zero-duration graph).
+        """
+        if self._bubble_share is None:
+            usable = [
+                self.config.usable_bubble_seconds(b.duration)
+                for b in self.cycle.fillable_bubbles
+            ]
+            usable = [u for u in usable if u > 0.0]
+            period = self.cycle.period
+            self._bubble_share = (
+                sum(usable) * self.efficiency.bubble_efficiency(max(usable)) / period
+                if usable and period > 0
+                else math.inf
             )
-            if len(self._profile_cache) >= _MAX_NAMESPACE_ENTRIES:
-                self._profile_cache.clear()
-            self._profile_cache[key] = profile
-        return profile
+        duration = profile.graph.total_duration
+        if duration <= 0:
+            return math.inf
+        return self._bubble_share * profile.config.batch_size / duration
 
     def _evaluate_config(
         self,
         model: ModelSpec,
         job_type: JobType,
-        exec_config: ExecutionConfig,
+        profile: ModelProfile,
+        isolated_samples_per_second: float,
         *,
         use_cache: bool = True,
     ) -> Optional[FillExecutionEstimate]:
-        profile = self._profile(model, job_type, exec_config, use_cache=use_cache)
-        if profile.device_footprint_bytes > self.usable_memory_bytes:
-            return None
         try:
             if use_cache:
                 # The vectorized Algorithm-1 fast path: identical plan, node
@@ -354,7 +367,7 @@ class FillJobExecutor:
             flops_per_cycle=flops / num_cycles,
             used_bubble_seconds_per_cycle=used_bubble / num_cycles,
             cycle_period=self.cycle.period,
-            isolated_samples_per_second=self._isolated_throughput(model, job_type),
+            isolated_samples_per_second=isolated_samples_per_second,
         )
 
     def build_estimate(
@@ -368,7 +381,11 @@ class FillJobExecutor:
         """Pick the best execution configuration for a fill job on this device.
 
         Returns ``None`` when no configuration fits the bubbles (the
-        scheduler then places the job elsewhere or rejects it).
+        scheduler then places the job elsewhere or rejects it).  The fast
+        path skips Algorithm 1 for a configuration whose throughput bound
+        (:meth:`_throughput_bound`) cannot beat the best estimate so far;
+        the best only changes on a strictly greater throughput, so the
+        result is the one the exhaustive ``use_cache=False`` search finds.
         """
         # repro: lint-ignore[hash-id] -- identity-memo cache key; the entry
         # pins the spec and the key is never ordered or serialized.
@@ -395,10 +412,24 @@ class FillJobExecutor:
                 return value
         if configs is None:
             configs = candidate_configs(job_type)
+        usable_memory = self.usable_memory_bytes
+        isolated: Optional[float] = None
         best: Optional[FillExecutionEstimate] = None
         for exec_config in configs:
+            profile = self._profile(model, job_type, exec_config, use_cache=use_cache)
+            if profile.device_footprint_bytes > usable_memory:
+                continue
+            if (
+                use_cache
+                and best is not None
+                and self._throughput_bound(profile) * (1.0 + _BOUND_MARGIN)
+                <= best.effective_samples_per_second
+            ):
+                continue
+            if isolated is None:
+                isolated = self._isolated_throughput(model, job_type)
             estimate = self._evaluate_config(
-                model, job_type, exec_config, use_cache=use_cache
+                model, job_type, profile, isolated, use_cache=use_cache
             )
             if estimate is None:
                 continue

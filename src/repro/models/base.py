@@ -18,6 +18,7 @@ forward nodes.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, List, Optional, Sequence
 
@@ -264,15 +265,25 @@ class ComputationalGraph:
         if not self.nodes:
             raise ValueError("a computational graph must have at least one node")
 
-    @property
+    # The totals are read on every estimate, plan and throughput comparison,
+    # so each is summed once per graph, left to right, and kept in the
+    # instance dict.  They are not dataclass fields: equality, hashing and
+    # repr see only ``model_name`` and ``nodes``.
+
+    @functools.cached_property
     def total_duration(self) -> float:
         """Sum of node durations (one iteration's exclusive execution time)."""
         return sum(node.duration for node in self.nodes)
 
-    @property
+    @functools.cached_property
     def total_flops(self) -> float:
         """Sum of node FLOPs for one iteration."""
         return sum(node.flops for node in self.nodes)
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only, so cached totals never reach the
+        # persistent plan cache's entries.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def peak_memory_bytes(self) -> float:

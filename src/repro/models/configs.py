@@ -103,6 +103,19 @@ def candidate_configs(
     and optimizer/activation offloading, mirroring the ZeRO-Offload /
     ZeRO-Infinity options the paper's implementation exposes.
     """
+    if batch_sizes is None and allow_offloading and allow_checkpointing:
+        # Every plan search and isolated-throughput lookup asks for the
+        # defaults, so they are enumerated once per job type.
+        return list(_DEFAULT_CANDIDATES[job_type])
+    return _enumerate_configs(job_type, batch_sizes, allow_offloading, allow_checkpointing)
+
+
+def _enumerate_configs(
+    job_type: JobType,
+    batch_sizes: Sequence[int] | None,
+    allow_offloading: bool,
+    allow_checkpointing: bool,
+) -> List[ExecutionConfig]:
     if batch_sizes is None:
         batch_sizes = (
             DEFAULT_TRAINING_BATCH_SIZES
@@ -136,3 +149,8 @@ def candidate_configs(
             )
         )
     return configs
+
+
+_DEFAULT_CANDIDATES = {
+    job_type: tuple(_enumerate_configs(job_type, None, True, True)) for job_type in JobType
+}

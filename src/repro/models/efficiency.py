@@ -139,6 +139,12 @@ class EfficiencyModel:
 
         which tends to ``cold_efficiency`` for very short runs and to 1 for
         runs much longer than ``tau`` (e.g. exclusive execution).
+
+        Contract: the result is non-decreasing in ``run_duration`` for every
+        valid ``cold_efficiency`` in [0, 1] (``TestEfficiencyProperties``
+        checks it).  The executor's configuration search relies on it to
+        bound a plan's throughput by the efficiency of its longest bubble
+        and skip plans that cannot win.
         """
         if run_duration < 0:
             raise ValueError(f"run_duration must be >= 0, got {run_duration}")

@@ -10,13 +10,16 @@ the device spec.
 The resulting :class:`ModelProfile` carries a linearised
 :class:`~repro.models.base.ComputationalGraph` (forward nodes, then backward
 nodes in reverse order, then an optimizer step for training jobs) that
-Algorithm 1 packs into pipeline bubbles.
+Algorithm 1 packs into pipeline bubbles.  Profiles are pure, so readers
+take them from one process-wide memo (:func:`cached_profile`); only the
+executor's brute-force reference search calls :func:`profile_model`
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.device import DeviceSpec, V100_16GB
 from repro.models.base import (
@@ -280,6 +283,55 @@ def profile_model(
     )
 
 
+# -- the shared profile memo ---------------------------------------------------
+#
+# A profile is a pure function of (model, job type, config, device, efficiency
+# model).  The executors' plan searches, their isolated-throughput reference
+# and every trace generator's GPU-hours -> samples conversion ask for the same
+# few hundred profiles, so one process-wide memo serves them all.  Job type,
+# config and device are frozen values keyed by value.  A model spec would be
+# expensive to hash (every layer) and an efficiency model holds dicts, so both
+# are keyed by identity, and every entry pins the two objects it was computed
+# for: while the entry lives neither id can be reused, so two *different*
+# specs -- even ones sharing a registry name -- never share a profile.
+# ``repro.core.executor.clear_shared_caches()`` empties the memo.
+
+#: One memo entry: the pinned model and efficiency model, then the profile.
+_ProfileEntry = Tuple[ModelSpec, EfficiencyModel, ModelProfile]
+
+_PROFILES: Dict[tuple, _ProfileEntry] = {}
+
+#: Entry bound: a process profiling this many distinct inputs (many models,
+#: devices or spec objects) flushes the memo wholesale and refills it.
+_MAX_PROFILES = 4096
+
+
+def cached_profile(
+    model: ModelSpec,
+    job_type: JobType,
+    config: ExecutionConfig,
+    device: DeviceSpec = V100_16GB,
+    efficiency_model: EfficiencyModel = DEFAULT_EFFICIENCY,
+) -> ModelProfile:
+    """:func:`profile_model` read through the process-wide profile memo."""
+    # Identity-memo key: the entry pins both objects, and the key is never
+    # ordered, serialized or digested.
+    key = (id(model), job_type, config, device, id(efficiency_model))
+    entry = _PROFILES.get(key)
+    if entry is not None and entry[0] is model and entry[1] is efficiency_model:
+        return entry[2]
+    profile = profile_model(model, job_type, config, device, efficiency_model)
+    if len(_PROFILES) >= _MAX_PROFILES:
+        _PROFILES.clear()
+    _PROFILES[key] = (model, efficiency_model, profile)
+    return profile
+
+
+def clear_profile_cache() -> None:
+    """Empty the profile memo (``clear_shared_caches()`` calls this)."""
+    _PROFILES.clear()
+
+
 def best_profile(
     model: ModelSpec,
     job_type: JobType,
@@ -292,18 +344,21 @@ def best_profile(
     """Pick the configuration with the highest throughput that fits in memory.
 
     Returns ``None`` when no candidate configuration fits (the job cannot be
-    used as a fill job on this device / bubble).
+    used as a fill job on this device / bubble).  Profiles are read through
+    the shared profile memo (:func:`cached_profile`).
     """
     check_positive(memory_limit_bytes, "memory_limit_bytes")
     if configs is None:
         configs = candidate_configs(job_type)
     best: Optional[ModelProfile] = None
+    best_throughput = 0.0
     for config in configs:
-        profile = profile_model(model, job_type, config, device, efficiency_model)
+        profile = cached_profile(model, job_type, config, device, efficiency_model)
         if not profile.fits_memory(memory_limit_bytes):
             continue
-        if best is None or profile.throughput_samples_per_s > best.throughput_samples_per_s:
-            best = profile
+        throughput = profile.throughput_samples_per_s
+        if best is None or throughput > best_throughput:
+            best, best_throughput = profile, throughput
     return best
 
 

@@ -258,9 +258,12 @@ def _quarantine(path: Path) -> None:
 def get(key_parts: Tuple[str, ...]) -> Tuple[bool, Any]:
     """Look an entry up through the tiers; returns ``(hit, value)``.
 
-    Local disk is consulted first.  A missing file is a miss; an
-    unreadable or corrupt file (truncated write, bad pickle, bit rot) is
-    a miss *plus* a quarantine -- the broken entry is moved to
+    Local disk is consulted first.  A missing file is a miss.  Any other
+    error opening or reading the file (too many open files, a flaky
+    disk) is a miss plus one ``errors``, and the file stays in place: the
+    entry may be valid, and the next lookup reads it again.  Bytes that
+    fail to decode (truncated write, bad pickle, bit rot) are a miss, an
+    error *and* a quarantine -- the broken entry is moved to
     ``<name>.pkl.corrupt`` so it is recomputed and rewritten, never
     retried.  On a local miss the remote service (when configured) is
     asked; a remote hit is unpickled, written back to local disk, and
@@ -273,17 +276,24 @@ def get(key_parts: Tuple[str, ...]) -> Tuple[bool, Any]:
     digest = _entry_digest(key_parts)
     if _cache_dir is not None:
         path = _entry_path(digest)
+        blob = None
         try:
             with open(path, "rb") as fh:
-                value = pickle.load(fh)
+                blob = fh.read()
         except FileNotFoundError:
             pass
-        except Exception:
+        except OSError:
             _stats["misses"] += 1
             _stats["errors"] += 1
-            _quarantine(path)
             return False, None
-        else:
+        if blob is not None:
+            try:
+                value = pickle.loads(blob)
+            except Exception:
+                _stats["misses"] += 1
+                _stats["errors"] += 1
+                _quarantine(path)
+                return False, None
             _stats["hits"] += 1
             return True, value
     if _remote is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -68,18 +68,15 @@ class FillJobTraceBuilder:
         check_positive(self.deadline_slack_factor, "deadline_slack_factor")
         if self.distribution is None:
             self.distribution = default_distribution(self.seed)
-        self._throughput_cache: Dict[Tuple[str, JobType], float] = {}
 
     # -- helpers ---------------------------------------------------------------
 
     def _isolated_throughput(self, model_name: str, job_type: JobType) -> float:
-        key = (model_name, job_type)
-        if key not in self._throughput_cache:
-            model = build_model(model_name)
-            self._throughput_cache[key] = isolated_throughput(
-                model, job_type, self.device, self.efficiency
-            )
-        return self._throughput_cache[key]
+        # Profiles come from the shared profile memo, so each job class is
+        # profiled once per process, not once per builder.
+        return isolated_throughput(
+            build_model(model_name), job_type, self.device, self.efficiency
+        )
 
     def _job_type_for(self, model_name: str, rng) -> JobType:
         category = category_for_model(model_name)
@@ -250,7 +247,6 @@ class ArrivalProcess:
         # restart guarantee; freeze it into a fixed integer seed once.
         if isinstance(self.seed, np.random.Generator):
             self.seed = int(self.seed.integers(0, 2**63 - 1))
-        self._throughput_cache: Dict[Tuple[str, JobType], float] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -261,12 +257,9 @@ class ArrivalProcess:
         return ModelHubDistribution(probabilities=probs)
 
     def _isolated_throughput(self, model_name: str, job_type: JobType) -> float:
-        key = (model_name, job_type)
-        if key not in self._throughput_cache:
-            self._throughput_cache[key] = isolated_throughput(
-                build_model(model_name), job_type, self.device, self.efficiency
-            )
-        return self._throughput_cache[key]
+        return isolated_throughput(
+            build_model(model_name), job_type, self.device, self.efficiency
+        )
 
     def _draw_gpu_seconds(self, gen) -> float:
         """One log-normal GPU-time draw, truncated at ``max_gpu_seconds``."""

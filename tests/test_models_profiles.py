@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.executor import FillJobExecutor, clear_shared_caches
 from repro.hardware.device import A100_80GB, V100_16GB
+from repro.models import profiles
 from repro.models.base import NodeRole
 from repro.models.configs import ExecutionConfig, JobType
 from repro.models.profiles import (
     best_profile,
+    cached_profile,
     isolated_throughput,
     isolated_tflops,
     profile_model,
 )
+from repro.models.registry import build_model
+from repro.pipeline.bubbles import BubbleCycle
 from repro.utils.units import GIB
 
 
@@ -125,3 +132,64 @@ class TestIsolatedExecution:
         assert isolated_tflops(swin_model, JobType.BATCH_INFERENCE) < isolated_tflops(
             bert_base_model, JobType.BATCH_INFERENCE
         )
+
+
+class TestProfileMemo:
+    """The process-wide profile memo: cleared with the shared caches, keyed
+    by spec identity, and bounded."""
+
+    @pytest.fixture()
+    def profile_calls(self, monkeypatch):
+        """Every ``profile_model`` call the memo makes on a miss."""
+        calls = []
+        original = profiles.profile_model
+
+        def counting(*args, **kwargs):
+            calls.append(args[:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(profiles, "profile_model", counting)
+        clear_shared_caches()
+        yield calls
+        clear_shared_caches()
+
+    def test_clear_shared_caches_makes_the_next_search_profile_again(self, profile_calls):
+        cycle = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)
+        # One spec object throughout: a new spec would miss the memo anyway.
+        model = build_model("bert-base", use_cache=False)
+        FillJobExecutor(cycle).build_estimate(model, JobType.BATCH_INFERENCE)
+        first = len(profile_calls)
+        assert first > 0
+        FillJobExecutor(cycle).build_estimate(
+            model, JobType.BATCH_INFERENCE, configs=[ExecutionConfig(batch_size=8)]
+        )
+        assert len(profile_calls) == first  # served by the memo
+        clear_shared_caches()
+        assert not profiles._PROFILES
+        FillJobExecutor(cycle).build_estimate(model, JobType.BATCH_INFERENCE)
+        assert len(profile_calls) == 2 * first
+
+    def test_distinct_specs_sharing_a_name_never_share_a_profile(self, profile_calls):
+        spec = build_model("bert-base", use_cache=False)
+        twin = dataclasses.replace(spec, layers=spec.layers[:-1])
+        assert twin.name == spec.name
+        config = ExecutionConfig(batch_size=8)
+        a = cached_profile(spec, JobType.BATCH_INFERENCE, config)
+        b = cached_profile(twin, JobType.BATCH_INFERENCE, config)
+        assert a.model is spec and b.model is twin
+        assert len(b.graph) == len(a.graph) - 1
+        assert cached_profile(spec, JobType.BATCH_INFERENCE, config) is a
+        assert cached_profile(twin, JobType.BATCH_INFERENCE, config) is b
+        assert len(profile_calls) == 2
+
+    def test_memo_flushes_at_its_entry_bound(self, profile_calls, monkeypatch):
+        monkeypatch.setattr(profiles, "_MAX_PROFILES", 3)
+        model = build_model("bert-base", use_cache=False)
+        configs = [ExecutionConfig(batch_size=b) for b in (1, 2, 4, 8)]
+        for config in configs[:3]:
+            cached_profile(model, JobType.BATCH_INFERENCE, config)
+        assert len(profiles._PROFILES) == 3
+        cached_profile(model, JobType.BATCH_INFERENCE, configs[3])
+        assert len(profiles._PROFILES) == 1  # flushed, then the new entry
+        cached_profile(model, JobType.BATCH_INFERENCE, configs[0])
+        assert len(profile_calls) == 5  # the flushed entry was profiled again

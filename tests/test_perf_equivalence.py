@@ -126,21 +126,85 @@ class TestGoldenDigests:
         assert shipped - {"xlarge_cluster"} == set(GOLDEN_DIGESTS)
 
 
-class TestExecutorCacheCorrectness:
-    def test_cached_estimate_matches_recomputed(self):
-        executors = make_executors()
-        executor = executors[0]
-        from repro.models.registry import build_model
+def _keying_variants():
+    """The executors of ``test_shared_cache_keying_separates_differing_inputs``."""
+    from repro.core.config import PipeFillConfig
 
-        model = build_model("bert-base")
-        cached = executor.build_estimate(model, JobType.BATCH_INFERENCE)
-        fresh = executor.build_estimate(
-            model, JobType.BATCH_INFERENCE, use_cache=False
+    cycle_a = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)
+    cycle_b = BubbleCycle.from_durations([0.9, 2.1], 3.0 * GIB, period=5.0)
+    return [
+        FillJobExecutor(cycle_a),
+        FillJobExecutor(cycle_b),
+        FillJobExecutor(cycle_a, config=PipeFillConfig(fill_fraction=0.5)),
+    ]
+
+
+class TestExecutorCacheCorrectness:
+    def test_cached_estimate_matches_recomputed(self, monkeypatch):
+        """The memoised, bound-pruned search picks exactly what the
+        exhaustive uncached reference search picks, and really prunes."""
+        from repro.core import executor as executor_module
+        from repro.core.executor import clear_shared_caches
+        from repro.core.system import PipeFillSystem
+        from repro.models.registry import FILL_JOB_MODELS, build_model
+        from repro.pipeline.parallelism import ParallelConfig
+
+        calls = {"pack": 0, "plan": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            executor_module, "pack_fill_job", counting("pack", executor_module.pack_fill_job)
         )
-        assert cached is not None and fresh is not None
-        assert cached.samples_per_cycle == fresh.samples_per_cycle
-        assert cached.flops_per_cycle == fresh.flops_per_cycle
-        assert cached.cycle_period == fresh.cycle_period
+        monkeypatch.setattr(
+            executor_module, "plan_fill_job", counting("plan", executor_module.plan_fill_job)
+        )
+        system = PipeFillSystem(
+            build_model("gpt-5b"),
+            ParallelConfig(
+                tensor_parallel=1,
+                pipeline_stages=16,
+                data_parallel=2,
+                microbatch_size=2,
+                global_batch_size=64,
+            ),
+        )
+        executors = [system.executors[i] for i in (0, 8, 15)] + _keying_variants()
+        clear_shared_caches()  # every cached search below runs cold
+        compared = 0
+        for executor in executors:
+            for name in sorted(FILL_JOB_MODELS):
+                model = build_model(name)
+                for job_type in JobType:
+                    cached = executor.build_estimate(model, job_type)
+                    fresh = executor.build_estimate(model, job_type, use_cache=False)
+                    assert (cached is None) == (fresh is None), (name, job_type)
+                    if fresh is None:
+                        continue
+                    compared += 1
+                    for field in (
+                        "samples_per_cycle",
+                        "flops_per_cycle",
+                        "used_bubble_seconds_per_cycle",
+                        "cycle_period",
+                        "isolated_samples_per_second",
+                    ):
+                        assert getattr(cached, field) == getattr(fresh, field), (
+                            name,
+                            job_type,
+                            field,
+                        )
+                    assert cached.profile.config == fresh.profile.config
+                    assert cached.plan.num_cycles == fresh.plan.num_cycles
+        assert compared > 0
+        # The reference plans every configuration that fits in memory; the
+        # fast path must have skipped at least one of them.
+        assert 0 < calls["pack"] < calls["plan"]
 
     def test_executors_with_identical_inputs_share_estimates(self):
         cycle = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)
@@ -156,19 +220,10 @@ class TestExecutorCacheCorrectness:
         """A wrong shared-cache key would serve one executor's estimates to
         another with different inputs; pre-populating the cache through a
         sibling executor and then re-deriving from scratch must agree."""
-        from repro.core.config import PipeFillConfig
         from repro.models.registry import build_model
 
         model = build_model("bert-base")
-        cycle_a = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)
-        cycle_b = BubbleCycle.from_durations([0.9, 2.1], 3.0 * GIB, period=5.0)
-        config_b = PipeFillConfig(fill_fraction=0.5)
-
-        variants = [
-            FillJobExecutor(cycle_a),
-            FillJobExecutor(cycle_b),
-            FillJobExecutor(cycle_a, config=config_b),
-        ]
+        variants = _keying_variants()
         # Populate the shared caches in one order...
         cached = [
             ex.build_estimate(model, JobType.BATCH_INFERENCE) for ex in variants

@@ -124,6 +124,34 @@ class TestEstimateRoundTrip:
         stats = plancache.stats()
         assert stats["hits"] >= 1 and stats["quarantined"] == 0
 
+    def test_transient_read_error_is_a_miss_and_keeps_the_entry(
+        self, cache_dir, monkeypatch
+    ):
+        """An I/O error (here EMFILE) says nothing about the entry's bytes:
+        it is a counted miss, the file stays put, and the next lookup hits."""
+        import errno
+
+        key = ("namespace", "model", "job")
+        plancache.put(key, {"samples": 1.5})
+        (entry,) = (cache_dir / "estimates").glob("*.pkl")
+        blob = entry.read_bytes()
+
+        def exhausted(path, *args, **kwargs):
+            raise OSError(errno.EMFILE, "Too many open files", str(path))
+
+        monkeypatch.setattr(plancache, "open", exhausted, raising=False)
+        plancache.reset_stats()
+        assert plancache.get(key) == (False, None)
+        stats = plancache.stats()
+        assert stats["misses"] == 1 and stats["errors"] == 1
+        assert stats["quarantined"] == 0
+        assert entry.read_bytes() == blob
+        assert not list((cache_dir / "estimates").glob("*.corrupt"))
+
+        monkeypatch.delattr(plancache, "open")  # the fault clears
+        assert plancache.get(key) == (True, {"samples": 1.5})
+        assert plancache.stats()["hits"] == 1
+
     def test_disabled_by_default(self, tmp_path):
         plancache.configure(None, enabled=False)
         plancache.reset_stats()

@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PipeFillConfig, main_job_overhead_fraction
-from repro.core.plan import PlanError, plan_fill_job
+from repro.core.plan import PlanError, pack_fill_job, plan_fill_job
 from repro.hardware.memory import DeviceOOMError, MemoryAllocator
 from repro.models.base import ComputationalGraph, GraphNode, NodeRole
 from repro.models.efficiency import EfficiencyModel
@@ -116,6 +116,81 @@ class TestPlanProperties:
             plan.planned_flops, plan.iterations * graph.total_flops, rel_tol=1e-9
         )
 
+    @given(graph=graphs(), cycle=bubble_cycles())
+    @example(  # nodes that fill a bubble's time and memory exactly
+        graph=ComputationalGraph(
+            model_name="exact",
+            nodes=tuple(
+                GraphNode(
+                    name=f"n{i}",
+                    role=NodeRole.FORWARD,
+                    duration=0.25,
+                    memory_bytes=2 * GIB,
+                    flops=1e9,
+                )
+                for i in range(3)
+            ),
+        ),
+        cycle=BubbleCycle.from_durations([0.5, 0.75], 2 * GIB, period=2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_packed_plan_matches_reference_planner(self, graph, cycle):
+        """The executor's fast packer builds exactly the reference plan."""
+        try:
+            reference = plan_fill_job(graph, cycle, _PERMISSIVE)
+        except PlanError as exc:
+            with pytest.raises(PlanError) as packed_error:
+                pack_fill_job(graph, cycle, _PERMISSIVE)
+            assert str(packed_error.value) == str(exc)
+            return
+        packed = pack_fill_job(graph, cycle, _PERMISSIVE)
+        assert packed.iterations == reference.iterations
+        assert packed.num_cycles == reference.num_cycles
+        assert packed.bubbles == reference.bubbles
+        visits = list(
+            zip(packed._visit_counts.tolist(), packed._visit_durations.tolist())
+        )
+        assert visits == [(len(p.nodes), p.duration) for p in reference.partitions]
+        assert packed.planned_work_seconds == reference.planned_work_seconds
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("long_node", "does not fit in any bubble"),
+            ("large_node", "does not fit in any bubble"),
+            ("no_fillable_bubble", "has no fillable bubbles"),
+            ("max_cycles", "plan exceeded 1 bubble cycles"),
+        ],
+    )
+    def test_packer_raises_the_reference_plan_error(self, case, message):
+        def node(name, duration=0.5, memory=1e6):
+            return GraphNode(
+                name=name,
+                role=NodeRole.FORWARD,
+                duration=duration,
+                memory_bytes=memory,
+                flops=1e9,
+            )
+
+        cycle = BubbleCycle.from_durations([0.6, 0.6], 2 * GIB, period=3.0)
+        config, max_cycles = _PERMISSIVE, 10_000
+        nodes = [node("a"), node("b")]
+        if case == "long_node":
+            nodes.append(node("long", duration=0.7))
+        elif case == "large_node":
+            nodes.append(node("large", memory=3 * GIB))
+        elif case == "no_fillable_bubble":
+            config = PipeFillConfig(min_fill_bubble_seconds=1.0)
+        else:
+            nodes.append(node("c"))  # three half-second nodes need two cycles
+            max_cycles = 1
+        graph = ComputationalGraph(model_name="errors", nodes=tuple(nodes))
+        with pytest.raises(PlanError, match=message) as reference:
+            plan_fill_job(graph, cycle, config, max_cycles=max_cycles)
+        with pytest.raises(PlanError) as packed:
+            pack_fill_job(graph, cycle, config, max_cycles=max_cycles)
+        assert str(packed.value) == str(reference.value)
+
 
 # ---------------------------------------------------------------------------
 # Memory allocator invariants
@@ -211,10 +286,14 @@ class TestScheduleProperties:
 
 
 class TestEfficiencyProperties:
-    @given(d1=st.floats(min_value=0.0, max_value=100.0), d2=st.floats(min_value=0.0, max_value=100.0))
+    @given(
+        d1=st.floats(min_value=0.0, max_value=100.0),
+        d2=st.floats(min_value=0.0, max_value=100.0),
+        cold=st.floats(min_value=0.0, max_value=1.0),
+    )
     @settings(max_examples=100, deadline=None)
-    def test_bubble_efficiency_monotone_and_bounded(self, d1, d2):
-        model = EfficiencyModel()
+    def test_bubble_efficiency_monotone_and_bounded(self, d1, d2, cold):
+        model = EfficiencyModel(cold_efficiency=cold)
         e1, e2 = model.bubble_efficiency(d1), model.bubble_efficiency(d2)
         assert model.cold_efficiency - 1e-9 <= e1 <= 1.0
         if d1 <= d2:
