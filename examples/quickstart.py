@@ -56,7 +56,7 @@ def main() -> None:
     estimate = executor.build_estimate(build_model("bert-base"), JobType.BATCH_INFERENCE)
     assert estimate is not None
     print("\nBERT-base batch inference as a fill job on stage 8:")
-    print(f"  chosen configuration : {estimate.profile.config.describe()}")
+    print(f"  chosen configuration : {estimate.exec_config.describe()}")
     print(f"  recovered TFLOP/s     : {estimate.recovered_tflops:.1f} (while filling)")
     print(f"  relative performance  : {estimate.relative_performance:.0%} of an exclusive GPU")
 

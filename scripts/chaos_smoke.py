@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Chaos smoke: the crash-safe sweep runtime proves itself end to end.
 
-Runs one small sweep four ways and asserts the supervised runtime's
+Runs one small sweep five ways and asserts the supervised runtime's
 core guarantees (docs/robustness.md) hold on a real scenario:
 
 1. a clean run (the reference digest);
@@ -11,7 +11,10 @@ core guarantees (docs/robustness.md) hold on a real scenario:
    merged result must also be bit-identical, and the journal must show
    the resume re-ran only the missing points;
 4. a run whose failures exhaust their retries — it must degrade to
-   structured failures in a schema-valid payload, not abort.
+   structured failures in a schema-valid payload, not abort;
+5. a run over a warm plan cache whose entries get truncated — the
+   corrupt entries must be quarantined and recomputed, and the digest
+   must not move.
 
 Used by the CI ``chaos-smoke`` job and runnable locally:
 
@@ -33,7 +36,9 @@ from repro.api import (  # noqa: E402
     SweepInterrupted,
     validate_sweep_payload,
 )
+from repro.core.executor import clear_shared_caches  # noqa: E402
 from repro.exec import reset_chaos_state  # noqa: E402
+from repro.utils import plancache  # noqa: E402
 
 SCENARIO = "scenarios/smoke.yaml"
 GRID = dict(parameter="policy", values=["sjf", "fifo"])
@@ -42,12 +47,12 @@ GRID = dict(parameter="policy", values=["sjf", "fifo"])
 def main() -> int:
     exp = Experiment.from_yaml(SCENARIO)
 
-    print("[1/4] clean reference sweep")
+    print("[1/5] clean reference sweep")
     reference = exp.sweep(workers=1, **GRID)
     assert reference.ok, "clean run must succeed"
     print(f"      digest {reference.digest()}")
 
-    print("[2/4] SIGKILL every first attempt; retries must recover")
+    print("[2/5] SIGKILL every first attempt; retries must recover")
     killed = exp.sweep(
         workers=2,
         backoff_seconds=0.01,
@@ -64,7 +69,7 @@ def main() -> int:
     )
     print(f"      digest {killed.digest()} (bit-identical, attempts=2 each)")
 
-    print("[3/4] interrupt mid-sweep, then resume from the journal")
+    print("[3/5] interrupt mid-sweep, then resume from the journal")
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as journals:
         reset_chaos_state()
         try:
@@ -96,7 +101,7 @@ def main() -> int:
         )
         print(f"      digest {resumed.digest()} (bit-identical after resume)")
 
-    print("[4/4] exhausted retries degrade to structured failures")
+    print("[4/5] exhausted retries degrade to structured failures")
     broken = exp.sweep(
         workers=2,
         max_retries=1,
@@ -110,6 +115,30 @@ def main() -> int:
     for failure in broken.failures:
         print(f"      {failure.describe()}")
     print("      payload still validates against schema v1")
+
+    print("[5/5] truncated plan-cache entries are quarantined and recomputed")
+    with tempfile.TemporaryDirectory(prefix="chaos-smoke-cache-") as cache:
+        plancache.configure(cache)
+        try:
+            clear_shared_caches()
+            exp.sweep(workers=1, **GRID)  # warms the cache
+            clear_shared_caches()
+            plancache.reset_stats()
+            truncated = exp.sweep(
+                workers=1, chaos=ChaosPlan.build("truncate-cache"), **GRID
+            )
+            stats = plancache.stats()
+        finally:
+            plancache.configure(None, enabled=False)
+    assert truncated.ok, f"truncate-cache run failed: {truncated.failures}"
+    assert stats["quarantined"] >= 1, f"nothing was quarantined: {stats}"
+    assert truncated.digest() == reference.digest(), (
+        f"truncate-cache digest {truncated.digest()} != clean {reference.digest()}"
+    )
+    print(
+        f"      digest {truncated.digest()} (bit-identical, "
+        f"{stats['quarantined']} entries quarantined)"
+    )
 
     print("chaos smoke: all guarantees held")
     return 0

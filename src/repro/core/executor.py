@@ -23,9 +23,11 @@ out of the profile and the plan; the third is modelled by
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+import typing
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import PipeFillConfig
 from repro.core.plan import (
@@ -89,6 +91,47 @@ _MAX_NAMESPACE_ENTRIES = 4096
 #: the float rounding of the up to ~10^4-term sums behind an estimate.
 _BOUND_MARGIN = 1e-9
 
+# -- persistent plan-cache records ---------------------------------------------
+#
+# A disk entry (:mod:`repro.utils.plancache`) holds the data the simulator
+# reads, never objects: the job class, the chosen configuration's fields and
+# the five floats below, or ``null`` when no configuration fits.  A record is
+# validated against the requesting executor before it becomes an estimate.
+
+#: The estimate's floats, in constructor order.
+_RECORD_FLOATS = (
+    "samples_per_cycle",
+    "flops_per_cycle",
+    "used_bubble_seconds_per_cycle",
+    "cycle_period",
+    "isolated_samples_per_second",
+)
+_RECORD_KEYS = frozenset(("model", "job_type", "exec_config") + _RECORD_FLOATS)
+#: ``ExecutionConfig``'s fields and their exact JSON types (``int``/``bool``).
+_CONFIG_TYPES = typing.get_type_hints(ExecutionConfig)
+#: The configurations a default search can choose, per job type.
+_CANDIDATES = {job_type: frozenset(candidate_configs(job_type)) for job_type in JobType}
+
+
+def _non_negative_float(value: Any) -> bool:
+    """A finite ``float`` with a clear sign bit (so ``-0.0`` is rejected)."""
+    return (
+        type(value) is float
+        and math.isfinite(value)
+        and math.copysign(1.0, value) == 1.0
+    )
+
+
+def _record(estimate: Optional["FillExecutionEstimate"]) -> Optional[Dict[str, Any]]:
+    """The plan-cache record of a search result (``None`` stays ``None``)."""
+    if estimate is None:
+        return None
+    record: Dict[str, Any] = {name: getattr(estimate, name) for name in _RECORD_FLOATS}
+    record["model"] = estimate.model_name
+    record["job_type"] = estimate.job_type.value
+    record["exec_config"] = asdict(estimate.exec_config)
+    return record
+
 
 def _efficiency_id(efficiency: EfficiencyModel) -> int:
     # repro: lint-ignore[hash-id] -- identity-memo key; the object is pinned
@@ -127,16 +170,43 @@ class FillExecutionEstimate:
 
     model_name: str
     job_type: JobType
-    profile: ModelProfile
-    #: The execution plan behind the estimate: an eager ExecutionPlan in
-    #: brute-force reference mode, a lazily-materialized PackedPlan on the
-    #: cached fast path (same API, identical metrics).
-    plan: "ExecutionPlan | PackedPlan"
+    #: The execution configuration the search chose.
+    exec_config: ExecutionConfig
     samples_per_cycle: float
     flops_per_cycle: float
     used_bubble_seconds_per_cycle: float
     cycle_period: float
     isolated_samples_per_second: float
+
+    # ``profile`` and ``plan`` are detail, not data, and not dataclass
+    # fields: equality, hashing and repr see only the values above.  A
+    # fresh search attaches the ones it built; an estimate loaded from the
+    # persistent plan cache rebuilds them on first access from the inputs of
+    # the executor that loaded it, and keeps them.
+
+    def _attach(self, **detail: Any) -> None:
+        # Fills the cached properties below (or their rebuild source)
+        # without going through the frozen ``__setattr__``.
+        self.__dict__.update(detail)
+
+    @functools.cached_property
+    def profile(self) -> ModelProfile:
+        """The job's profile under :attr:`exec_config` on this device."""
+        executor, model = self.__dict__["_source"]
+        return cached_profile(
+            model, self.job_type, self.exec_config, executor.device, executor.efficiency
+        )
+
+    @functools.cached_property
+    def plan(self) -> "ExecutionPlan | PackedPlan":
+        """The execution plan behind the estimate.
+
+        An eager :class:`ExecutionPlan` in brute-force reference mode, a
+        lazily-materialized :class:`PackedPlan` on the cached fast path
+        (same API, identical metrics).
+        """
+        executor = self.__dict__["_source"][0]
+        return pack_fill_job(self.profile.graph, executor.cycle, executor.config)
 
     @property
     def effective_samples_per_second(self) -> float:
@@ -358,17 +428,55 @@ class FillJobExecutor:
         iterations_completed = effective_work / profile.graph.total_duration
         samples = iterations_completed * profile.config.batch_size
         flops = iterations_completed * profile.graph.total_flops
-        return FillExecutionEstimate(
+        estimate = FillExecutionEstimate(
             model_name=model.name,
             job_type=job_type,
-            profile=profile,
-            plan=plan,
+            exec_config=profile.config,
             samples_per_cycle=samples / num_cycles,
             flops_per_cycle=flops / num_cycles,
             used_bubble_seconds_per_cycle=used_bubble / num_cycles,
             cycle_period=self.cycle.period,
             isolated_samples_per_second=isolated_samples_per_second,
         )
+        estimate._attach(profile=profile, plan=plan)
+        return estimate
+
+    def _from_record(
+        self, model: ModelSpec, job_type: JobType, record: Any
+    ) -> Optional[FillExecutionEstimate]:
+        """Turn a plan-cache record back into an estimate, or raise.
+
+        The record must be one this executor's search could have produced
+        for ``(model, job_type)``: the same class, a default candidate
+        configuration with exactly typed fields, finite non-negative
+        floats, and this cycle's period bit for bit.  Anything else raises
+        ``ValueError``, which :func:`repro.utils.plancache.get` counts as a
+        corrupt entry.
+        """
+        if record is None:
+            return None
+        if type(record) is not dict or record.keys() != _RECORD_KEYS:
+            raise ValueError("not an estimate record")
+        if record["model"] != model.name or record["job_type"] != job_type.value:
+            raise ValueError("record belongs to another job class")
+        raw_config = record["exec_config"]
+        if (
+            type(raw_config) is not dict
+            or raw_config.keys() != _CONFIG_TYPES.keys()
+            or any(type(raw_config[k]) is not t for k, t in _CONFIG_TYPES.items())
+        ):
+            raise ValueError("malformed execution config")
+        exec_config = ExecutionConfig(**raw_config)
+        if exec_config not in _CANDIDATES[job_type]:
+            raise ValueError(f"{exec_config.describe()} is not a candidate config")
+        values = [record[name] for name in _RECORD_FLOATS]
+        if not all(_non_negative_float(v) for v in values):
+            raise ValueError("estimate values must be finite non-negative floats")
+        if record["cycle_period"] != self.cycle.period:
+            raise ValueError("record was computed for another cycle period")
+        estimate = FillExecutionEstimate(model.name, job_type, exec_config, *values)
+        estimate._attach(_source=(self, model))
+        return estimate
 
     def build_estimate(
         self,
@@ -401,10 +509,12 @@ class FillJobExecutor:
             # The persistent cross-process cache: keyed by the same pure
             # inputs as the in-process memo, so a sweep worker or a second
             # bench run loads the plan search instead of re-running it.
-            # Pickled estimates round-trip bit-identically, so a disk hit
-            # can never change simulation results.
+            # Records carry the floats bit-exactly, so a disk hit can never
+            # change simulation results.
             disk_key = self._disk_key(model, job_type)
-            hit, value = plancache.get(disk_key)
+            hit, value = plancache.get(
+                disk_key, functools.partial(self._from_record, model, job_type)
+            )
             if hit:
                 if len(self._estimate_cache) >= _MAX_NAMESPACE_ENTRIES:
                     self._estimate_cache.clear()
@@ -444,7 +554,7 @@ class FillJobExecutor:
                 self._estimate_cache.clear()
             self._estimate_cache[key] = (model, best)
             if disk_key is not None:
-                plancache.put(disk_key, best)
+                plancache.put(disk_key, _record(best))
         return best
 
     def processing_time(

@@ -297,8 +297,7 @@ class PackedPlan:
     (``partitions``, ``bubbles``, ``num_cycles``, the derived metrics);
     ``partitions`` builds the real :class:`GraphPartition` tuple lazily on
     first access, so estimate construction never pays for node clones it
-    does not read.  Picklable (the persistent plan cache stores estimates);
-    the materialized partitions are dropped from the pickle.
+    does not read.
     """
 
     __slots__ = (
@@ -408,28 +407,6 @@ class PackedPlan:
 
     def partitions_in_cycle(self, cycle_index: int) -> List[GraphPartition]:
         return [p for p in self.partitions if p.cycle_index == cycle_index]
-
-    # -- pickling (the persistent plan cache stores estimates) -------------------
-
-    def __getstate__(self):
-        return {
-            "bubbles": self.bubbles,
-            "iterations": self.iterations,
-            "cycle_period": self.cycle_period,
-            "graph": self._graph,
-            "visit_counts": self._visit_counts,
-            "visit_durations": self._visit_durations,
-        }
-
-    def __setstate__(self, state) -> None:
-        self.bubbles = state["bubbles"]
-        self.iterations = state["iterations"]
-        self.cycle_period = state["cycle_period"]
-        self._graph = state["graph"]
-        self.graph_duration = self._graph.total_duration
-        self._visit_counts = state["visit_counts"]
-        self._visit_durations = state["visit_durations"]
-        self._partitions = None
 
 
 def _pack_visit_lengths(

@@ -3,14 +3,14 @@
 A :class:`PlanCacheServer` is a threaded stdlib TCP server speaking the
 length-prefixed protocol of :mod:`repro.dist.protocol`.  It stores
 opaque ``key -> blob`` entries (the plan cache's content-addressed
-pickles) in memory, optionally spooled to a directory so a restarted
+records) in memory, optionally spooled to a directory so a restarted
 server comes back warm.  Because keys embed the client's code
 fingerprint (:func:`repro.utils.plancache.code_fingerprint`), clients
 running different code simply miss instead of poisoning each other.
 
 The server is deliberately dumb: no eviction policy beyond an optional
 entry cap, no authentication (run it on a trusted network or
-localhost), no unpickling of anything it stores.  Counters (``gets`` /
+localhost), no decoding of anything it stores.  Counters (``gets`` /
 ``hits`` / ``puts`` / ``entries``) are served over the ``stats`` op so
 benchmarks and smoke tests can assert the fleet actually shared work.
 
@@ -155,22 +155,25 @@ class PlanCacheServer:
         return protocol.STATUS_ERROR + f"unknown op {op!r}".encode()
 
     def _get(self, key: str) -> Optional[bytes]:
+        """Memory first, then the spool; a miss only when both miss."""
         with self._lock:
             self._stats["gets"] += 1
             blob = self._entries.get(key)
             if blob is not None:
                 self._stats["hits"] += 1
                 return blob
-            self._stats["misses"] += 1
         if self._spool_dir is not None:
             try:
                 blob = (self._spool_dir / self._spool_name(key)).read_bytes()
             except OSError:
-                return None
-            with self._lock:
+                pass
+        with self._lock:
+            if blob is None:
+                self._stats["misses"] += 1
+            else:
+                self._stats["hits"] += 1
                 self._entries.setdefault(key, blob)
-            return blob
-        return None
+        return blob
 
     def _put(self, key: str, blob: bytes) -> None:
         with self._lock:

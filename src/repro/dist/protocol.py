@@ -25,10 +25,11 @@ response   payload after the status byte
 
 Keys are the plan cache's entry digests (64 hex chars embedding the code
 fingerprint, :mod:`repro.utils.plancache`), and value blobs are the
-pickled estimate bytes exactly as they sit on disk -- the service is a
-dumb content-addressed blob store and never unpickles anything.  Frames
-are capped at :data:`MAX_FRAME_BYTES` so a corrupt length prefix cannot
-make either side allocate unbounded memory.
+encoded records exactly as they sit on disk -- the service is a dumb
+content-addressed blob store and never decodes anything; clients
+validate every blob they receive.  Frames are capped at
+:data:`MAX_FRAME_BYTES` so a corrupt length prefix cannot make either
+side allocate unbounded memory.
 
 This module is deliberately dependency-free (no other ``repro`` imports)
 so the client tier in :mod:`repro.utils.plancache` can use it without
@@ -41,8 +42,8 @@ import socket
 import struct
 from typing import Optional, Tuple
 
-#: Upper bound on one frame's payload (a plan estimate pickles to a few
-#: KB; 64 MB is a generous safety margin, not a target).
+#: Upper bound on one frame's payload (a plan-cache record is a few hundred
+#: bytes; 64 MB is a generous safety margin, not a target).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 OP_GET = b"G"

@@ -174,9 +174,9 @@ def truncate_cache_injector(
     """Truncate one persistent plan-cache entry to ``keep_bytes`` bytes.
 
     Picks the entry deterministically from the task key.  The victim
-    becomes an unreadable pickle, which the cache must quarantine to
-    ``<entry>.corrupt`` and treat as a miss -- results stay identical,
-    just slower.  A disabled/empty cache makes this a no-op.
+    becomes a record whose digest no longer matches, which the cache must
+    quarantine to ``<entry>.corrupt`` and treat as a miss -- results stay
+    identical, just slower.  A disabled/empty cache makes this a no-op.
     """
     from repro.utils import plancache
 
@@ -186,7 +186,7 @@ def truncate_cache_injector(
         root = plancache.cache_dir() / "estimates"
     else:
         return
-    entries = sorted(root.glob("*.pkl")) if root.is_dir() else []
+    entries = sorted(root.glob(f"*{plancache.ENTRY_SUFFIX}")) if root.is_dir() else []
     if not entries:
         return
     pick = int(hashlib.sha256(key.encode()).hexdigest(), 16) % len(entries)

@@ -68,6 +68,6 @@ def run_fig7(
                 estimate.recovered_tflops,
                 estimate.relative_performance,
                 estimate.slowdown,
-                estimate.profile.config.describe(),
+                estimate.exec_config.describe(),
             )
     return table

@@ -280,11 +280,6 @@ class ComputationalGraph:
         """Sum of node FLOPs for one iteration."""
         return sum(node.flops for node in self.nodes)
 
-    def __getstate__(self) -> dict:
-        # Pickle the fields only, so cached totals never reach the
-        # persistent plan cache's entries.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @property
     def peak_memory_bytes(self) -> float:
         """Largest single-node memory requirement."""

@@ -8,21 +8,31 @@ profile + Algorithm-1 cold start.  An estimate is a pure function of
 job type)`` -- all frozen value objects -- so it can be cached *across
 processes* under a content hash of exactly those inputs.
 
-Entries live as individual pickle files under ``<cache-dir>/estimates/``
+Entries live as individual files under ``<cache-dir>/estimates/``
 (default ``.repro-cache/``), named by the SHA-256 of a canonical JSON
-rendering of the key.  Writes go through a temp file + ``os.replace`` so
-concurrent sweep workers can never observe a torn entry; unreadable or
-corrupt entries are treated as misses and recomputed.  A negative result
-("this job fits no configuration on this cycle") is cached too, as an
-explicit ``None``.
+rendering of the key plus :data:`ENTRY_SUFFIX`.  Writes go through a temp
+file + ``os.replace`` so concurrent sweep workers can never observe a torn
+entry; unreadable or corrupt entries are treated as misses and
+recomputed.  A negative result ("this job fits no configuration on this
+cycle") is cached too, as an explicit ``None`` (JSON ``null``).
+
+Record format
+-------------
+An entry holds plain data, never code: the value rendered as canonical
+JSON (sorted keys, compact separators, no ``NaN``/``Infinity``), prefixed
+by the 64 hex characters of that body's SHA-256.  :func:`get` checks the
+digest, parses the body (rejecting the non-finite constants), and hands
+the result to the caller's ``decode`` function, which validates it against
+the caller's schema and builds the value to return.  The executor stores
+the chosen configuration and the five floats the simulator reads
+(:mod:`repro.core.executor`); JSON round-trips finite floats bit-exactly,
+so a hit can never change simulation results --
+``tests/test_plancache.py`` asserts both the hit path and the equality.
 
 The cache is **disabled by default** for library use (tests and direct
 imports see byte-for-byte the behaviour of the in-process caches alone);
 the CLI commands ``run``/``sweep``/``bench``/``profile`` enable it, with
-``--cache-dir``/``--no-disk-cache`` to relocate or opt out.  Loaded
-estimates are bit-identical to recomputed ones (pickle round-trips floats
-exactly), so enabling the cache never changes simulation results --
-``tests/test_plancache.py`` asserts both the hit path and the equality.
+``--cache-dir``/``--no-disk-cache`` to relocate or opt out.
 
 Hygiene: the directory is safe to delete at any time (`rm -rf
 .repro-cache/`); there is no index to corrupt.  Keys embed a
@@ -42,9 +52,10 @@ addressed over the length-prefixed protocol of
 then the service; a remote hit is written back to local disk so it is
 paid at most once per machine) and stores write through both tiers, so
 a fleet of sweep shards pays each plan search **once globally**.  The
-remote entry is the same pickled blob as the local file under the same
-fingerprinted content digest, so a mixed-version fleet can only miss,
-never poison.
+remote entry is the same record as the local file under the same
+fingerprinted content digest, so a mixed-version fleet can only miss.  A
+remote record is decoded and validated exactly like a local one before it
+is returned or written back, so a peer can never run code in a client.
 
 The remote tier can never make a run slower than local-only by more
 than its bounded socket timeout, and can never fail a run: every remote
@@ -60,15 +71,20 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import socket
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-#: Format epoch for the entry layout itself (pickle protocol, key shape).
-_FORMAT_VERSION = 1
+#: Format epoch for the entry layout itself (record framing, key shape).
+_FORMAT_VERSION = 2
+
+#: File suffix of a local entry: ``<entry digest><ENTRY_SUFFIX>``.
+ENTRY_SUFFIX = ".rec"
+
+#: Length of the record's hex SHA-256 prefix.
+_DIGEST_CHARS = 64
 
 #: Subpackages whose source feeds the cached computation: models/profiles
 #: (the profiler), pipeline (bubble cycles, partitioning), core (plan
@@ -237,15 +253,43 @@ def _entry_digest(key_parts: Tuple[str, ...]) -> str:
 
 def _entry_path(digest: str) -> Path:
     assert _cache_dir is not None
-    return _cache_dir / "estimates" / f"{digest}.pkl"
+    return _cache_dir / "estimates" / f"{digest}{ENTRY_SUFFIX}"
+
+
+def _encode(value: Any) -> bytes:
+    """Frame a value as a record: hex SHA-256 of the body, then the body."""
+    body = json.dumps(
+        value, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode()
+    return hashlib.sha256(body).hexdigest().encode() + body
+
+
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"non-finite constant {name} in a plan-cache record")
+
+
+def _decode(blob: bytes, decode: Callable[[Any], Any]) -> Any:
+    """Check a record's digest, parse its body and apply ``decode``.
+
+    Raises on a digest mismatch, bad JSON, a ``NaN``/``Infinity``
+    constant, or anything ``decode`` rejects.
+    """
+    body = blob[_DIGEST_CHARS:]
+    if hashlib.sha256(body).hexdigest().encode() != blob[:_DIGEST_CHARS]:
+        raise ValueError("plan-cache record digest mismatch")
+    return decode(json.loads(body, parse_constant=_reject_constant))
+
+
+def _plain(value: Any) -> Any:
+    return value
 
 
 def _quarantine(path: Path) -> None:
     """Move a corrupt entry aside so it cannot poison later lookups.
 
-    The entry is renamed to ``<name>.pkl.corrupt`` (atomic on POSIX):
+    The entry is renamed to ``<name>.rec.corrupt`` (atomic on POSIX):
     every subsequent ``get`` of the same key sees a clean miss instead of
-    re-parsing the broken pickle, the recomputed value's ``put`` lands on
+    re-reading the broken record, the recomputed value's ``put`` lands on
     the now-free path, and the corpse stays on disk for diagnosis.
     """
     try:
@@ -255,21 +299,31 @@ def _quarantine(path: Path) -> None:
     _stats["quarantined"] += 1
 
 
-def get(key_parts: Tuple[str, ...]) -> Tuple[bool, Any]:
+def get(
+    key_parts: Tuple[str, ...], decode: Callable[[Any], Any] = _plain
+) -> Tuple[bool, Any]:
     """Look an entry up through the tiers; returns ``(hit, value)``.
+
+    ``decode`` turns the record's parsed JSON into the returned value and
+    raises to reject it (the executor validates its schema there); the
+    default returns the plain JSON data.  It runs inside this function's
+    error handling, so a rejected record counts exactly like bytes that
+    fail to parse.
 
     Local disk is consulted first.  A missing file is a miss.  Any other
     error opening or reading the file (too many open files, a flaky
     disk) is a miss plus one ``errors``, and the file stays in place: the
-    entry may be valid, and the next lookup reads it again.  Bytes that
-    fail to decode (truncated write, bad pickle, bit rot) are a miss, an
-    error *and* a quarantine -- the broken entry is moved to
-    ``<name>.pkl.corrupt`` so it is recomputed and rewritten, never
-    retried.  On a local miss the remote service (when configured) is
-    asked; a remote hit is unpickled, written back to local disk, and
-    counted as ``remote_hits``.  Any remote trouble (connection refused,
-    timeout, corrupt blob) counts one ``remote_errors`` and degrades to
-    a plain miss.  ``value`` may legitimately be ``None`` on a hit.
+    entry may be valid, and the next lookup reads it again.  A record
+    that fails to decode (truncated write, bit rot, a stale digest, a
+    value ``decode`` rejects) is a miss, an error *and* a quarantine --
+    the broken entry is moved to ``<name>.rec.corrupt`` so it is
+    recomputed and rewritten, never retried.  On a local miss the remote
+    service (when configured) is asked; a remote hit is decoded, written
+    back to local disk, and counted as ``remote_hits``.  Any remote
+    trouble (connection refused, timeout, a record that fails to decode)
+    counts one ``remote_errors`` and degrades to a plain miss; a rejected
+    remote record never reaches local disk.  ``value`` may legitimately
+    be ``None`` on a hit.
     """
     if not _enabled:
         return False, None
@@ -288,7 +342,7 @@ def get(key_parts: Tuple[str, ...]) -> Tuple[bool, Any]:
             return False, None
         if blob is not None:
             try:
-                value = pickle.loads(blob)
+                value = _decode(blob, decode)
             except Exception:
                 _stats["misses"] += 1
                 _stats["errors"] += 1
@@ -300,7 +354,7 @@ def get(key_parts: Tuple[str, ...]) -> Tuple[bool, Any]:
         status, blob = _remote.get(digest)
         if status == "hit":
             try:
-                value = pickle.loads(blob)
+                value = _decode(blob, decode)
             except Exception:
                 _stats["misses"] += 1
                 _stats["remote_errors"] += 1
@@ -319,19 +373,20 @@ def get(key_parts: Tuple[str, ...]) -> Tuple[bool, Any]:
 def put(key_parts: Tuple[str, ...], value: Any) -> None:
     """Store an entry through both tiers (best effort; errors swallowed).
 
-    The value is pickled once; the same blob lands atomically on local
-    disk and is pushed to the remote service under a bounded socket
-    timeout, so a slow or dead remote can never block the simulation --
-    the worst case is one timeout per attempt until the circuit opens,
-    each counted in ``remote_errors``.
+    The value (plain JSON data) is encoded once; the same record lands
+    atomically on local disk and is pushed to the remote service under a
+    bounded socket timeout, so a slow or dead remote can never block the
+    simulation -- the worst case is one timeout per attempt until the
+    circuit opens, each counted in ``remote_errors``.
     """
     if not _enabled:
         return
     try:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        # An unpicklable estimate component degrades to "not cached",
-        # never to a crash the uncached run would not have had.
+        blob = _encode(value)
+    except (TypeError, ValueError):
+        # A value JSON cannot carry (a non-finite float, a foreign type)
+        # degrades to "not cached", never to a crash the uncached run
+        # would not have had.
         _stats["errors"] += 1
         return
     digest = _entry_digest(key_parts)
@@ -346,7 +401,7 @@ def put(key_parts: Tuple[str, ...], value: Any) -> None:
 
 
 def _write_local(digest: str, blob: bytes) -> bool:
-    """Atomically land a pickled blob in the local tier (best effort)."""
+    """Atomically land an encoded record in the local tier (best effort)."""
     if _cache_dir is None:
         return False
     path = _entry_path(digest)

@@ -164,6 +164,9 @@ class TestCacheServer:
                 assert client.get("persistent") == ("hit", b"payload")
             finally:
                 client.close()
+            # Answered from the spool: a hit, not a miss.
+            stats = server.stats()
+            assert stats["hits"] == 1 and stats["misses"] == 0
 
     def test_max_entries_bounds_memory(self):
         with PlanCacheServer(max_entries=2) as server:
@@ -202,6 +205,21 @@ def restore_plancache():
     directory, enabled, url = saved
     plancache.configure(directory, enabled=enabled, remote_url=url)
     plancache.reset_stats()
+
+
+#: Calls made by unpickling :class:`_Exploit`.
+_SIDE_EFFECTS: list = []
+
+
+def _side_effect() -> None:
+    _SIDE_EFFECTS.append("ran")
+
+
+class _Exploit:
+    """A pickle that calls :func:`_side_effect` when loaded."""
+
+    def __reduce__(self):
+        return (_side_effect, ())
 
 
 class TestTieredPlancache:
@@ -263,6 +281,30 @@ class TestTieredPlancache:
             assert not hit
             stats = plancache.stats()
             assert stats["misses"] == 1 and stats["remote_misses"] == 1
+
+    def test_remote_pickle_never_runs_code(self, tmp_path, restore_plancache):
+        """A peer can push any blob under any key; a pickle must neither
+        run on load nor reach the client's local disk."""
+        import pickle
+
+        local = tmp_path / "local"
+        _SIDE_EFFECTS.clear()
+        with PlanCacheServer() as server:
+            peer = RemoteCacheClient(server.url)
+            try:
+                assert peer.put(
+                    plancache._entry_digest(self.KEY), pickle.dumps(_Exploit())
+                )
+            finally:
+                peer.close()
+            plancache.configure(local, remote_url=server.url)
+            plancache.reset_stats()
+            assert plancache.get(self.KEY) == (False, None)
+        assert _SIDE_EFFECTS == []
+        stats = plancache.stats()
+        assert stats["remote_hits"] == 0 and stats["remote_errors"] == 1
+        assert stats["misses"] == 1
+        assert not list(local.rglob("*")), "a rejected blob was written back"
 
     def test_stats_carry_remote_counters(self, restore_plancache):
         plancache.configure(None, enabled=False)

@@ -139,17 +139,33 @@ def _keying_variants():
     ]
 
 
+@pytest.fixture()
+def disk_plan_cache(tmp_path):
+    """A persistent plan cache in a temporary directory, off afterwards."""
+    from repro.utils import plancache
+
+    plancache.configure(tmp_path / "plans", enabled=True)
+    yield plancache
+    plancache.configure(None, enabled=False)
+
+
 class TestExecutorCacheCorrectness:
-    def test_cached_estimate_matches_recomputed(self, monkeypatch):
+    def test_cached_estimate_matches_recomputed(self, monkeypatch, disk_plan_cache):
         """The memoised, bound-pruned search picks exactly what the
-        exhaustive uncached reference search picks, and really prunes."""
+        exhaustive uncached reference search picks, and really prunes.
+
+        A second pass reads every estimate back from the persistent plan
+        cache: each disk hit matches the reference exactly, and profiles
+        and plans nothing until its ``profile``/``plan`` is read.
+        """
         from repro.core import executor as executor_module
         from repro.core.executor import clear_shared_caches
         from repro.core.system import PipeFillSystem
+        from repro.models import profiles as profiles_module
         from repro.models.registry import FILL_JOB_MODELS, build_model
         from repro.pipeline.parallelism import ParallelConfig
 
-        calls = {"pack": 0, "plan": 0}
+        calls = {"pack": 0, "plan": 0, "profile": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -164,6 +180,9 @@ class TestExecutorCacheCorrectness:
         monkeypatch.setattr(
             executor_module, "plan_fill_job", counting("plan", executor_module.plan_fill_job)
         )
+        monkeypatch.setattr(
+            profiles_module, "profile_model", counting("profile", profiles_module.profile_model)
+        )
         system = PipeFillSystem(
             build_model("gpt-5b"),
             ParallelConfig(
@@ -175,25 +194,33 @@ class TestExecutorCacheCorrectness:
             ),
         )
         executors = [system.executors[i] for i in (0, 8, 15)] + _keying_variants()
+        fields = (
+            "samples_per_cycle",
+            "flops_per_cycle",
+            "used_bubble_seconds_per_cycle",
+            "cycle_period",
+            "isolated_samples_per_second",
+        )
         clear_shared_caches()  # every cached search below runs cold
+        reference = {}
         compared = 0
-        for executor in executors:
+        for i, executor in enumerate(executors):
             for name in sorted(FILL_JOB_MODELS):
                 model = build_model(name)
                 for job_type in JobType:
                     cached = executor.build_estimate(model, job_type)
                     fresh = executor.build_estimate(model, job_type, use_cache=False)
                     assert (cached is None) == (fresh is None), (name, job_type)
+                    reference[i, name, job_type] = None
                     if fresh is None:
                         continue
+                    reference[i, name, job_type] = (
+                        [getattr(fresh, field) for field in fields],
+                        fresh.profile.config,
+                        fresh.plan.num_cycles,
+                    )
                     compared += 1
-                    for field in (
-                        "samples_per_cycle",
-                        "flops_per_cycle",
-                        "used_bubble_seconds_per_cycle",
-                        "cycle_period",
-                        "isolated_samples_per_second",
-                    ):
+                    for field in fields:
                         assert getattr(cached, field) == getattr(fresh, field), (
                             name,
                             job_type,
@@ -205,6 +232,28 @@ class TestExecutorCacheCorrectness:
         # The reference plans every configuration that fits in memory; the
         # fast path must have skipped at least one of them.
         assert 0 < calls["pack"] < calls["plan"]
+
+        # Second pass: a "new process" reads every search from disk.
+        clear_shared_caches()
+        disk_plan_cache.reset_stats()
+        for i, executor in enumerate(executors):
+            for name in sorted(FILL_JOB_MODELS):
+                model = build_model(name)
+                for job_type in JobType:
+                    before = dict(calls)
+                    hit = executor.build_estimate(model, job_type)
+                    assert calls == before, (name, job_type)  # nothing rebuilt
+                    expected = reference[i, name, job_type]
+                    assert (hit is None) == (expected is None), (name, job_type)
+                    if hit is None:
+                        continue
+                    values, config, num_cycles = expected
+                    assert [getattr(hit, field) for field in fields] == values
+                    assert hit.exec_config == config
+                    assert hit.profile.config == config
+                    assert hit.plan.num_cycles == num_cycles
+        stats = disk_plan_cache.stats()
+        assert stats["hits"] == len(reference) and stats["misses"] == 0
 
     def test_executors_with_identical_inputs_share_estimates(self):
         cycle = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)

@@ -1,19 +1,28 @@
 """Tests for the persistent cross-process plan/estimate cache.
 
-The cache must be invisible except for speed: a disk hit returns a
-pickle round-trip of exactly what a fresh plan search would compute, so
-results stay bit-identical; corrupt entries degrade to misses; and the
+The cache must be invisible except for speed: a disk hit decodes a
+data-only record carrying exactly the floats a fresh plan search would
+compute, so results stay bit-identical; corrupt, tampered or foreign
+records -- and any entry that is not a record at all, such as a pickle
+-- degrade to counted, quarantined misses and never run code; and the
 library default is *off* so nothing touches the filesystem unless the
 CLI (or a test) opts in.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import pickle
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.executor import FillJobExecutor, clear_shared_caches
+from repro.exec import ChaosPlan
 from repro.models.configs import JobType
 from repro.models.registry import build_model
 from repro.pipeline.bubbles import BubbleCycle
@@ -34,6 +43,32 @@ def cache_dir(tmp_path):
 def make_executor():
     cycle = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)
     return FillJobExecutor(cycle)
+
+
+def the_entry(cache_dir):
+    (entry,) = (cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}")
+    return entry
+
+
+def frame(record) -> bytes:
+    """A record framed as the cache frames it, but NaN/Infinity allowed."""
+    body = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(body).hexdigest().encode() + body
+
+
+#: Calls made by unpickling :class:`Exploit`.
+SIDE_EFFECTS: list = []
+
+
+def side_effect() -> None:
+    SIDE_EFFECTS.append("ran")
+
+
+class Exploit:
+    """A pickle that calls :func:`side_effect` when loaded."""
+
+    def __reduce__(self):
+        return (side_effect, ())
 
 
 class TestEstimateRoundTrip:
@@ -75,10 +110,10 @@ class TestEstimateRoundTrip:
         model = build_model("bert-base")
         clear_shared_caches()
         make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
-        entries = list((cache_dir / "estimates").glob("*.pkl"))
+        entries = list((cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}"))
         assert entries
         for path in entries:
-            path.write_bytes(b"not a pickle")
+            path.write_bytes(b"not a record")
         clear_shared_caches()
         plancache.reset_stats()
         model = build_model("bert-base")
@@ -88,18 +123,18 @@ class TestEstimateRoundTrip:
         assert stats["hits"] == 0 and stats["errors"] >= 1 and stats["writes"] >= 1
 
     def test_truncated_entry_is_quarantined_and_rewritten(self, cache_dir):
-        """A torn write (truncated pickle) must quarantine, then self-heal.
+        """A torn write (truncated record) must quarantine, then self-heal.
 
         The live entry is truncated in place -- the crash-mid-write /
         bit-rot case the ``truncate-cache`` chaos injector simulates --
         and the next lookup must (a) miss, (b) move the corpse to
-        ``<name>.pkl.corrupt``, (c) recompute the identical estimate and
+        ``<name>.rec.corrupt``, (c) recompute the identical estimate and
         (d) rewrite the entry so the lookup after that hits again.
         """
         model = build_model("bert-base")
         clear_shared_caches()
         fresh = make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
-        entries = list((cache_dir / "estimates").glob("*.pkl"))
+        entries = list((cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}"))
         assert entries
         for path in entries:
             with open(path, "r+b") as fh:
@@ -112,7 +147,9 @@ class TestEstimateRoundTrip:
         assert stats["quarantined"] >= 1 and stats["errors"] >= 1
         assert healed.samples_per_cycle == fresh.samples_per_cycle
         assert healed.flops_per_cycle == fresh.flops_per_cycle
-        corpses = list((cache_dir / "estimates").glob("*.pkl.corrupt"))
+        corpses = list(
+            (cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}.corrupt")
+        )
         assert corpses, "corrupt entry was not moved aside"
         # The quarantined file really is the truncated one...
         assert all(c.stat().st_size == 8 for c in corpses)
@@ -133,7 +170,7 @@ class TestEstimateRoundTrip:
 
         key = ("namespace", "model", "job")
         plancache.put(key, {"samples": 1.5})
-        (entry,) = (cache_dir / "estimates").glob("*.pkl")
+        (entry,) = (cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}")
         blob = entry.read_bytes()
 
         def exhausted(path, *args, **kwargs):
@@ -159,7 +196,7 @@ class TestEstimateRoundTrip:
         clear_shared_caches()
         make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
         assert plancache.stats()["writes"] == 0
-        assert not list(tmp_path.glob("**/*.pkl"))
+        assert not list(tmp_path.glob(f"**/*{plancache.ENTRY_SUFFIX}"))
 
     def test_code_fingerprint_gates_every_entry(self, cache_dir, monkeypatch):
         """Entries written by different *code* must never be served.
@@ -198,6 +235,162 @@ class TestEstimateRoundTrip:
         ).build_estimate(model, JobType.BATCH_INFERENCE)
         assert plancache.stats()["hits"] == 1
         assert again.cycle_period == b.cycle_period
+
+
+class TestRecordsAreData:
+    """Entries are validated data: nothing in one can run code or slip an
+    estimate past the checks a fresh search would satisfy."""
+
+    def test_pickled_entry_never_runs_code(self, cache_dir):
+        model = build_model("bert-base")
+        clear_shared_caches()
+        executor = make_executor()
+        fresh = executor.build_estimate(model, JobType.BATCH_INFERENCE)
+        key = executor._disk_key(model, JobType.BATCH_INFERENCE)
+        the_entry(cache_dir).write_bytes(pickle.dumps(Exploit()))
+        SIDE_EFFECTS.clear()
+        plancache.reset_stats()
+        assert plancache.get(key) == (False, None)
+        assert SIDE_EFFECTS == []
+        stats = plancache.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 1
+        assert stats["errors"] == 1 and stats["quarantined"] == 1
+        clear_shared_caches()
+        healed = make_executor().build_estimate(
+            build_model("bert-base"), JobType.BATCH_INFERENCE
+        )
+        assert healed == fresh and SIDE_EFFECTS == []
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "stale-digest",
+            "nan",
+            "infinity",
+            "negative",
+            "int-typed",
+            "wrong-model",
+            "wrong-job-type",
+            "not-a-candidate",
+            "unknown-config-key",
+            "other-cycle-period",
+        ],
+    )
+    def test_malformed_record_is_quarantined_and_rewritten(self, cache_dir, case):
+        model = build_model("bert-base")
+        clear_shared_caches()
+        fresh = make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
+        entry = the_entry(cache_dir)
+        blob = entry.read_bytes()
+        record = json.loads(blob[64:])
+        assert frame(record) == blob  # the documented framing, byte for byte
+        if case == "stale-digest":
+            body = blob[64:].decode()
+            i = next(i for i, c in enumerate(body) if c in "123456789")
+            bad = blob[:64] + (body[:i] + str(int(body[i]) - 1) + body[i + 1 :]).encode()
+        else:
+            if case == "nan":
+                record["samples_per_cycle"] = math.nan
+            elif case == "infinity":
+                record["flops_per_cycle"] = math.inf
+            elif case == "negative":
+                record["used_bubble_seconds_per_cycle"] = -1.0
+            elif case == "int-typed":
+                record["isolated_samples_per_second"] = 3
+            elif case == "wrong-model":
+                record["model"] = "gpt-5b"
+            elif case == "wrong-job-type":
+                record["job_type"] = JobType.TRAINING.value
+            elif case == "not-a-candidate":
+                record["exec_config"]["batch_size"] = 3
+            elif case == "unknown-config-key":
+                record["exec_config"]["zero_stage"] = 3
+            elif case == "other-cycle-period":
+                record["cycle_period"] = 4.5
+            bad = frame(record)
+        entry.write_bytes(bad)
+        clear_shared_caches()
+        plancache.reset_stats()
+        model = build_model("bert-base")
+        healed = make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
+        stats = plancache.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 1
+        assert stats["errors"] == 1 and stats["quarantined"] == 1
+        assert healed == fresh
+        assert stats["writes"] == 1 and entry.read_bytes() == blob
+        clear_shared_caches()
+        plancache.reset_stats()
+        again = make_executor().build_estimate(
+            build_model("bert-base"), JobType.BATCH_INFERENCE
+        )
+        assert plancache.stats()["hits"] == 1 and again == fresh
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    def test_finite_non_negative_floats_round_trip_bit_exactly(
+        self, tmp_path_factory, value
+    ):
+        """Every float slot of a record carries any finite non-negative
+        float through the disk bit for bit."""
+        executor = make_executor()
+        model = build_model("bert-base")
+        job_type = JobType.BATCH_INFERENCE
+        record = {
+            "model": model.name,
+            "job_type": job_type.value,
+            "exec_config": {
+                "batch_size": 8,
+                "offload_optimizer": False,
+                "offload_params": False,
+                "offload_activations": False,
+                "activation_checkpointing": False,
+            },
+            "samples_per_cycle": value,
+            "flops_per_cycle": value,
+            "used_bubble_seconds_per_cycle": value,
+            "cycle_period": executor.cycle.period,
+            "isolated_samples_per_second": value,
+        }
+        key = ("round-trip", model.name, job_type.value)
+        plancache.configure(tmp_path_factory.mktemp("floats"), enabled=True)
+        try:
+            plancache.put(key, record)
+            hit, estimate = plancache.get(
+                key, lambda r: executor._from_record(model, job_type, r)
+            )
+        finally:
+            plancache.configure(None, enabled=False)
+        assert hit
+        bits = struct.pack("<d", value)
+        for name in (
+            "samples_per_cycle",
+            "flops_per_cycle",
+            "used_bubble_seconds_per_cycle",
+            "isolated_samples_per_second",
+        ):
+            assert struct.pack("<d", getattr(estimate, name)) == bits
+
+
+class TestChaosTruncateCache:
+    def test_injector_truncates_a_real_entry_which_heals(self, cache_dir):
+        """The ``truncate-cache`` injector must find the live entries; the
+        lookup after it quarantines the victim and recomputes the same
+        estimate."""
+        model = build_model("bert-base")
+        clear_shared_caches()
+        fresh = make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
+        entry = the_entry(cache_dir)
+        ChaosPlan.build("truncate-cache").maybe_inject("point-0", 1)
+        assert entry.stat().st_size == 8
+        clear_shared_caches()
+        plancache.reset_stats()
+        healed = make_executor().build_estimate(
+            build_model("bert-base"), JobType.BATCH_INFERENCE
+        )
+        stats = plancache.stats()
+        assert stats["quarantined"] == 1 and stats["hits"] == 0
+        assert healed == fresh
+        assert entry.stat().st_size > 8  # rewritten
 
 
 class TestScenarioEquivalence:
