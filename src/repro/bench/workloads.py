@@ -171,11 +171,16 @@ def build_bench_jobs(
     rng = random.Random(seed)
     window = arrival_window_seconds(size, num_executors)
     jobs: List[FillJob] = []
+    # Each (model, job type) class is priced once per call, not once per job.
+    throughputs: Dict[Tuple[str, JobType], float] = {}
     log_lo, log_hi = math.log(_MIN_GPU_SECONDS), math.log(_MAX_GPU_SECONDS)
     for i in range(size.num_jobs):
         model_name = _BENCH_MODELS[i % len(_BENCH_MODELS)]
         job_type = _job_type_for(model_name, rng)
-        throughput = isolated_throughput(build_model(model_name), job_type, device)
+        throughput = throughputs.get((model_name, job_type))
+        if throughput is None:
+            throughput = isolated_throughput(build_model(model_name), job_type, device)
+            throughputs[model_name, job_type] = throughput
         gpu_seconds = math.exp(rng.uniform(log_lo, log_hi))
         num_samples = max(1.0, gpu_seconds * throughput)
         arrival = rng.uniform(0.0, window)

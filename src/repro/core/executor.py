@@ -5,9 +5,10 @@ One executor runs per device.  Given the device's repeating bubble cycle it
 1. evaluates the fill job under candidate execution configurations (batch
    size, CPU offloading, activation checkpointing), discarding those whose
    device footprint exceeds the bubbles' usable free memory,
-2. runs the Fill Job Execution Plan Algorithm (Algorithm 1) for each
-   surviving configuration whose throughput bound can still beat the best
-   plan so far, and keeps the one with the highest effective throughput,
+2. runs the Fill Job Execution Plan Algorithm (Algorithm 1) on the
+   surviving configurations in descending order of their throughput bound,
+   stopping at the first whose bound cannot reach the best plan so far, and
+   keeps the one with the highest effective throughput,
 3. enforces the per-process memory cap so that a fill-job OOM can never
    affect the main job, and
 4. exposes the throughput/recovered-FLOPs estimates the scheduler and the
@@ -339,19 +340,6 @@ class FillJobExecutor:
         )
         return 0.0 if profile is None else profile.throughput_samples_per_s
 
-    def _profile(
-        self,
-        model: ModelSpec,
-        job_type: JobType,
-        exec_config: ExecutionConfig,
-        *,
-        use_cache: bool = True,
-    ) -> ModelProfile:
-        """The job's profile under one configuration (independent of the cycle)."""
-        if not use_cache:
-            return profile_model(model, job_type, exec_config, self.device, self.efficiency)
-        return cached_profile(model, job_type, exec_config, self.device, self.efficiency)
-
     def _throughput_bound(self, profile: ModelProfile) -> float:
         """Upper bound on the effective samples/s of any plan of ``profile``.
 
@@ -441,6 +429,85 @@ class FillJobExecutor:
         estimate._attach(profile=profile, plan=plan)
         return estimate
 
+    def _reference_search(
+        self, model: ModelSpec, job_type: JobType, configs: Sequence[ExecutionConfig]
+    ) -> Optional[FillExecutionEstimate]:
+        """The exhaustive search of the brute-force reference mode.
+
+        Profiles every configuration from scratch, plans each one that fits
+        in memory with the scalar planner, in ``configs`` order, and keeps
+        the first with the strictly highest effective samples/s.
+        """
+        usable_memory = self.usable_memory_bytes
+        isolated: Optional[float] = None
+        best: Optional[FillExecutionEstimate] = None
+        for exec_config in configs:
+            profile = profile_model(model, job_type, exec_config, self.device, self.efficiency)
+            if profile.device_footprint_bytes > usable_memory:
+                continue
+            if isolated is None:
+                isolated = self._isolated_throughput(model, job_type)
+            estimate = self._evaluate_config(
+                model, job_type, profile, isolated, use_cache=False
+            )
+            if estimate is None:
+                continue
+            if (
+                best is None
+                or estimate.effective_samples_per_second
+                > best.effective_samples_per_second
+            ):
+                best = estimate
+        return best
+
+    def _best_first_search(
+        self, model: ModelSpec, job_type: JobType, configs: Sequence[ExecutionConfig]
+    ) -> Optional[FillExecutionEstimate]:
+        """The fast search: Algorithm 1 in descending throughput-bound order.
+
+        Every configuration that fits in memory is ranked by its margined
+        bound ``UB * (1 + _BOUND_MARGIN)`` (:meth:`_throughput_bound`),
+        highest first and, at equal bounds, in ``configs`` order.  The best
+        is replaced on a greater value, or on an equal value at an earlier
+        position.  The search stops at the first configuration whose
+        margined bound is below the best value, and skips one whose bound
+        only equals it from a later position: no plan exceeds its margined
+        bound, and every later configuration has a bound no larger (at an
+        equal bound, a later position), so neither step can drop the
+        configuration the reference search picks.
+        """
+        usable_memory = self.usable_memory_bytes
+        ranked = []
+        for index, exec_config in enumerate(configs):
+            profile = cached_profile(model, job_type, exec_config, self.device, self.efficiency)
+            if profile.device_footprint_bytes <= usable_memory:
+                ranked.append((-self._throughput_bound(profile), index, profile))
+        ranked.sort()  # indexes are unique, so profiles are never compared
+        isolated: Optional[float] = None
+        best: Optional[FillExecutionEstimate] = None
+        best_value = 0.0
+        best_index = 0
+        for neg_bound, index, profile in ranked:
+            if best is not None:
+                reach = -neg_bound * (1.0 + _BOUND_MARGIN)
+                if reach < best_value:
+                    break
+                if reach == best_value and index > best_index:
+                    continue
+            if isolated is None:
+                isolated = self._isolated_throughput(model, job_type)
+            estimate = self._evaluate_config(model, job_type, profile, isolated)
+            if estimate is None:
+                continue
+            value = estimate.effective_samples_per_second
+            if (
+                best is None
+                or value > best_value
+                or (value == best_value and index < best_index)
+            ):
+                best, best_value, best_index = estimate, value, index
+        return best
+
     def _from_record(
         self, model: ModelSpec, job_type: JobType, record: Any
     ) -> Optional[FillExecutionEstimate]:
@@ -489,11 +556,11 @@ class FillJobExecutor:
         """Pick the best execution configuration for a fill job on this device.
 
         Returns ``None`` when no configuration fits the bubbles (the
-        scheduler then places the job elsewhere or rejects it).  The fast
-        path skips Algorithm 1 for a configuration whose throughput bound
-        (:meth:`_throughput_bound`) cannot beat the best estimate so far;
-        the best only changes on a strictly greater throughput, so the
-        result is the one the exhaustive ``use_cache=False`` search finds.
+        scheduler then places the job elsewhere or rejects it).  Of the
+        configurations with the highest effective throughput, the first in
+        ``configs`` wins.  The fast path finds it best-first
+        (:meth:`_best_first_search`); ``use_cache=False`` runs the
+        exhaustive in-order reference search (:meth:`_reference_search`).
         """
         # repro: lint-ignore[hash-id] -- identity-memo cache key; the entry
         # pins the spec and the key is never ordered or serialized.
@@ -522,33 +589,8 @@ class FillJobExecutor:
                 return value
         if configs is None:
             configs = candidate_configs(job_type)
-        usable_memory = self.usable_memory_bytes
-        isolated: Optional[float] = None
-        best: Optional[FillExecutionEstimate] = None
-        for exec_config in configs:
-            profile = self._profile(model, job_type, exec_config, use_cache=use_cache)
-            if profile.device_footprint_bytes > usable_memory:
-                continue
-            if (
-                use_cache
-                and best is not None
-                and self._throughput_bound(profile) * (1.0 + _BOUND_MARGIN)
-                <= best.effective_samples_per_second
-            ):
-                continue
-            if isolated is None:
-                isolated = self._isolated_throughput(model, job_type)
-            estimate = self._evaluate_config(
-                model, job_type, profile, isolated, use_cache=use_cache
-            )
-            if estimate is None:
-                continue
-            if (
-                best is None
-                or estimate.effective_samples_per_second
-                > best.effective_samples_per_second
-            ):
-                best = estimate
+        search = self._best_first_search if use_cache else self._reference_search
+        best = search(model, job_type, configs)
         if use_cache and default_configs:
             if len(self._estimate_cache) >= _MAX_NAMESPACE_ENTRIES:
                 self._estimate_cache.clear()

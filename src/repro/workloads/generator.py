@@ -53,6 +53,11 @@ class FillJobTraceBuilder:
     deadline_fraction:
         Fraction of jobs given a deadline (arrival + slack_factor x ideal
         processing time); the paper's deadline-aware policies need some.
+    job_type:
+        Force every job to this type: each job is still drawn as usual, so
+        ids, arrival times and models match the unforced trace, but its
+        GPU time is converted with the forced type's throughput, and jobs
+        whose model does not support the type are dropped.
     """
 
     distribution: Optional[ModelHubDistribution] = None
@@ -62,6 +67,7 @@ class FillJobTraceBuilder:
     deadline_fraction: float = 0.0
     deadline_slack_factor: float = 4.0
     seed: RngLike = 0
+    job_type: Optional[JobType] = None
 
     def __post_init__(self) -> None:
         check_fraction(self.deadline_fraction, "deadline_fraction")
@@ -98,10 +104,16 @@ class FillJobTraceBuilder:
         for trace_job in surviving:
             model_name = self.distribution.sample(gen)
             job_type = self._job_type_for(model_name, gen)
+            has_deadline = gen.random() < self.deadline_fraction
+            if self.job_type is not None:
+                # After every draw, so a forced type leaves the stream as is.
+                if self.job_type not in category_for_model(model_name).job_types():
+                    continue
+                job_type = self.job_type
             throughput = self._isolated_throughput(model_name, job_type)
             num_samples = max(1.0, trace_job.gpu_seconds * throughput)
             deadline = None
-            if gen.random() < self.deadline_fraction:
+            if has_deadline:
                 ideal = num_samples / throughput
                 deadline = trace_job.arrival_time + self.deadline_slack_factor * ideal
             fill_jobs.append(
@@ -161,16 +173,10 @@ def build_fill_job_trace(
         deadline_fraction=deadline_fraction,
         deadline_slack_factor=deadline_slack_factor,
         seed=seed,
+        job_type=job_type,
     )
     trace_generator = TraceGenerator(arrival_rate_per_hour=arrival_rate_per_hour, seed=seed)
-    jobs = builder.generate(duration_seconds, trace_generator=trace_generator, rng=seed)
-    if job_type is not None:
-        jobs = [
-            replace(j, job_type=job_type)
-            for j in jobs
-            if job_type in category_for_model(j.model_name).job_types()
-        ]
-    return jobs
+    return builder.generate(duration_seconds, trace_generator=trace_generator, rng=seed)
 
 
 @dataclass

@@ -9,7 +9,9 @@ job view and processing-time dict per call and sources estimates from
 scheduler-private per-executor memos instead of the shared caches -- the
 pre-optimisation semantics, so a shared-cache keying bug cannot leak into
 the reference run).  ``TestExecutorCacheCorrectness`` additionally
-compares shared-cache entries against from-scratch plan searches.
+compares shared-cache entries and explicit ``configs=`` searches against
+from-scratch plan searches, and checks the throughput bound the
+best-first configuration search relies on.
 
 Also covers the invalidation rule the caches depend on: preempting a job
 banks partial progress and shrinks ``samples_remaining``, so any cached
@@ -22,6 +24,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.executor import FillJobExecutor
 from repro.core.scheduler import FillJob, FillJobScheduler
@@ -139,6 +143,25 @@ def _keying_variants():
     ]
 
 
+def _search_executors():
+    """Three stages of a 16-stage gpt-5b system plus the keying variants."""
+    from repro.core.system import PipeFillSystem
+    from repro.models.registry import build_model
+    from repro.pipeline.parallelism import ParallelConfig
+
+    system = PipeFillSystem(
+        build_model("gpt-5b"),
+        ParallelConfig(
+            tensor_parallel=1,
+            pipeline_stages=16,
+            data_parallel=2,
+            microbatch_size=2,
+            global_batch_size=64,
+        ),
+    )
+    return [system.executors[i] for i in (0, 8, 15)] + _keying_variants()
+
+
 @pytest.fixture()
 def disk_plan_cache(tmp_path):
     """A persistent plan cache in a temporary directory, off afterwards."""
@@ -160,10 +183,8 @@ class TestExecutorCacheCorrectness:
         """
         from repro.core import executor as executor_module
         from repro.core.executor import clear_shared_caches
-        from repro.core.system import PipeFillSystem
         from repro.models import profiles as profiles_module
         from repro.models.registry import FILL_JOB_MODELS, build_model
-        from repro.pipeline.parallelism import ParallelConfig
 
         calls = {"pack": 0, "plan": 0, "profile": 0}
 
@@ -183,17 +204,7 @@ class TestExecutorCacheCorrectness:
         monkeypatch.setattr(
             profiles_module, "profile_model", counting("profile", profiles_module.profile_model)
         )
-        system = PipeFillSystem(
-            build_model("gpt-5b"),
-            ParallelConfig(
-                tensor_parallel=1,
-                pipeline_stages=16,
-                data_parallel=2,
-                microbatch_size=2,
-                global_batch_size=64,
-            ),
-        )
-        executors = [system.executors[i] for i in (0, 8, 15)] + _keying_variants()
+        executors = _search_executors()
         fields = (
             "samples_per_cycle",
             "flops_per_cycle",
@@ -254,6 +265,70 @@ class TestExecutorCacheCorrectness:
                     assert hit.plan.num_cycles == num_cycles
         stats = disk_plan_cache.stats()
         assert stats["hits"] == len(reference) and stats["misses"] == 0
+
+    def test_plans_never_exceed_the_throughput_bound(self):
+        """Best-first search is exact only if no plan's effective samples/s
+        exceeds its configuration's margined throughput bound: check that
+        directly for every configuration that fits and plans."""
+        from repro.core.executor import _BOUND_MARGIN
+        from repro.models.configs import candidate_configs
+        from repro.models.registry import FILL_JOB_MODELS, build_model
+
+        checked = 0
+        for executor in _search_executors():
+            for name in sorted(FILL_JOB_MODELS):
+                model = build_model(name)
+                for job_type in JobType:
+                    for config in candidate_configs(job_type):
+                        estimate = executor.build_estimate(
+                            model, job_type, configs=[config]
+                        )
+                        if estimate is None:
+                            continue  # over the memory limit, or no plan
+                        bound = executor._throughput_bound(estimate.profile)
+                        assert estimate.effective_samples_per_second <= bound * (
+                            1.0 + _BOUND_MARGIN
+                        ), (name, job_type, config)
+                        checked += 1
+        assert checked > 100
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_explicit_config_searches_match_the_reference(self, data):
+        """``configs=`` searches skip the memo and the disk cache; in any
+        subset and order, ties included, they pick what the reference picks.
+
+        Inference profiles ignore ``offload_optimizer``, so each config's
+        ``offload_optimizer=True`` twin ties with it exactly in value but
+        not in ``exec_config``: only the earlier of the two may win.
+        """
+        from dataclasses import replace
+
+        from repro.models.configs import candidate_configs
+        from repro.models.registry import FILL_JOB_MODELS, build_model
+
+        job_type = JobType.BATCH_INFERENCE
+        pool = candidate_configs(job_type)
+        pool += [replace(config, offload_optimizer=True) for config in pool]
+        order = data.draw(st.permutations(pool))
+        configs = order[: data.draw(st.integers(min_value=1, max_value=len(order)))]
+        executor = data.draw(st.sampled_from(_keying_variants()))
+        model = build_model(data.draw(st.sampled_from(sorted(FILL_JOB_MODELS))))
+        fast = executor.build_estimate(model, job_type, configs=configs)
+        reference = executor.build_estimate(
+            model, job_type, configs=configs, use_cache=False
+        )
+        assert (fast is None) == (reference is None)
+        if fast is not None:
+            assert fast.exec_config == reference.exec_config
+            for field in (
+                "samples_per_cycle",
+                "flops_per_cycle",
+                "used_bubble_seconds_per_cycle",
+                "cycle_period",
+                "isolated_samples_per_second",
+            ):
+                assert getattr(fast, field) == getattr(reference, field), field
 
     def test_executors_with_identical_inputs_share_estimates(self):
         cycle = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)

@@ -9,10 +9,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PipeFillConfig, main_job_overhead_fraction
+from repro.core.executor import _BOUND_MARGIN, FillJobExecutor
 from repro.core.plan import PlanError, pack_fill_job, plan_fill_job
+from repro.hardware.device import V100_16GB
 from repro.hardware.memory import DeviceOOMError, MemoryAllocator
 from repro.models.base import ComputationalGraph, GraphNode, NodeRole
+from repro.models.configs import ExecutionConfig, JobType
 from repro.models.efficiency import EfficiencyModel
+from repro.models.profiles import ModelProfile
+from repro.models.registry import build_model
 from repro.pipeline.bubbles import BubbleCycle
 from repro.pipeline.parallelism import bubble_fraction
 from repro.pipeline.schedules import GPipeSchedule, OneFOneBSchedule
@@ -190,6 +195,39 @@ class TestPlanProperties:
         with pytest.raises(PlanError) as packed:
             pack_fill_job(graph, cycle, config, max_cycles=max_cycles)
         assert str(packed.value) == str(reference.value)
+
+    @given(
+        graph=graphs(),
+        cycle=bubble_cycles(),
+        cold=st.floats(min_value=0.0, max_value=1.0),
+        batch_size=st.integers(min_value=1, max_value=128),
+        config=st.sampled_from([_PERMISSIVE, PipeFillConfig()]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_plan_throughput_never_exceeds_the_search_bound(
+        self, graph, cycle, cold, batch_size, config
+    ):
+        """The executor's best-first search stops at the first configuration
+        whose margined throughput bound is below the best plan so far; that
+        is exact only if no plan ever beats its own bound."""
+        executor = FillJobExecutor(
+            cycle, config=config, efficiency=EfficiencyModel(cold_efficiency=cold)
+        )
+        profile = ModelProfile(
+            model=build_model("bert-base"),
+            job_type=JobType.BATCH_INFERENCE,
+            config=ExecutionConfig(batch_size=batch_size),
+            device=V100_16GB,
+            graph=graph,
+            device_footprint_bytes=0.0,
+            host_footprint_bytes=0.0,
+        )
+        estimate = executor._evaluate_config(
+            profile.model, profile.job_type, profile, isolated_samples_per_second=1.0
+        )
+        assume(estimate is not None)
+        bound = executor._throughput_bound(profile)
+        assert estimate.effective_samples_per_second <= bound * (1.0 + _BOUND_MARGIN)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,48 @@ class TestBuildFillJobTrace:
         )
         assert all(j.job_type is JobType.BATCH_INFERENCE for j in jobs)
 
+    @pytest.mark.parametrize(
+        "models, job_type",
+        [
+            (["bert-base"], JobType.BATCH_INFERENCE),  # Figure 4c's workload
+            (None, JobType.TRAINING),  # drops the inference-only models
+        ],
+    )
+    def test_forced_job_type_keeps_each_jobs_gpu_time(self, models, job_type):
+        """A forced type converts GPU time with its own throughput: every
+        job keeps the id, arrival, model and GPU time of the unforced draw."""
+        from repro.models.profiles import isolated_throughput
+        from repro.models.registry import build_model
+
+        def gpu_seconds(job):
+            return job.num_samples / isolated_throughput(
+                build_model(job.model_name), job.job_type
+            )
+
+        drawn = {
+            job.job_id: job
+            for job in build_fill_job_trace(4 * 3_600.0, models=models, seed=0)
+        }
+        forced = build_fill_job_trace(
+            4 * 3_600.0, models=models, job_type=job_type, seed=0
+        )
+        assert {job.job_id for job in forced} == {
+            job.job_id
+            for job in drawn.values()
+            if job_type in category_for_model(job.model_name).job_types()
+        }
+        retyped = 0
+        for job in forced:
+            original = drawn[job.job_id]
+            assert job.job_type is job_type
+            assert (job.model_name, job.arrival_time) == (
+                original.model_name,
+                original.arrival_time,
+            )
+            assert gpu_seconds(job) == pytest.approx(gpu_seconds(original), rel=1e-12)
+            retyped += original.job_type is not job_type
+        assert retyped > 0
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             build_fill_job_trace(3_600.0, models=["resnet"])
@@ -322,3 +364,28 @@ class TestArrivalProcess:
         first = [(j.job_id, j.arrival_time) for j in process]
         second = [(j.job_id, j.arrival_time) for j in process]
         assert first and first == second
+
+
+class TestBenchJobs:
+    def test_each_job_class_is_priced_once(self, monkeypatch):
+        """`repro bench` setup prices each (model, job type) once per call,
+        not once per job."""
+        from collections import Counter
+
+        from repro.bench import workloads as bench_workloads
+
+        calls: Counter = Counter()
+        price = bench_workloads.isolated_throughput
+
+        def counting(model, job_type, *args, **kwargs):
+            calls[model.name, job_type] += 1
+            return price(model, job_type, *args, **kwargs)
+
+        monkeypatch.setattr(bench_workloads, "isolated_throughput", counting)
+        size = bench_workloads.SIZES["smoke"]
+        jobs = bench_workloads.build_bench_jobs(
+            size, num_executors=size.executors_per_tenant
+        )
+        assert len(jobs) == size.num_jobs
+        assert set(calls) == {(job.model_name, job.job_type) for job in jobs}
+        assert max(calls.values()) == 1
