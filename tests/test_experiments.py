@@ -7,6 +7,9 @@ headline qualitative claims hold even at small horizons.
 
 from __future__ import annotations
 
+import itertools
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.common import (
@@ -25,6 +28,7 @@ from repro.experiments.report import EXPERIMENTS, render_markdown, run_all
 from repro.experiments.table1_fill_jobs import run_table1
 
 FAST_HORIZON = 600.0
+EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 class TestCommon:
@@ -164,3 +168,33 @@ class TestReport:
         assert "# EXPERIMENTS" in markdown
         assert "## Table 1" in markdown
         assert "Figure 2" in markdown
+
+
+def _first_difference(committed: str, regenerated: str) -> str:
+    """Name the first differing line of EXPERIMENTS.md and its section."""
+    section = "(preamble)"
+    pairs = itertools.zip_longest(committed.split("\n"), regenerated.split("\n"))
+    for number, (want, got) in enumerate(pairs, start=1):
+        if want is not None and want.startswith("## "):
+            section = want[3:]
+        if want != got:
+            return (
+                f"EXPERIMENTS.md line {number} (section {section!r}) moved:\n"
+                f"  committed:   {want!r}\n"
+                f"  regenerated: {got!r}\n"
+                "Regenerate it with `python examples/reproduce_paper.py` and "
+                "explain the move in CHANGES.md."
+            )
+    return "EXPERIMENTS.md differs from the regenerated report"
+
+
+class TestPaperContract:
+    def test_experiments_md_regenerates_byte_for_byte(self):
+        """Every paper figure, rerun without a disk cache, matches EXPERIMENTS.md."""
+        from repro.utils import plancache
+
+        plancache.configure(None, enabled=False)
+        regenerated = render_markdown(run_all()) + "\n"
+        committed = EXPERIMENTS_MD.read_bytes().decode("utf-8")
+        if regenerated != committed:
+            pytest.fail(_first_difference(committed, regenerated), pytrace=False)
