@@ -13,6 +13,7 @@ Run with ``python examples/scheduling_policies.py``.
 from __future__ import annotations
 
 from repro.core import PipeFillSystem
+from repro.core.system import MAIN_TENANT
 from repro.core.policies import (
     JobView,
     SchedulerView,
@@ -70,7 +71,7 @@ def main() -> None:
     for name, policy in policies.items():
         system = PipeFillSystem(main_model, parallel, policy=policy)
         report = system.run(jobs)
-        scheduler = report.simulation.scheduler
+        scheduler = report.simulation.tenants[MAIN_TENANT].scheduler
         misses = sum(
             1
             for record in scheduler.completed_records()

@@ -36,9 +36,10 @@ Quick start::
     print(result.summary_table().to_ascii())
     payload = result.to_dict()          # schema_version == 1
 
-Compatibility: ``repro.sim.scenario.run_scenario`` / ``load_scenario``
-remain as deprecation shims over this facade and produce bit-identical
-results.
+The raw simulator result is ``result.raw``; a validated
+:class:`~repro.sim.scenario.ScenarioSpec` alone is
+``Experiment.from_yaml(path).validate()``, and
+``Experiment.from_spec(spec).run()`` runs one.
 """
 
 from repro.api.experiment import EventStream, Experiment, SweepInterrupted

@@ -50,8 +50,8 @@ def result_digest(core_payload: Mapping[str, Any]) -> str:
 
     Hashes the *simulation core* only -- the un-versioned
     ``MultiTenantResult.to_dict()`` shape with no timings -- so digests
-    are comparable across the facade, the CLI, the deprecated shims and
-    the historical golden files, and never depend on wall-clock noise.
+    are comparable across the facade, the CLI and the historical golden
+    files, and never depend on wall-clock noise.
     """
     text = json.dumps(core_payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]

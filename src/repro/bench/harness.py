@@ -1,6 +1,6 @@
 """The `repro bench` performance harness.
 
-Runs sized single- and multi-tenant simulator workloads (see
+Runs sized one-tenant and multi-tenant simulator workloads (see
 :mod:`repro.bench.workloads`), measures wall-clock time and processed
 events, and writes a machine-readable ``BENCH_<size>.json`` so performance
 can be tracked across PRs.
@@ -30,8 +30,16 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.executor import clear_shared_caches
-from repro.sim.multi_tenant import MultiTenantSimulator
-from repro.sim.simulator import ClusterSimulator
+from repro.core.policies import (
+    compose_policies,
+    deadline_preemption_rule,
+    sjf_policy,
+    slack_policy,
+)
+from repro.core.scheduler import FillJob
+from repro.core.system import MAIN_TENANT
+from repro.sim.kernel import FaultSpec
+from repro.sim.multi_tenant import MultiTenantSimulator, Tenant
 from repro.utils import plancache
 from repro.bench.workloads import (
     SIZES,
@@ -148,10 +156,10 @@ def run_case(
     clear_shared_caches()
     plancache.reset_stats()
     t0 = time.perf_counter()
+    extra_jobs: List[FillJob] = []
+    faults: List[FaultSpec] = []
+    policy = sjf_policy
     if case.multi_tenant:
-        from repro.core.policies import compose_policies, sjf_policy, slack_policy
-        from repro.core.policies import deadline_preemption_rule
-
         deadline_fraction = 0.3 if case.preemption else 0.0
         tenants = build_multi_tenant(
             case.size,
@@ -159,74 +167,40 @@ def run_case(
             seed=seed,
             churn=case.churn,
         )
-        faults = build_churn_faults(case.size) if case.churn else ()
-        policy = (
-            compose_policies((1_000.0, slack_policy), (1.0, sjf_policy))
-            if case.preemption
-            else sjf_policy
-        )
-        simulator = MultiTenantSimulator(
-            tenants,
-            policy=policy,
-            preemption_rule=deadline_preemption_rule if case.preemption else None,
-            use_cache=use_cache,
-        )
-        horizon = arrival_window_seconds(case.size, case.num_executors)
-        t1 = time.perf_counter()
-        result = simulator.run(faults=faults, horizon_seconds=horizon)
-        t2 = time.perf_counter()
-        agg = result.aggregate
-        # Digest the full result (per-tenant sections included), so a cache
-        # bug that only moves work between tenants while aggregates tie
-        # still flips `identical_results`.
-        summary = result.to_dict()
-        events = result.events_processed
-        events_by_kind = dict(result.events_by_kind)
-        timings_by_kind = dict(result.timings_by_kind)
-        submitted, completed = agg.jobs_submitted, agg.jobs_completed
+        if case.churn:
+            faults = build_churn_faults(case.size)
+        if case.preemption:
+            policy = compose_policies((1_000.0, slack_policy), (1.0, sjf_policy))
     else:
-        system = build_bench_system(case.size)
-        jobs = build_bench_jobs(
+        tenants = [Tenant(MAIN_TENANT, build_bench_system(case.size))]
+        extra_jobs = build_bench_jobs(
             case.size, num_executors=case.num_executors, seed=seed
         )
-        simulator = ClusterSimulator(system.executors, use_cache=use_cache)
-        horizon = arrival_window_seconds(case.size, case.num_executors)
-        t1 = time.perf_counter()
-        result = simulator.run(jobs, horizon_seconds=horizon)
-        t2 = time.perf_counter()
-        metrics = result.fill_metrics
-        summary = {
-            "jobs_submitted": metrics.jobs_submitted,
-            "jobs_completed": metrics.jobs_completed,
-            "total_flops": metrics.total_flops,
-            "total_samples": metrics.total_samples,
-            "average_jct": metrics.average_jct,
-            "makespan": metrics.makespan,
-            "busy_device_seconds": metrics.busy_device_seconds,
-            "events_processed": result.events_processed,
-            "events_by_kind": dict(result.events_by_kind),
-            # Per-job outcome trace: catches divergence that aggregate
-            # metrics would mask (e.g. two equal-length jobs swapping
-            # executors).
-            "completions": sorted(
-                (r.job.job_id, r.assigned_executor, round(r.completion_time or 0.0, 9))
-                for r in result.scheduler.completed_records()
-            ),
-        }
-        events = result.events_processed
-        events_by_kind = dict(result.events_by_kind)
-        timings_by_kind = dict(result.timings_by_kind)
-        submitted, completed = metrics.jobs_submitted, metrics.jobs_completed
-
+    simulator = MultiTenantSimulator(
+        tenants,
+        policy=policy,
+        preemption_rule=deadline_preemption_rule if case.preemption else None,
+        use_cache=use_cache,
+    )
+    horizon = arrival_window_seconds(case.size, case.num_executors)
+    t1 = time.perf_counter()
+    result = simulator.run(
+        extra_jobs=extra_jobs, faults=faults, horizon_seconds=horizon
+    )
+    t2 = time.perf_counter()
+    agg = result.aggregate
     return CaseTiming(
         setup_seconds=t1 - t0,
         run_seconds=t2 - t1,
-        events_processed=events,
-        jobs_submitted=submitted,
-        jobs_completed=completed,
-        result_digest=_digest(summary),
-        events_by_kind=events_by_kind,
-        timings_by_kind=timings_by_kind,
+        events_processed=result.events_processed,
+        jobs_submitted=agg.jobs_submitted,
+        jobs_completed=agg.jobs_completed,
+        # Digest the full result (per-tenant sections included), so a cache
+        # bug that only moves work between tenants while aggregates tie
+        # still flips `identical_results`.
+        result_digest=_digest(result.to_dict()),
+        events_by_kind=dict(result.events_by_kind),
+        timings_by_kind=dict(result.timings_by_kind),
         plan_cache=plancache.stats(),
     )
 

@@ -251,17 +251,6 @@ class GlobalScheduler:
                 best_job = job
         return best_job, best_score
 
-    def _best_local_job(
-        self, tenant: str, executor_index: int, now: float
-    ) -> Tuple[Optional[FillJob], float]:
-        """Highest-scoring locally re-queued job on this tenant executor.
-
-        Note: the tenant scheduler scores with *its own* policy, which the
-        global scheduler constructs with the same policy as its backlog
-        scoring, so local and global scores are comparable.
-        """
-        return self.tenants[tenant].select_job_scored(executor_index, now)
-
     def dispatch(
         self, tenant: str, executor_index: int, now: float
     ) -> Optional[Assignment]:
@@ -275,7 +264,15 @@ class GlobalScheduler:
         sched = self.tenants[tenant]
         if not sched.executors[executor_index].is_available:
             return None
-        local_job, local_score = self._best_local_job(tenant, executor_index, now)
+        # The tenant scheduler scores with *its own* policy, which is built
+        # with the same policy as the backlog scoring, so the scores compare.
+        # Its queue only ever holds preemption and failure leftovers, so it
+        # is usually empty and then has nothing to score.
+        local_job, local_score = (
+            sched.select_job_scored(executor_index, now)
+            if sched.has_queued_jobs()
+            else (None, 0.0)
+        )
         backlog_job, backlog_score = self._best_backlog_job(tenant, executor_index, now)
         if local_job is None and backlog_job is None:
             return None
@@ -288,20 +285,17 @@ class GlobalScheduler:
         return Assignment(tenant, executor_index, local_job.job_id, completion)
 
     def _place(self, tenant: str, job: FillJob) -> None:
-        """Move a backlog job into a tenant's scheduler (pre-assignment).
+        """Move a backlog job into a tenant's scheduler, just before assignment.
 
-        Restores any partial progress the job banked on a tenant that has
-        since departed, so a migrated job resumes with only its remaining
-        samples rather than restarting.
+        The tenant adopts the job with any partial progress it banked on a
+        tenant that has since departed, so a migrated job resumes with only
+        its remaining samples rather than restarting.
         """
         self._backlog.remove(job.job_id)
         self._index_remove(job.job_id)
         self._forget_backlog_views(job.job_id, keep_tenant=tenant)
         self.placements[job.job_id] = tenant
-        self.tenants[tenant].submit(job)
-        carried = self._evicted.pop(job.job_id, None)
-        if carried is not None:
-            self.tenants[tenant].restore_progress(job.job_id, carried)
+        self.tenants[tenant].adopt(job, self._evicted.pop(job.job_id, None))
 
     def dispatch_idle(self, now: float) -> List[Assignment]:
         """Dispatch onto every idle executor of every tenant until stable.

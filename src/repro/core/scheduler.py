@@ -47,7 +47,8 @@ class FillJob:
         Optional absolute deadline.
     tenant:
         Name of the submitting tenant in multi-tenant simulations (``None``
-        for single-main-job runs and tenant-less backlogs).
+        for tenant-less backlogs, including every job of a
+        :meth:`~repro.core.system.PipeFillSystem.run`).
     """
 
     job_id: str
@@ -553,31 +554,36 @@ class FillJobScheduler:
         self.forget_job(job_id)
         return record
 
-    def restore_progress(self, job_id: str, carried: "JobRecord") -> None:
-        """Restore banked partial progress onto a freshly-submitted record.
+    def adopt(self, job: FillJob, carried: Optional[JobRecord] = None) -> JobRecord:
+        """Take over a job that a higher-level scheduler placed here to run now.
 
-        Used by the global scheduler when a job evicted from a departed
-        tenant is re-placed here: the parked record's remaining work and
-        banked totals replace the fresh submission's, and every memo that
-        priced the job at its full sample count (cached view, candidate
-        index entry) is invalidated so dispatch scores only the leftover.
+        The global scheduler calls this with a backlog job it has just
+        matched to one of this scheduler's executors, and assigns it in the
+        same call.  Unlike :meth:`submit`, the job skips the feasibility
+        check (the placement picked a feasible executor) and the candidate
+        index (it leaves the queue at :meth:`assign`, before any dispatch
+        could select it).  ``carried`` is the parked record of a job evicted
+        from a departed tenant: its remaining work and banked totals replace
+        the fresh record's, so the job resumes with only its leftover samples.
         """
-        record = self.records[job_id]
-        record.samples_remaining = carried.samples_remaining
-        record.flops_banked = carried.flops_banked
-        record.flops_executed = carried.flops_banked
-        record.busy_banked_seconds = carried.busy_banked_seconds
-        record.num_preemptions = carried.num_preemptions
-        # Everything banked so far happened on other tenants' devices
-        # (including anything the carried record itself imported); mark it
-        # so this tenant's metrics attribute only locally-supplied time.
-        record.flops_imported = carried.flops_banked
-        record.busy_imported_seconds = carried.busy_banked_seconds
-        record.samples_imported = carried.job.num_samples - carried.samples_remaining
-        self._forget_view(job_id)
-        if self._index is not None and job_id in self._index:
-            self._index.remove(job_id)
-            self._index.add(record.job)
+        if job.job_id in self.records:
+            raise ValueError(f"job id {job.job_id!r} already submitted")
+        record = JobRecord(job=job)
+        self.records[job.job_id] = record
+        if carried is not None:
+            record.samples_remaining = carried.samples_remaining
+            record.flops_banked = carried.flops_banked
+            record.flops_executed = carried.flops_banked
+            record.busy_banked_seconds = carried.busy_banked_seconds
+            record.num_preemptions = carried.num_preemptions
+            # Everything banked so far happened on other tenants' devices
+            # (including anything the carried record itself imported); mark
+            # it so this tenant's metrics attribute only locally-supplied time.
+            record.flops_imported = carried.flops_banked
+            record.busy_imported_seconds = carried.busy_banked_seconds
+            record.samples_imported = carried.job.num_samples - carried.samples_remaining
+        self._queue.append(job.job_id)
+        return record
 
     def select_job_scored(
         self, executor_index: int, now: float

@@ -3,7 +3,8 @@
 Wires together the three components of Figure 3 -- the (analytic or
 instrumented) pipeline engine supplying bubble cycles, one Fill Job Executor
 per simulated device, and the policy-driven Fill Job Scheduler -- and runs a
-fill-job trace through the event-driven cluster simulator, returning the
+fill-job trace through the event-driven cluster simulator (a one-tenant
+:class:`~repro.sim.multi_tenant.MultiTenantSimulator`), returning the
 utilization report the paper's figures are built from.
 
 Imports of :mod:`repro.sim` are done lazily inside methods to keep the
@@ -13,14 +14,14 @@ and scheduler).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, TYPE_CHECKING
 
-from repro.core.config import PipeFillConfig, main_job_overhead_fraction
+from repro.core.config import PipeFillConfig
 from repro.core.executor import FillJobExecutor
 from repro.core.offload import plan_optimizer_offload
 from repro.core.policies import SchedulingPolicy, sjf_policy
-from repro.core.scheduler import FillJob
+from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.hardware.node import NodeSpec, P3_16XLARGE
 from repro.models.base import ModelSpec
 from repro.models.efficiency import DEFAULT_EFFICIENCY, EfficiencyModel
@@ -30,7 +31,11 @@ from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.metrics import UtilizationReport
-    from repro.sim.simulator import SimulationResult
+    from repro.sim.multi_tenant import MultiTenantResult
+
+#: Name of the one tenant :meth:`PipeFillSystem.run` simulates; its
+#: scheduler is ``report.simulation.tenants[MAIN_TENANT].scheduler``.
+MAIN_TENANT = "main"
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,7 @@ class PipeFillReport:
     """End-to-end result of running PipeFill over a fill-job trace."""
 
     utilization: "UtilizationReport"
-    simulation: "SimulationResult"
+    simulation: "MultiTenantResult"
     cluster_devices: int
     mean_relative_performance: float
 
@@ -197,34 +202,24 @@ class PipeFillSystem:
         *,
         horizon_seconds: Optional[float] = None,
     ) -> PipeFillReport:
-        """Run a fill-job trace through the scheduler and simulator."""
-        from repro.sim.metrics import UtilizationReport
-        from repro.sim.simulator import ClusterSimulator
+        """Run a fill-job trace through a one-tenant simulation of this system."""
+        from repro.sim.multi_tenant import MultiTenantSimulator, Tenant
 
-        simulator = ClusterSimulator(self.executors, policy=self.policy)
-        result = simulator.run(jobs, horizon_seconds=horizon_seconds)
-
-        overhead = main_job_overhead_fraction(self.config.fill_fraction)
-        main_tflops = self.main_job.tflops_per_device / (1.0 + overhead)
-        utilization = UtilizationReport(
-            num_devices=result.num_devices,
-            horizon_seconds=result.horizon_seconds,
-            main_tflops_per_device=main_tflops,
-            fill_tflops_per_device=result.fill_tflops_per_device,
-            bubble_ratio=min(1.0, self.main_job.bubble_ratio * (1.0 + overhead)),
-            main_job_slowdown=overhead,
-            fill_metrics=result.fill_metrics,
-        )
+        simulator = MultiTenantSimulator([Tenant(MAIN_TENANT, self)], policy=self.policy)
+        result = simulator.run(extra_jobs=jobs, horizon_seconds=horizon_seconds)
+        tenant = result.tenants[MAIN_TENANT]
         return PipeFillReport(
-            utilization=utilization,
+            # The aggregate also counts jobs still waiting in the backlog or
+            # rejected before placement, which the tenant's records never hold.
+            utilization=replace(tenant.utilization, fill_metrics=result.aggregate),
             simulation=result,
             cluster_devices=self.cluster_devices,
-            mean_relative_performance=self._mean_relative_performance(result),
+            mean_relative_performance=self._mean_relative_performance(tenant.scheduler),
         )
 
-    def _mean_relative_performance(self, result: "SimulationResult") -> float:
+    @staticmethod
+    def _mean_relative_performance(scheduler: FillJobScheduler) -> float:
         """Average fill-job relative performance ``P`` over executed jobs."""
-        scheduler = result.scheduler
         values = []
         for record in scheduler.completed_records():
             assert record.assigned_executor is not None

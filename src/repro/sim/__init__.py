@@ -3,18 +3,19 @@
 The paper evaluates scales of 1K-16K GPUs in an event-driven simulator
 seeded with profiles of the real main job; this package is that simulator.
 :mod:`repro.sim.mainjob` provides the uniform-stage analytic main-job model
-used to seed it, :mod:`repro.sim.simulator` runs fill-job arrivals and
+used to seed it, :mod:`repro.sim.multi_tenant` runs fill-job arrivals and
 completions over the devices' bubble cycles, and :mod:`repro.sim.metrics`
 aggregates the utilization / JCT / makespan numbers the figures report.
 
-Beyond the paper, :mod:`repro.sim.kernel` hosts the pluggable
-discrete-event kernel both simulators are configurations of,
-:mod:`repro.sim.multi_tenant` simulates N concurrent main jobs sharing
-one global fill-job backlog (routed by
-:class:`~repro.core.global_scheduler.GlobalScheduler`) with dynamic
-cluster events (executor failures, elastic tenants, open-loop arrivals),
-and :mod:`repro.sim.scenario` loads declarative YAML/JSON scenario specs
-that the ``python -m repro`` CLI runs, sweeps and validates.
+There is one simulator, :class:`~repro.sim.multi_tenant.MultiTenantSimulator`:
+the paper's setting of one pipeline-parallel main job is a one-tenant run
+(:meth:`repro.core.system.PipeFillSystem.run`), and beyond the paper it
+simulates N concurrent main jobs sharing one global fill-job backlog
+(routed by :class:`~repro.core.global_scheduler.GlobalScheduler`) with
+dynamic cluster events (executor failures, elastic tenants, open-loop
+arrivals).  :mod:`repro.sim.kernel` hosts the discrete-event loop it
+configures, and :mod:`repro.sim.scenario` loads declarative YAML/JSON
+scenario specs that the ``python -m repro`` CLI runs, sweeps and validates.
 """
 
 from repro.sim.events import (
@@ -38,7 +39,6 @@ from repro.sim.multi_tenant import (
     TenantResult,
 )
 from repro.sim.observers import ObserverFanout, RunObserver
-from repro.sim.simulator import ClusterSimulator, SimulationResult
 
 __all__ = [
     "STALE_COMPLETION_EPSILON",
@@ -60,6 +60,4 @@ __all__ = [
     "TenantResult",
     "ObserverFanout",
     "RunObserver",
-    "ClusterSimulator",
-    "SimulationResult",
 ]

@@ -48,8 +48,8 @@ class Event:
 
     Events order by ``(time, sequence)``; payload fields are excluded from
     ordering so identical timestamps resolve deterministically by insertion
-    order.  ``tenant`` identifies which main job's executor the event
-    belongs to in multi-tenant simulations (``None`` in single-tenant runs).
+    order.  ``tenant`` names the main job the event concerns (``None`` for
+    job arrivals, which enter the shared backlog).
     """
 
     time: float

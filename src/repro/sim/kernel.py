@@ -1,11 +1,11 @@
 """The pluggable discrete-event simulation kernel.
 
-Both cluster simulators used to carry their own copy of the same event
-loop (pop the queue, honour the horizon, count events, dispatch on kind).
-:class:`SimKernel` is that loop extracted once: it owns the clock, the
+:class:`SimKernel` is the simulator's event loop (pop the queue, honour
+the horizon, count events, dispatch on kind): it owns the clock, the
 :class:`~repro.sim.events.EventQueue`, the per-kind event accounting and
-the stale-completion guard; a simulator is just a set of handlers
-registered per :class:`~repro.sim.events.EventKind`.
+the stale-completion guard; the
+:class:`~repro.sim.multi_tenant.MultiTenantSimulator` is a set of
+handlers registered per :class:`~repro.sim.events.EventKind`.
 
 The kernel is deliberately policy-free: it does not know what a scheduler
 or a tenant is.  Handlers close over whatever state they drive
@@ -18,7 +18,7 @@ arrivals enter the queue.
 Dynamic cluster events (failures, elastic tenants) are configured with
 :class:`FaultSpec` / the ``join_at``/``leave_at`` fields of
 :class:`~repro.sim.multi_tenant.Tenant` and translated into kernel events
-by the simulators; see ``docs/scenarios.md`` for the YAML surface.
+by the simulator; see ``docs/scenarios.md`` for the YAML surface.
 
 The kernel also hosts the observation points the rest of the stack hangs
 off: :meth:`SimKernel.set_event_observer` feeds both the streaming
@@ -63,8 +63,8 @@ class FaultSpec:
         Optional recovery time; ``None`` means the executor never comes
         back within the run.
     tenant:
-        Owning tenant in multi-tenant simulations (``None`` for
-        single-tenant runs).
+        Name of the tenant whose executor fails.  The simulator rejects
+        a fault naming a tenant it does not run (``None`` included).
     """
 
     executor_index: int
@@ -301,27 +301,25 @@ class SimKernel:
 def schedule_faults(
     kernel: "SimKernel",
     faults,
-    executors_by_tenant: Dict[Optional[str], "frozenset"],
+    executors_by_tenant: Dict[str, "frozenset"],
 ) -> None:
     """Validate :class:`FaultSpec`\\ s and schedule their kernel events.
 
-    ``executors_by_tenant`` maps each tenant name (``None`` for
-    single-tenant runs) to the set of valid executor indices.  Unknown
-    tenants or executor indices fail here, at setup time, instead of as a
-    ``KeyError`` minutes into the simulation.
+    ``executors_by_tenant`` maps each tenant name to the set of valid
+    executor indices.  Unknown tenants or executor indices fail here, at
+    setup time, instead of as a ``KeyError`` minutes into the simulation.
     """
     for fault in faults:
         if fault.tenant not in executors_by_tenant:
             raise ValueError(
                 f"fault names unknown tenant {fault.tenant!r}; tenants: "
-                f"{sorted(t for t in executors_by_tenant if t is not None)}"
+                f"{sorted(executors_by_tenant)}"
             )
         known = executors_by_tenant[fault.tenant]
         if fault.executor_index not in known:
-            of_tenant = f" of tenant {fault.tenant!r}" if fault.tenant else ""
             raise ValueError(
-                f"fault names unknown executor {fault.executor_index}"
-                f"{of_tenant}; executors: {sorted(known)}"
+                f"fault names unknown executor {fault.executor_index} of "
+                f"tenant {fault.tenant!r}; executors: {sorted(known)}"
             )
         kernel.schedule(
             fault.fail_at,

@@ -86,8 +86,9 @@ class FillJobMetrics:
 def fill_metrics_dict(metrics: FillJobMetrics) -> dict:
     """JSON shape of one :class:`FillJobMetrics`: fields plus derived rates.
 
-    The single serialization both result types (`SimulationResult`,
-    `MultiTenantResult`) emit, so the two JSON schemas cannot drift.
+    The single serialization of fill metrics in a
+    :class:`~repro.sim.multi_tenant.MultiTenantResult` payload, shared by
+    its aggregate and per-tenant sections so the two cannot drift.
     """
     from dataclasses import asdict
 
@@ -141,9 +142,9 @@ def collect_fill_metrics(
     whatever earlier (preempted) segments already banked; preempted jobs
     still waiting in a queue contribute only their banked progress.
 
-    Shared by the single-tenant :class:`~repro.sim.simulator.ClusterSimulator`
-    and the per-tenant accounting of
-    :class:`~repro.sim.multi_tenant.MultiTenantSimulator`.
+    The per-tenant accounting of
+    :class:`~repro.sim.multi_tenant.MultiTenantSimulator`; its aggregate
+    merges these over tenants.
     """
     from repro.core.scheduler import FillJobState
 

@@ -1,10 +1,11 @@
-"""Multi-tenant cluster simulation: N main jobs, one shared fill-job backlog.
+"""The cluster simulator: N main jobs, one shared fill-job backlog.
 
-The single-tenant :class:`~repro.sim.simulator.ClusterSimulator` reproduces
-the paper's setting of one pipeline-parallel main job.  Production clusters
-run *many* such jobs concurrently, each with its own pipeline configuration
-and therefore its own bubble structure, while fill jobs accumulate in one
-organisation-wide backlog.  This module simulates that setting:
+The paper's setting is one pipeline-parallel main job; it runs here as a
+one-tenant simulation (:meth:`repro.core.system.PipeFillSystem.run`).
+Production clusters run *many* such jobs concurrently, each with its own
+pipeline configuration and therefore its own bubble structure, while fill
+jobs accumulate in one organisation-wide backlog.  This module simulates
+both settings:
 
 * each **tenant** is one main job, modelled by a
   :class:`~repro.core.system.PipeFillSystem` (its analytic main job, bubble
@@ -13,8 +14,8 @@ organisation-wide backlog.  This module simulates that setting:
   backlog across all tenants' devices, optionally preempting running fill
   jobs for deadline-constrained arrivals;
 * the :class:`~repro.sim.kernel.SimKernel` advances time between the
-  events where state changes -- fill-job arrivals and completions as in
-  the single-tenant simulator, plus the dynamic cluster events: executor
+  events where state changes -- fill-job arrivals and completions (Section
+  5.1), plus the dynamic cluster events: executor
   failures/recoveries (:class:`~repro.sim.kernel.FaultSpec`) and tenants
   joining/leaving mid-run (``join_at``/``leave_at``);
 * results report per-tenant *and* aggregate fill throughput, deadline hit

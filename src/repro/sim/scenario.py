@@ -4,8 +4,9 @@ A *scenario* is a YAML or JSON file describing everything one simulation
 run needs: the tenants (each a pipeline-parallel main job plus the fill-job
 stream it submits), the global scheduling policy, the preemption rule and
 the horizon.  ``python -m repro run scenarios/multi_tenant.yaml`` loads a
-spec with :func:`load_scenario` and executes it with :func:`run_scenario`;
-``python -m repro sweep`` re-runs a spec across a parameter grid.
+spec with ``repro.api.Experiment.from_yaml`` and executes it with
+``Experiment.run``; ``python -m repro sweep`` re-runs a spec across a
+parameter grid.
 
 The full field-by-field schema is documented in ``docs/scenarios.md``; the
 shape is::
@@ -55,16 +56,11 @@ Unknown keys raise immediately with the offending key name, so typos in a
 scenario file fail loudly instead of silently running defaults.
 ``python -m repro validate <scenario>`` runs exactly this validation
 without simulating anything.
-
-The run/load helpers this module used to expose directly are now thin
-deprecation shims over :class:`repro.api.Experiment` -- new code should
-use the facade.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
@@ -78,7 +74,7 @@ from repro.models.configs import JobType
 from repro.models.registry import build_model
 from repro.pipeline.parallelism import ParallelConfig
 from repro.sim.kernel import FaultSpec
-from repro.sim.multi_tenant import LEAVE_MODES, MultiTenantResult, Tenant
+from repro.sim.multi_tenant import LEAVE_MODES, Tenant
 from repro.utils.units import GIB
 from repro.utils.validation import check_positive
 from repro.workloads.generator import TenantWorkloadSpec, build_tenant_fill_job_traces
@@ -414,7 +410,6 @@ class ScenarioSpec:
                 "policy",
                 "preemption",
                 "seed",
-                "kernel_backend",
                 "tenants",
                 "faults",
                 "fault_model",
@@ -422,13 +417,6 @@ class ScenarioSpec:
             ],
             "scenario",
         )
-        if "kernel_backend" in raw:
-            warnings.warn(
-                "the scenario key 'kernel_backend' is deprecated and ignored: "
-                "the simulator has a single event queue",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         tenants_raw = raw.get("tenants")
         if not isinstance(tenants_raw, (list, tuple)):
             raise ScenarioError("'tenants' must be a list of tenant blocks")
@@ -566,25 +554,6 @@ def load_scenario_dict(path: Union[str, Path]) -> Dict[str, Any]:
     return _parse_text(path.read_text(), suffix=path.suffix.lower())
 
 
-def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
-    """Load and validate a YAML/JSON scenario file.
-
-    .. deprecated::
-        Use ``repro.api.Experiment.from_yaml(path)`` (call
-        ``.validate()`` for the bare :class:`ScenarioSpec`).  This shim
-        forwards there and will be removed in a future major version.
-    """
-    warnings.warn(
-        "load_scenario() is deprecated; use "
-        "repro.api.Experiment.from_yaml(path).validate()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import Experiment
-
-    return Experiment.from_yaml(path).validate()
-
-
 def set_by_path(raw: Dict[str, Any], path: str, value: Any) -> None:
     """Set ``raw[a][b][2][c] = value`` given the dotted path ``"a.b.2.c"``.
 
@@ -666,26 +635,3 @@ def build_tenants(spec: ScenarioSpec) -> List[Tenant]:
             )
         )
     return tenants
-
-
-def run_scenario(spec: ScenarioSpec, *, use_cache: bool = True) -> MultiTenantResult:
-    """Build and simulate a scenario end-to-end.
-
-    ``use_cache=False`` runs the schedulers in their brute-force reference
-    mode (no memoised estimates or views); the equivalence tests use it to
-    prove the optimised path produces identical results.
-
-    .. deprecated::
-        Use ``repro.api.Experiment.from_spec(spec).run()``.  This shim
-        forwards there (same simulation, bit-identical results) and
-        returns the raw :class:`MultiTenantResult` for compatibility.
-    """
-    warnings.warn(
-        "run_scenario() is deprecated; use repro.api.Experiment.from_spec(spec)"
-        ".run() (its RunResult wraps this function's return value as .raw)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import Experiment
-
-    return Experiment.from_spec(spec).run(use_cache=use_cache).raw

@@ -4,11 +4,9 @@ Fault windows may overlap (two scheduled failures on one executor, the
 second recovering before the first — or a permanent failure followed by a
 transient one).  The correct semantics is a *hold count*: a device stays
 down while **any** fault holds it, and a permanent fault never releases.
-This tracker encodes that once, shared by the cross-tenant
-:class:`~repro.core.global_scheduler.GlobalScheduler` and the
-single-tenant :class:`~repro.sim.simulator.ClusterSimulator` fault
-handlers (keys are ``(tenant, executor)`` pairs or bare executor
-indices respectively).
+This tracker encodes that once for the
+:class:`~repro.core.global_scheduler.GlobalScheduler`, keyed by
+``(tenant, executor)`` pairs.
 """
 
 from __future__ import annotations

@@ -403,22 +403,3 @@ class TestProfile:
         payload = profile.to_dict()
         assert payload["schema_version"] == 1
         assert payload["plan_cache"]["enabled"] in (True, False)
-
-
-class TestDeprecationShims:
-    def test_load_scenario_warns_and_delegates(self):
-        from repro.sim.scenario import load_scenario
-
-        with pytest.warns(DeprecationWarning, match="Experiment.from_yaml"):
-            spec = load_scenario(SMOKE)
-        assert spec.name == "smoke"
-
-    def test_run_scenario_warns_and_is_bit_identical(self):
-        from repro.api import result_digest
-        from repro.sim.scenario import ScenarioSpec, run_scenario
-
-        spec = ScenarioSpec.from_dict(minimal())
-        with pytest.warns(DeprecationWarning, match="Experiment.from_spec"):
-            raw_result = run_scenario(spec)
-        facade = Experiment.from_spec(spec).run()
-        assert result_digest(raw_result.to_dict()) == facade.digest()

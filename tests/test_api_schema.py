@@ -1,16 +1,15 @@
 """Schema-v1 round-trip and golden-digest tests for the public API.
 
 The digests below were captured from the pre-API codebase (commit
-154801b) by hashing ``run_scenario(load_scenario(...)).to_dict()`` for
-every shipped scenario.  The facade, the rebuilt CLI and the deprecated
-shims must all reproduce them bit-for-bit: the API redesign is a pure
-re-routing of entry points, never a simulation change.
+154801b) by hashing the raw simulator result's ``to_dict()`` for every
+shipped scenario.  The facade and the rebuilt CLI must both reproduce
+them bit-for-bit: the API redesign is a pure re-routing of entry points,
+never a simulation change.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -69,17 +68,6 @@ class TestGoldenThroughCli:
             if k not in ("schema_version", "scenario", "environment", "timings_by_kind")
         }
         assert result_digest(core) == GOLDEN_DIGESTS[name]
-
-
-class TestGoldenThroughDeprecatedShim:
-    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-    def test_run_scenario_matches_golden(self, name):
-        from repro.sim.scenario import load_scenario, run_scenario
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.yaml"))
-        assert result_digest(result.to_dict()) == GOLDEN_DIGESTS[name]
 
 
 class TestCliPayloadSchemas:

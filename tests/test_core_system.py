@@ -105,3 +105,70 @@ class TestRun:
         """At 8K GPUs (65% bubbles) the trace mix recovers >20% extra utilization."""
         report = system_8k.run(short_trace, horizon_seconds=1800.0)
         assert report.utilization.utilization_gain > 0.20
+
+
+class TestOneTenantRun:
+    @pytest.fixture(scope="class")
+    def smoke(self):
+        from repro.bench.workloads import (
+            SIZES,
+            arrival_window_seconds,
+            build_bench_jobs,
+            build_bench_system,
+        )
+
+        size = SIZES["smoke"]
+        executors = size.executors_per_tenant
+        return (
+            build_bench_system(size),
+            build_bench_jobs(size, num_executors=executors),
+            arrival_window_seconds(size, executors),
+        )
+
+    def test_report_wraps_the_one_tenant_result(self, smoke):
+        from repro.core.system import MAIN_TENANT
+
+        system, jobs, horizon = smoke
+        report = system.run(jobs, horizon_seconds=horizon)
+        result = report.simulation
+        assert list(result.tenants) == [MAIN_TENANT]
+        # Rejected and still-waiting jobs never reach the tenant's records,
+        # so the report carries the aggregate's counts.
+        assert report.utilization.fill_metrics == result.aggregate
+        assert result.aggregate.jobs_submitted == len(jobs)
+        assert result.jobs_rejected_global == result.aggregate.jobs_rejected > 0
+        tenant = result.tenants[MAIN_TENANT]
+        assert report.utilization.fill_tflops_per_device == tenant.fill_tflops_per_device
+        assert tenant.scheduler.completed_records()
+
+    def test_placement_does_no_local_queue_work(self, smoke, monkeypatch):
+        """Without faults or preemption, a placed job is indexed once (in
+        the backlog) and the empty tenant queue is never scored."""
+        from collections import Counter
+
+        from repro.core.candidates import CandidateIndex
+        from repro.core.scheduler import FillJobScheduler
+
+        adds: Counter = Counter()
+        local_scans = []
+        add = CandidateIndex.add
+        select = FillJobScheduler.select_job_scored
+
+        def counting_add(index, job):
+            adds[job.job_id] += 1
+            return add(index, job)
+
+        def counting_select(sched, executor_index, now):
+            local_scans.append(executor_index)
+            return select(sched, executor_index, now)
+
+        monkeypatch.setattr(CandidateIndex, "add", counting_add)
+        monkeypatch.setattr(FillJobScheduler, "select_job_scored", counting_select)
+        system, jobs, horizon = smoke
+        report = system.run(jobs, horizon_seconds=horizon)
+        metrics = report.utilization.fill_metrics
+        assert report.simulation.aggregate.num_preemptions == 0
+        assert set(adds) <= {job.job_id for job in jobs}
+        assert len(adds) == metrics.jobs_submitted - metrics.jobs_rejected
+        assert max(adds.values()) == 1
+        assert local_scans == []

@@ -20,9 +20,8 @@ from repro.core.scheduler import FillJob, FillJobScheduler, FillJobState
 from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
 from repro.sim.kernel import FaultSpec
+from repro.api import Experiment
 from repro.sim.multi_tenant import MultiTenantSimulator, Tenant
-from repro.sim.scenario import load_scenario, run_scenario
-from repro.sim.simulator import ClusterSimulator
 from repro.utils.units import GIB
 from repro.workloads.generator import ArrivalProcess
 
@@ -57,6 +56,31 @@ def make_stub_system(n_executors=1, durations=(1.5, 1.5), period=4.0):
         config=PipeFillConfig(),
         main_job=SimpleNamespace(tflops_per_device=10.0, bubble_ratio=0.5),
     )
+
+
+#: The tenant of the one-tenant runs below (the paper's single main job).
+SOLO = "solo"
+
+
+def solo_simulator(n_executors=1, **tenant_kwargs):
+    """A one-tenant simulator over ``make_executors(n_executors)``."""
+    return MultiTenantSimulator(
+        [Tenant(SOLO, make_stub_system(n_executors), **tenant_kwargs)]
+    )
+
+
+def solo_fault(executor_index, fail_at, recover_at=None):
+    return FaultSpec(
+        executor_index=executor_index,
+        fail_at=fail_at,
+        recover_at=recover_at,
+        tenant=SOLO,
+    )
+
+
+def shipped_result(name):
+    """The raw result of one shipped scenario."""
+    return Experiment.from_yaml(SCENARIO_DIR / f"{name}.yaml").run().raw
 
 
 def job_duration(samples=2_000.0) -> float:
@@ -107,19 +131,19 @@ class TestOnExecutorLost:
         assert scheduler.dispatch(0, now=1.0) is not None
 
 
-# -- single-tenant simulator ---------------------------------------------------------
+# -- one-tenant runs ------------------------------------------------------------------
 
 
-class TestClusterSimulatorFaults:
+class TestSingleTenantFaults:
     def test_failure_recovery_resumes_with_banked_progress(self):
         full = job_duration()
-        simulator = ClusterSimulator(make_executors())
+        simulator = solo_simulator()
         fail_at, recover_at = full / 2.0, full / 2.0 + 30.0
         result = simulator.run(
-            [make_job("j")],
-            faults=[FaultSpec(executor_index=0, fail_at=fail_at, recover_at=recover_at)],
+            extra_jobs=[make_job("j")],
+            faults=[solo_fault(0, fail_at, recover_at)],
         )
-        record = result.scheduler.records["j"]
+        record = result.tenants[SOLO].scheduler.records["j"]
         assert record.state is FillJobState.COMPLETED
         assert record.num_preemptions == 1
         # Half ran before the failure; the remainder resumed at recovery.
@@ -129,31 +153,27 @@ class TestClusterSimulatorFaults:
 
     def test_flops_conserved_across_failure(self):
         full = job_duration()
-        plain = ClusterSimulator(make_executors()).run([make_job("j")])
-        faulty = ClusterSimulator(make_executors()).run(
-            [make_job("j")],
-            faults=[
-                FaultSpec(
-                    executor_index=0, fail_at=full / 3.0, recover_at=full / 3.0 + 10.0
-                )
-            ],
+        plain = solo_simulator().run(extra_jobs=[make_job("j")])
+        faulty = solo_simulator().run(
+            extra_jobs=[make_job("j")],
+            faults=[solo_fault(0, full / 3.0, full / 3.0 + 10.0)],
         )
-        assert faulty.fill_metrics.jobs_completed == 1
-        assert faulty.fill_metrics.total_flops == pytest.approx(
-            plain.fill_metrics.total_flops, rel=1e-6
+        assert faulty.aggregate.jobs_completed == 1
+        assert faulty.aggregate.total_flops == pytest.approx(
+            plain.aggregate.total_flops, rel=1e-6
         )
 
     def test_permanent_failure_strands_job_queued_not_lost(self):
         full = job_duration()
-        result = ClusterSimulator(make_executors()).run(
-            [make_job("j")],
-            faults=[FaultSpec(executor_index=0, fail_at=full / 2.0)],
+        result = solo_simulator().run(
+            extra_jobs=[make_job("j")],
+            faults=[solo_fault(0, full / 2.0)],
             horizon_seconds=10.0 * full,
         )
-        record = result.scheduler.records["j"]
+        record = result.tenants[SOLO].scheduler.records["j"]
         assert record.state is FillJobState.QUEUED  # conserved, not silently lost
         assert record.flops_banked > 0  # partial progress still accounted
-        assert result.fill_metrics.jobs_completed == 0
+        assert result.aggregate.jobs_completed == 0
 
     def test_failover_to_second_executor(self):
         # With a second healthy device, the requeued job resumes there
@@ -161,11 +181,11 @@ class TestClusterSimulatorFaults:
         full = job_duration()
         blocker = make_job("blocker", samples=2_000.0)
         victim = make_job("victim", samples=2_000.0)
-        result = ClusterSimulator(make_executors(2)).run(
-            [blocker, victim],
-            faults=[FaultSpec(executor_index=1, fail_at=full / 2.0)],
+        result = solo_simulator(2).run(
+            extra_jobs=[blocker, victim],
+            faults=[solo_fault(1, full / 2.0)],
         )
-        records = result.scheduler.records
+        records = result.tenants[SOLO].scheduler.records
         assert records["victim"].state is FillJobState.COMPLETED
         assert records["victim"].num_preemptions == 1
         assert records["blocker"].state is FillJobState.COMPLETED
@@ -381,16 +401,16 @@ class TestOpenLoopArrivals:
 
     def test_single_tenant_open_loop(self):
         process = self.make_process()
-        result = ClusterSimulator(make_executors(4)).run(
-            arrival_process=process, horizon_seconds=1_800.0
+        result = solo_simulator(4, arrival_process=process).run(
+            horizon_seconds=1_800.0
         )
-        assert result.fill_metrics.jobs_submitted > 0
+        assert result.aggregate.jobs_submitted > 0
         assert result.events_by_kind["job_arrival"] > 0
 
     def test_unbounded_stream_without_horizon_rejected(self):
         process = self.make_process(end_time=None)
         with pytest.raises(ValueError, match="horizon"):
-            ClusterSimulator(make_executors()).run(arrival_process=process)
+            solo_simulator(arrival_process=process).run()
 
 
 # -- shipped dynamic scenarios -------------------------------------------------------
@@ -399,7 +419,7 @@ class TestOpenLoopArrivals:
 class TestDynamicScenarios:
     @pytest.mark.parametrize("name", ["faulty_cluster", "elastic_tenants"])
     def test_scenario_conserves_every_job(self, name):
-        result = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.yaml"))
+        result = shipped_result(name)
         agg = result.aggregate
         # Every submitted job is accounted for: completed/queued/running on
         # exactly one tenant, waiting in the backlog, or rejected.
@@ -416,14 +436,14 @@ class TestDynamicScenarios:
         assert agg.jobs_completed > 0
 
     def test_faulty_cluster_requeues_failed_work(self):
-        result = run_scenario(load_scenario(SCENARIO_DIR / "faulty_cluster.yaml"))
+        result = shipped_result("faulty_cluster")
         assert result.events_by_kind["executor_failure"] == 4
         assert result.events_by_kind["executor_recovery"] == 3
         # At least one failure interrupted a running job.
         assert result.aggregate.num_preemptions >= 1
 
     def test_elastic_tenants_sees_all_dynamic_kinds(self):
-        result = run_scenario(load_scenario(SCENARIO_DIR / "elastic_tenants.yaml"))
+        result = shipped_result("elastic_tenants")
         kinds = result.events_by_kind
         assert kinds["tenant_join"] == 1
         assert kinds["tenant_leave"] == 2
@@ -515,8 +535,8 @@ class TestDynamicsInterplay:
         with pytest.raises(ValueError, match="unknown executor"):
             simulator.run(faults=[FaultSpec(executor_index=9, fail_at=1.0, tenant="a")])
         with pytest.raises(ValueError, match="unknown executor"):
-            ClusterSimulator(make_executors()).run(
-                [make_job("j")], faults=[FaultSpec(executor_index=9, fail_at=1.0)]
+            solo_simulator().run(
+                extra_jobs=[make_job("j")], faults=[solo_fault(9, 1.0)]
             )
 
     def test_arrival_process_rejects_impossible_job_type(self):
@@ -532,21 +552,18 @@ class TestDynamicsInterplay:
         # recovery on the same executor: the device stays down while ANY
         # fault holds it.
         full = job_duration()
-        result = ClusterSimulator(make_executors()).run(
-            [make_job("j")],
+        result = solo_simulator().run(
+            extra_jobs=[make_job("j")],
             faults=[
-                FaultSpec(executor_index=0, fail_at=full / 4.0),  # permanent
-                FaultSpec(
-                    executor_index=0,
-                    fail_at=full / 3.0,
-                    recover_at=full / 2.0,
-                ),
+                solo_fault(0, full / 4.0),  # permanent
+                solo_fault(0, full / 3.0, recover_at=full / 2.0),
             ],
             horizon_seconds=10.0 * full,
         )
-        assert result.fill_metrics.jobs_completed == 0
-        assert result.scheduler.executors[0].is_down
-        assert result.scheduler.records["j"].state is FillJobState.QUEUED
+        sched = result.tenants[SOLO].scheduler
+        assert result.aggregate.jobs_completed == 0
+        assert sched.executors[0].is_down
+        assert sched.records["j"].state is FillJobState.QUEUED
 
     def test_overlapping_faults_multi_tenant(self):
         full = job_duration()

@@ -31,7 +31,7 @@ from repro.core.executor import FillJobExecutor
 from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
-from repro.sim.scenario import load_scenario, run_scenario
+from repro.api import Experiment
 from repro.utils.ordered import OrderedIdSet
 from repro.utils.units import GIB
 
@@ -59,9 +59,9 @@ SHIPPED_SCENARIOS = [
 #: Regenerate only for *intentional* semantic changes, with:
 #:   PYTHONPATH=src python - <<'EOF'
 #:   import json, hashlib
-#:   from repro.sim.scenario import load_scenario, run_scenario
+#:   from repro.api import Experiment
 #:   for n in [...]:
-#:       d = run_scenario(load_scenario(f"scenarios/{n}.yaml")).to_dict()
+#:       d = Experiment.from_yaml(f"scenarios/{n}.yaml").run().raw.to_dict()
 #:       text = json.dumps(d, sort_keys=True).encode()
 #:       print(n, hashlib.sha256(text).hexdigest()[:16])
 #:   EOF
@@ -107,9 +107,9 @@ class TestScenarioEquivalence:
 
     @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
     def test_scenario_identical_to_brute_force(self, name):
-        spec = load_scenario(SCENARIO_DIR / f"{name}.yaml")
-        optimized = run_scenario(spec).to_dict()
-        brute = run_scenario(spec, use_cache=False).to_dict()
+        spec = Experiment.from_yaml(SCENARIO_DIR / f"{name}.yaml").validate()
+        optimized = Experiment.from_spec(spec).run().raw.to_dict()
+        brute = Experiment.from_spec(spec).run(use_cache=False).raw.to_dict()
         assert json.dumps(optimized, sort_keys=True) == json.dumps(
             brute, sort_keys=True
         )
@@ -120,8 +120,9 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
     def test_scenario_matches_golden_digest(self, name):
-        spec = load_scenario(SCENARIO_DIR / f"{name}.yaml")
-        assert result_digest(run_scenario(spec).to_dict()) == GOLDEN_DIGESTS[name]
+        spec = Experiment.from_yaml(SCENARIO_DIR / f"{name}.yaml").validate()
+        raw = Experiment.from_spec(spec).run().raw
+        assert result_digest(raw.to_dict()) == GOLDEN_DIGESTS[name]
 
     def test_every_shipped_scenario_has_a_golden(self):
         shipped = {p.stem for p in SCENARIO_DIR.glob("*.yaml")}

@@ -22,11 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.executor import FillJobExecutor, clear_shared_caches
+from repro.api import Experiment
 from repro.exec import ChaosPlan
 from repro.models.configs import JobType
 from repro.models.registry import build_model
 from repro.pipeline.bubbles import BubbleCycle
-from repro.sim.scenario import load_scenario, run_scenario
 from repro.utils import plancache
 from repro.utils.units import GIB
 
@@ -395,19 +395,19 @@ class TestChaosTruncateCache:
 
 class TestScenarioEquivalence:
     def test_warm_disk_cache_preserves_results(self, cache_dir):
-        spec = load_scenario("scenarios/smoke.yaml")
+        spec = Experiment.from_yaml("scenarios/smoke.yaml").validate()
         clear_shared_caches()
         plancache.configure(None, enabled=False)
-        reference = run_scenario(spec).to_dict()
+        reference = Experiment.from_spec(spec).run().raw.to_dict()
         # Cold run with the disk cache on: populates it.
         plancache.configure(cache_dir, enabled=True)
         clear_shared_caches()
-        cold = run_scenario(spec).to_dict()
+        cold = Experiment.from_spec(spec).run().raw.to_dict()
         assert plancache.stats()["writes"] > 0
         # Warm run: estimates come from disk, results still identical.
         clear_shared_caches()
         plancache.reset_stats()
-        warm = run_scenario(spec).to_dict()
+        warm = Experiment.from_spec(spec).run().raw.to_dict()
         assert plancache.stats()["hits"] > 0
         assert json.dumps(cold, sort_keys=True) == json.dumps(reference, sort_keys=True)
         assert json.dumps(warm, sort_keys=True) == json.dumps(reference, sort_keys=True)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 
+from repro.api import Experiment
 from repro.cli import main
 from repro.sim.events import EventKind
 from repro.sim.kernel import SimKernel
-from repro.sim.scenario import load_scenario, run_scenario
 
 
 class TestKernelTimings:
@@ -34,12 +34,12 @@ class TestKernelTimings:
         assert stats.events_by_kind == {"job_arrival": 2, "job_completion": 1}
 
     def test_scenario_results_carry_timings(self):
-        result = run_scenario(load_scenario("scenarios/smoke.yaml"))
+        result = Experiment.from_yaml("scenarios/smoke.yaml").run().raw
         assert set(result.timings_by_kind) == set(result.events_by_kind)
         assert sum(result.timings_by_kind.values()) > 0.0
 
     def test_default_to_dict_is_timing_free(self):
-        result = run_scenario(load_scenario("scenarios/smoke.yaml"))
+        result = Experiment.from_yaml("scenarios/smoke.yaml").run().raw
         assert "timings_by_kind" not in result.to_dict()
         with_timings = result.to_dict(include_timings=True)
         assert set(with_timings["timings_by_kind"]) == set(result.events_by_kind)

@@ -371,7 +371,7 @@ class TestBubbleCycleProperties:
 
 
 # ---------------------------------------------------------------------------
-# Horizon-cutoff invariants (both simulators, with and without use_cache)
+# Horizon-cutoff invariants (one and two tenants, with and without use_cache)
 # ---------------------------------------------------------------------------
 
 
@@ -405,10 +405,26 @@ def _horizon_jobs():
     ]
 
 
+def _one_tenant_run(jobs, *, use_cache=True, **kwargs):
+    """A one-tenant simulation of ``jobs`` over ``_horizon_executors()``."""
+    from types import SimpleNamespace
+
+    from repro.core.config import PipeFillConfig
+    from repro.sim.multi_tenant import MultiTenantSimulator, Tenant
+
+    system = SimpleNamespace(
+        executors=_horizon_executors(),
+        config=PipeFillConfig(),
+        main_job=SimpleNamespace(tflops_per_device=10.0, bubble_ratio=0.5),
+    )
+    simulator = MultiTenantSimulator([Tenant("main", system)], use_cache=use_cache)
+    return simulator.run(extra_jobs=jobs, **kwargs)
+
+
 class TestHorizonCutoffProperties:
     """Pro-rated FLOP accounting and event counts stay consistent wherever
     ``horizon_seconds`` cuts the run -- mid-segment, mid-queue, or past the
-    makespan -- in both simulators and both cache modes."""
+    makespan -- with one or two tenants and in both cache modes."""
 
     @given(
         fractions=st.tuples(
@@ -418,30 +434,24 @@ class TestHorizonCutoffProperties:
     )
     @settings(max_examples=25, deadline=None)
     def test_single_tenant_cutoff(self, fractions):
-        from repro.sim.simulator import ClusterSimulator
-
         jobs = _horizon_jobs()
-        full = ClusterSimulator(_horizon_executors()).run(jobs)
+        full = _one_tenant_run(jobs)
         for fraction in sorted(fractions):
             horizon = fraction * full.horizon_seconds
-            cached = ClusterSimulator(_horizon_executors()).run(
-                jobs, horizon_seconds=horizon
-            )
-            brute = ClusterSimulator(_horizon_executors(), use_cache=False).run(
-                jobs, horizon_seconds=horizon
-            )
+            cached = _one_tenant_run(jobs, horizon_seconds=horizon)
+            brute = _one_tenant_run(jobs, use_cache=False, horizon_seconds=horizon)
             # The memoised fast path is invisible at any cutoff.
             assert cached.to_dict() == brute.to_dict()
-            m = cached.fill_metrics
+            m = cached.aggregate
             # Event accounting: the per-kind breakdown always sums to the
             # total, and a truncated run never processes more events.
             assert sum(cached.events_by_kind.values()) == cached.events_processed
             assert cached.events_processed <= full.events_processed
             # Pro-rated FLOPs/busy-time never exceed the full run's, and
             # busy time fits inside the observation window.
-            assert 0.0 <= m.total_flops <= full.fill_metrics.total_flops * (1 + 1e-9)
+            assert 0.0 <= m.total_flops <= full.aggregate.total_flops * (1 + 1e-9)
             assert m.busy_device_seconds <= horizon * cached.num_devices + 1e-6
-            assert m.jobs_completed <= full.fill_metrics.jobs_completed
+            assert m.jobs_completed <= full.aggregate.jobs_completed
 
     @given(fractions=st.tuples(
         st.floats(min_value=0.02, max_value=1.3),
@@ -449,26 +459,22 @@ class TestHorizonCutoffProperties:
     ))
     @settings(max_examples=10, deadline=None)
     def test_single_tenant_cutoff_monotone(self, fractions):
-        from repro.sim.simulator import ClusterSimulator
-
         jobs = _horizon_jobs()
-        full = ClusterSimulator(_horizon_executors()).run(jobs)
+        full = _one_tenant_run(jobs)
         lo, hi = sorted(fractions)
         results = [
-            ClusterSimulator(_horizon_executors()).run(
-                jobs, horizon_seconds=f * full.horizon_seconds
-            )
+            _one_tenant_run(jobs, horizon_seconds=f * full.horizon_seconds)
             for f in (lo, hi)
         ]
         # A longer observation window only ever adds progress and events.
         assert (
-            results[0].fill_metrics.total_flops
-            <= results[1].fill_metrics.total_flops * (1 + 1e-9) + 1e-9
+            results[0].aggregate.total_flops
+            <= results[1].aggregate.total_flops * (1 + 1e-9) + 1e-9
         )
         assert results[0].events_processed <= results[1].events_processed
         assert (
-            results[0].fill_metrics.jobs_completed
-            <= results[1].fill_metrics.jobs_completed
+            results[0].aggregate.jobs_completed
+            <= results[1].aggregate.jobs_completed
         )
 
     @given(fraction=st.floats(min_value=0.02, max_value=1.3))

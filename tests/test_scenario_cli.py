@@ -12,13 +12,8 @@ from repro.cli import main
 from repro.sim.scenario import (
     ScenarioError,
     ScenarioSpec,
-    load_scenario,
-    run_scenario,
     set_by_path,
-    spec_to_dict,
 )
-
-from test_api_schema import GOLDEN_DIGESTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SMOKE_SCENARIO = REPO_ROOT / "scenarios" / "smoke.yaml"
@@ -92,7 +87,7 @@ class TestScenarioSpec:
             "      global_batch_size: 16\n"
             "    workload:\n"
         )
-        spec = load_scenario(scenario)
+        spec = Experiment.from_yaml(scenario).validate()
         assert spec.tenants[0].workload.arrival_rate_per_hour == 120.0
 
     def test_non_mapping_block_rejected(self):
@@ -112,7 +107,7 @@ class TestScenarioSpec:
         paths = sorted(scenario_dir.glob("*.yaml"))
         assert len(paths) >= 3
         for path in paths:
-            spec = load_scenario(path)
+            spec = Experiment.from_yaml(path).validate()
             assert spec.tenants
 
     def test_set_by_path(self):
@@ -122,9 +117,9 @@ class TestScenarioSpec:
         assert raw["policy"] == "edf+sjf"
         assert raw["tenants"][0]["workload"]["arrival_rate_per_hour"] == 240
 
-    def test_run_scenario_returns_result(self):
+    def test_run_from_spec_returns_result(self):
         spec = ScenarioSpec.from_dict(MINIMAL)
-        result = run_scenario(spec)
+        result = Experiment.from_spec(spec).run().raw
         assert result.horizon_seconds == 600
         assert result.aggregate.jobs_submitted >= 1
         assert "t0" in result.tenants
@@ -267,7 +262,7 @@ class TestDynamicBlocks:
         raw["tenants"][0]["workload"]["open_loop"] = True
         spec = ScenarioSpec.from_dict(raw)
         assert spec.tenants[0].workload.open_loop
-        result = run_scenario(spec)
+        result = Experiment.from_spec(spec).run().raw
         assert result.aggregate.jobs_submitted > 0
 
     def test_open_loop_must_be_boolean(self):
@@ -280,7 +275,7 @@ class TestDynamicBlocks:
         bad = tmp_path / "broken.yaml"
         bad.write_text("name: {unclosed\n")
         with pytest.raises(ScenarioError, match="invalid YAML"):
-            load_scenario(bad)
+            Experiment.from_yaml(bad).validate()
 
 
 class TestValidateCommand:
@@ -313,9 +308,9 @@ class TestValidateCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestDeprecatedKernelBackendKey:
-    """``kernel_backend:`` predates the single event queue: still accepted,
-    ignored, and never written back."""
+class TestRemovedKernelBackendKey:
+    """``kernel_backend:`` predates the single event queue and is now an
+    unknown key like any other."""
 
     @pytest.fixture
     def legacy_smoke(self, tmp_path):
@@ -323,14 +318,10 @@ class TestDeprecatedKernelBackendKey:
         path.write_text(SMOKE_SCENARIO.read_text() + "kernel_backend: soa\n")
         return path
 
-    def test_loads_with_warning_and_runs_to_golden_digest(self, legacy_smoke):
-        with pytest.warns(DeprecationWarning, match="kernel_backend"):
-            spec = Experiment.from_yaml(legacy_smoke).validate()
-        assert "kernel_backend" not in spec_to_dict(spec)
-        result = Experiment.from_spec(spec).run()
-        assert result.digest() == GOLDEN_DIGESTS["smoke"]
-        assert result.to_dict()["environment"]["kernel_backend"] == "heapq"
+    def test_rejected_as_unknown_key(self, legacy_smoke):
+        with pytest.raises(ScenarioError, match="unknown key.*kernel_backend"):
+            Experiment.from_yaml(legacy_smoke).validate()
 
-    def test_validate_command_accepts_it(self, capsys, legacy_smoke):
-        assert main(["validate", str(legacy_smoke)]) == 0
-        assert "ok:" in capsys.readouterr().out
+    def test_validate_command_exits_2(self, capsys, legacy_smoke):
+        assert main(["validate", str(legacy_smoke)]) == 2
+        assert "kernel_backend" in capsys.readouterr().err

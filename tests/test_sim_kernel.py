@@ -2,8 +2,8 @@
 
 ``TestPreRefactorGolden`` pins the kernel refactor to the exact behaviour
 of the pre-kernel event loops: the digests below were captured by running
-the two copy-pasted loops (``ClusterSimulator.run`` /
-``MultiTenantSimulator.run`` before PR 3) over every shipped scenario.
+the two copy-pasted loops (the since-retired single-tenant simulator's and
+the pre-kernel ``MultiTenantSimulator.run``) over every shipped scenario.
 Keys added *after* the capture (``events_by_kind``) are popped before
 hashing, so the comparison is exactly the pre-refactor ``to_dict()``.
 """
@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.sim.events import STALE_COMPLETION_EPSILON, EventKind
+from repro.api import Experiment
 from repro.sim.kernel import FaultSpec, SimKernel
-from repro.sim.scenario import load_scenario, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -37,7 +37,7 @@ PRE_REFACTOR_DIGESTS = {
 class TestPreRefactorGolden:
     @pytest.mark.parametrize("name", sorted(PRE_REFACTOR_DIGESTS))
     def test_to_dict_identical_to_pre_refactor_loop(self, name):
-        result = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.yaml"))
+        result = Experiment.from_yaml(SCENARIO_DIR / f"{name}.yaml").run().raw
         payload = result.to_dict()
         payload.pop("events_by_kind")  # added after the digests were captured
         digest = hashlib.sha256(
