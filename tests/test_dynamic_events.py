@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import Experiment
 from repro.core.config import PipeFillConfig
 from repro.core.executor import FillJobExecutor
 from repro.core.global_scheduler import GlobalScheduler
@@ -20,7 +21,6 @@ from repro.core.scheduler import FillJob, FillJobScheduler, FillJobState
 from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
 from repro.sim.kernel import FaultSpec
-from repro.api import Experiment
 from repro.sim.multi_tenant import MultiTenantSimulator, Tenant
 from repro.utils.units import GIB
 from repro.workloads.generator import ArrivalProcess

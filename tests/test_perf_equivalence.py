@@ -27,11 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Experiment
 from repro.core.executor import FillJobExecutor
 from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
-from repro.api import Experiment
 from repro.utils.ordered import OrderedIdSet
 from repro.utils.units import GIB
 

@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.executor import FillJobExecutor, clear_shared_caches
 from repro.api import Experiment
+from repro.core.executor import FillJobExecutor, clear_shared_caches
 from repro.exec import ChaosPlan
 from repro.models.configs import JobType
 from repro.models.registry import build_model

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.events import STALE_COMPLETION_EPSILON, EventKind
 from repro.api import Experiment
+from repro.sim.events import STALE_COMPLETION_EPSILON, EventKind
 from repro.sim.kernel import FaultSpec, SimKernel
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
