@@ -582,11 +582,19 @@ def _print_profile(scenario_path: str, spec: ScenarioSpec, profile: ProfileResul
     print(table.to_ascii())
     cache = profile.plan_cache
     if cache.get("enabled"):
-        print(
+        line = (
             f"plan cache ({plancache.cache_dir()}): "
             f"{cache['hits']} hit(s), {cache['misses']} miss(es), "
-            f"{cache['writes']} write(s)"
+            f"{cache['writes']} write(s), {cache['errors']} error(s), "
+            f"{cache['quarantined']} quarantined"
         )
+        if plancache.remote_url() is not None:
+            line += (
+                f"; remote ({plancache.remote_url()}): "
+                f"{cache['remote_hits']} hit(s), {cache['remote_misses']} miss(es), "
+                f"{cache['remote_errors']} error(s)"
+            )
+        print(line)
     else:
         print("plan cache: disabled")
     print(

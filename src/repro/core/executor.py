@@ -150,14 +150,16 @@ def _flush_if_oversized() -> None:
 
 
 def clear_shared_caches() -> None:
-    """Drop all process-wide estimate/profile memos (benchmarks use this to
-    measure cold-start plan-search cost; tests use it for isolation)."""
+    """Drop all process-wide estimate/profile memos and the plan cache's
+    view of its log (benchmarks use this to measure cold-start plan-search
+    cost; tests use it to simulate a new process)."""
     from repro.models.registry import clear_model_cache
 
     _SHARED_ESTIMATES.clear()
     _PINNED_EFFICIENCY.clear()
     clear_profile_cache()
     clear_model_cache()
+    plancache.close()
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ modes the supervisor must survive:
     Raise ``KeyboardInterrupt`` after N successful injection checks --
     the deterministic Ctrl-C-mid-sweep path (inline mode).
 ``truncate-cache``
-    Truncate a persistent plan-cache entry -- the torn/corrupt cache
-    file path (must degrade to a quarantined miss, never a crash).
+    Cut a persistent plan-cache record short in place -- the torn or
+    corrupt cache line path (must degrade to a quarantined miss, never
+    a crash).
 
 Injectors are registry entries (:data:`repro.registry.chaos_injectors`),
 so plugins can register their own via
@@ -171,12 +172,16 @@ def truncate_cache_injector(
     directory: Optional[str] = None,
     keep_bytes: int = 8,
 ) -> None:
-    """Truncate one persistent plan-cache entry to ``keep_bytes`` bytes.
+    """Cut one persistent plan-cache record to ``keep_bytes`` bytes in place.
 
-    Picks the entry deterministically from the task key.  The victim
-    becomes a record whose digest no longer matches, which the cache must
-    quarantine to ``<entry>.corrupt`` and treat as a miss -- results stay
-    identical, just slower.  A disabled/empty cache makes this a no-op.
+    Picks the line deterministically from the task key, over the complete
+    lines of the sorted logs in ``directory`` (default: the configured
+    cache's ``estimates/``).  The record keeps its first ``keep_bytes``
+    bytes; the rest of the line, up to but not including its newline, is
+    overwritten with filler, so every other line keeps its place.  The
+    victim's digest no longer matches, which the cache must quarantine
+    and treat as a miss -- results stay identical, just slower.  A
+    disabled/empty cache makes this a no-op.
     """
     from repro.utils import plancache
 
@@ -186,11 +191,27 @@ def truncate_cache_injector(
         root = plancache.cache_dir() / "estimates"
     else:
         return
-    entries = sorted(root.glob(f"*{plancache.ENTRY_SUFFIX}")) if root.is_dir() else []
-    if not entries:
+    logs = sorted(root.glob(f"*{plancache.LOG_SUFFIX}")) if root.is_dir() else []
+    lines = []
+    for log in logs:
+        try:
+            data = log.read_bytes()
+        except OSError:
+            continue
+        for _, offset, length in plancache.iter_records(data):
+            lines.append((log, offset, length))
+    if not lines:
         return
-    pick = int(hashlib.sha256(key.encode()).hexdigest(), 16) % len(entries)
+    pick = int(hashlib.sha256(key.encode()).hexdigest(), 16) % len(lines)
+    log, record, length = lines[pick]
+    keep = min(max(0, int(keep_bytes)), length)
+    # Without O_APPEND: on Linux a pwrite to an O_APPEND descriptor
+    # appends instead of writing at the offset.
     try:
-        os.truncate(entries[pick], max(0, int(keep_bytes)))
+        fd = os.open(log, os.O_WRONLY)
+        try:
+            os.pwrite(fd, b"#" * (length - keep), record + keep)
+        finally:
+            os.close(fd)
     except OSError:
         pass

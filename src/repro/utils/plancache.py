@@ -6,19 +6,54 @@ and every fresh `repro bench`/`repro run` invocation still re-pays the
 profile + Algorithm-1 cold start.  An estimate is a pure function of
 ``(bubble cycle, device, PipeFill config, efficiency model, model spec,
 job type)`` -- all frozen value objects -- so it can be cached *across
-processes* under a content hash of exactly those inputs.
+processes* under a content hash of exactly those inputs.  A negative
+result ("this job fits no configuration on this cycle") is cached too,
+as an explicit ``None`` (JSON ``null``).
 
-Entries live as individual files under ``<cache-dir>/estimates/``
-(default ``.repro-cache/``), named by the SHA-256 of a canonical JSON
-rendering of the key plus :data:`ENTRY_SUFFIX`.  Writes go through a temp
-file + ``os.replace`` so concurrent sweep workers can never observe a torn
-entry; unreadable or corrupt entries are treated as misses and
-recomputed.  A negative result ("this job fits no configuration on this
-cycle") is cached too, as an explicit ``None`` (JSON ``null``).
+Layout
+------
+The local tier is one append-only log per cache directory (default
+``.repro-cache/``) and code fingerprint::
+
+    <cache-dir>/estimates/<code fingerprint><LOG_SUFFIX>
+
+Every process on the machine appends to the same log, one line per
+entry: the 64 hex characters of the entry digest (the SHA-256 of the
+key, see :func:`_entry_digest`), then the record, then ``\\n``.  A
+record is canonical JSON, which escapes every newline, so the newline
+frames lines unambiguously.  Logs of other fingerprints are never
+opened.
+
+A write is one ``os.write`` of one whole line to a descriptor opened
+with ``O_APPEND``.  On a local filesystem POSIX makes that write an
+atomic append: the kernel moves the offset to the end of the file and
+copies the line under the inode's lock, so lines from forked or spawned
+sweep workers never interleave.  One file per entry would cost a new
+inode per put, up to hundreds of microseconds of kernel time; an append
+costs about one.
+
+Each process keeps a *view* of the log: for every entry digest, the
+``(offset, length)`` of the record on each complete line read, in file
+order, plus the offset read up to -- positions, not bytes, so memory
+grows with the number of keys rather than the log.  A lookup whose key
+is not in the view calls ``fstat`` on the log, reads only the bytes
+appended since, and indexes the complete lines.  A partial last line is
+left for later, neither served nor counted: it cannot be told from a
+write in flight.  If the read ended inside a line, the process's next
+write starts with a newline, so a torn tail (a crashed writer, a cut
+file) never swallows the next line; when the tail was a write in
+flight, the extra newline only adds an empty line, which readers skip.
+A log that shrank is indexed again from the start, and a log deleted
+under the process (``rm -rf``) is dropped; the next write opens a new
+one.
+:func:`configure` and :func:`close` (which
+:func:`repro.core.executor.clear_shared_caches` calls) close the
+descriptor and drop the view, so the next lookup reads the log from
+disk as a new process would.
 
 Record format
 -------------
-An entry holds plain data, never code: the value rendered as canonical
+A record holds plain data, never code: the value rendered as canonical
 JSON (sorted keys, compact separators, no ``NaN``/``Infinity``), prefixed
 by the 64 hex characters of that body's SHA-256.  :func:`get` checks the
 digest, parses the body (rejecting the non-finite constants), and hands
@@ -29,18 +64,31 @@ the chosen configuration and the five floats the simulator reads
 so a hit can never change simulation results --
 ``tests/test_plancache.py`` asserts both the hit path and the equality.
 
+A lookup serves the first line for its key whose record passes those
+checks.  A line that fails is dropped from the view and never retried;
+its bytes stay in the log for forensics.  A lookup that drops lines and
+serves none is a miss, one ``errors`` and one ``quarantined``, so the
+value is recomputed and appended again.
+
 The cache is **disabled by default** for library use (tests and direct
 imports see byte-for-byte the behaviour of the in-process caches alone);
 the CLI commands ``run``/``sweep``/``bench``/``profile`` enable it, with
 ``--cache-dir``/``--no-disk-cache`` to relocate or opt out.
 
 Hygiene: the directory is safe to delete at any time (`rm -rf
-.repro-cache/`); there is no index to corrupt.  Keys embed a
-*code fingerprint* -- a hash of the source of every module the estimate
-computation can touch -- so any code change silently orphans all older
-entries instead of serving plans computed by a different algorithm.
+.repro-cache/`), and deleting it is the only way to reclaim space: there
+is no compaction.  A log grows by one line per key computed; two workers
+that compute the same key at once append two identical lines.  Keys
+embed a *code fingerprint* -- a hash of the source of every module the
+estimate computation can touch -- so any code change silently orphans
+the old log instead of serving plans computed by a different algorithm.
 A warm cache restored onto changed code (e.g. CI's ``restore-keys``
 prefix fallback) therefore degrades to misses, never to wrong results.
+
+The local tier is per machine.  On a directory shared over NFS,
+``O_APPEND`` is not atomic and a line can be garbled; a garbled line
+fails its digest and is recomputed, never served.  Sharing plans across
+machines is the remote tier's job.
 
 Remote tier
 -----------
@@ -52,7 +100,7 @@ addressed over the length-prefixed protocol of
 then the service; a remote hit is written back to local disk so it is
 paid at most once per machine) and stores write through both tiers, so
 a fleet of sweep shards pays each plan search **once globally**.  The
-remote entry is the same record as the local file under the same
+remote entry is the same record as the local line under the same
 fingerprinted content digest, so a mixed-version fleet can only miss.  A
 remote record is decoded and validated exactly like a local one before it
 is returned or written back, so a peer can never run code in a client.
@@ -72,18 +120,18 @@ import hashlib
 import json
 import os
 import socket
-import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Format epoch for the entry layout itself (record framing, key shape).
 _FORMAT_VERSION = 2
 
-#: File suffix of a local entry: ``<entry digest><ENTRY_SUFFIX>``.
-ENTRY_SUFFIX = ".rec"
+#: File suffix of the local log: ``<code fingerprint><LOG_SUFFIX>``.
+LOG_SUFFIX = ".log"
 
-#: Length of the record's hex SHA-256 prefix.
+#: Length of a hex SHA-256: the entry digest opening a line, and the
+#: value digest opening a record.
 _DIGEST_CHARS = 64
 
 #: Subpackages whose source feeds the cached computation: models/profiles
@@ -106,6 +154,7 @@ _enabled = False
 _cache_dir: Optional[Path] = None
 _code_fingerprint: Optional[str] = None
 _remote: Optional["RemoteCacheClient"] = None
+_log: Optional["_Log"] = None
 
 #: Hit/miss/write counters since process start (or the last reset).
 _stats = {
@@ -136,6 +185,8 @@ def configure(
 ) -> None:
     """Point the cache at a directory (created lazily) and switch it on/off.
 
+    Closes the local log and drops this process's view of it (see
+    :func:`close`), whether or not the directory changes.
     ``remote_url`` ("HOST:PORT") additionally attaches the shared
     plan-cache service tier; omitting it (the default) detaches any
     previously-configured remote, so reconfiguration is always explicit
@@ -144,6 +195,7 @@ def configure(
     remote-only cache).
     """
     global _enabled, _cache_dir, _remote
+    close()
     _cache_dir = None if cache_dir is None else Path(cache_dir)
     _enabled = bool(enabled) and (_cache_dir is not None or remote_url is not None)
     if _remote is not None:
@@ -177,6 +229,18 @@ def code_fingerprint() -> str:
                 digest.update(b"\x00")
         _code_fingerprint = digest.hexdigest()[:16]
     return _code_fingerprint
+
+
+def close() -> None:
+    """Close the local log and drop this process's view of it.
+
+    The cache stays configured: the next lookup opens the log again and
+    reads it from disk, as a new process would.
+    """
+    global _log
+    if _log is not None:
+        _log.close()
+        _log = None
 
 
 def is_enabled() -> bool:
@@ -244,16 +308,12 @@ def _entry_digest(key_parts: Tuple[str, ...]) -> str:
     """The content digest addressing an entry in *both* tiers.
 
     Embeds the format version and the code fingerprint, so the digest is
-    the complete cross-machine identity of an entry: the local file name
-    and the remote service key are this same string.
+    the complete cross-machine identity of an entry: the prefix of its
+    line in the local log and the remote service key are this same
+    string.
     """
     text = "/".join((f"v{_FORMAT_VERSION}", code_fingerprint()) + key_parts)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _entry_path(digest: str) -> Path:
-    assert _cache_dir is not None
-    return _cache_dir / "estimates" / f"{digest}{ENTRY_SUFFIX}"
 
 
 def _encode(value: Any) -> bytes:
@@ -284,21 +344,6 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def _quarantine(path: Path) -> None:
-    """Move a corrupt entry aside so it cannot poison later lookups.
-
-    The entry is renamed to ``<name>.rec.corrupt`` (atomic on POSIX):
-    every subsequent ``get`` of the same key sees a clean miss instead of
-    re-reading the broken record, the recomputed value's ``put`` lands on
-    the now-free path, and the corpse stays on disk for diagnosis.
-    """
-    try:
-        os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-    except OSError:
-        return
-    _stats["quarantined"] += 1
-
-
 def get(
     key_parts: Tuple[str, ...], decode: Callable[[Any], Any] = _plain
 ) -> Tuple[bool, Any]:
@@ -310,46 +355,48 @@ def get(
     error handling, so a rejected record counts exactly like bytes that
     fail to parse.
 
-    Local disk is consulted first.  A missing file is a miss.  Any other
-    error opening or reading the file (too many open files, a flaky
-    disk) is a miss plus one ``errors``, and the file stays in place: the
-    entry may be valid, and the next lookup reads it again.  A record
-    that fails to decode (truncated write, bit rot, a stale digest, a
-    value ``decode`` rejects) is a miss, an error *and* a quarantine --
-    the broken entry is moved to ``<name>.rec.corrupt`` so it is
-    recomputed and rewritten, never retried.  On a local miss the remote
-    service (when configured) is asked; a remote hit is decoded, written
-    back to local disk, and counted as ``remote_hits``.  Any remote
-    trouble (connection refused, timeout, a record that fails to decode)
-    counts one ``remote_errors`` and degrades to a plain miss; a rejected
-    remote record never reaches local disk.  ``value`` may legitimately
-    be ``None`` on a hit.
+    The local log is consulted first, and it serves the first line for
+    the key whose record decodes.  No line for the key (or no log) is a
+    miss.  Any error reading the log other than a missing file (too many
+    open files, a flaky disk) is a miss plus one ``errors``, and nothing
+    is dropped: the entry may be valid, and the next lookup reads it
+    again.  A line whose record fails to decode (bit rot, a torn or
+    garbled write, a stale digest, a value ``decode`` rejects) is dropped
+    from this process's view and never retried; when every line for the
+    key fails, the lookup is a miss, one ``errors`` and one
+    ``quarantined``, so the value is recomputed and appended again.  On a
+    local miss the remote service (when configured) is asked; a remote
+    hit is decoded, appended to the local log, and counted as
+    ``remote_hits``.  Any remote trouble (connection refused, timeout, a
+    record that fails to decode) counts one ``remote_errors`` and
+    degrades to a plain miss; a rejected remote record never reaches
+    local disk.  ``value`` may legitimately be ``None`` on a hit.
     """
     if not _enabled:
         return False, None
     digest = _entry_digest(key_parts)
     if _cache_dir is not None:
-        path = _entry_path(digest)
-        blob = None
+        log = _local_log()
+        key = digest.encode()
         try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except FileNotFoundError:
-            pass
+            records = log.records(key)
         except OSError:
             _stats["misses"] += 1
             _stats["errors"] += 1
             return False, None
-        if blob is not None:
+        for span, blob in records:
             try:
                 value = _decode(blob, decode)
             except Exception:
-                _stats["misses"] += 1
-                _stats["errors"] += 1
-                _quarantine(path)
-                return False, None
+                log.drop(key, span)
+                continue
             _stats["hits"] += 1
             return True, value
+        if records:
+            _stats["misses"] += 1
+            _stats["errors"] += 1
+            _stats["quarantined"] += 1
+            return False, None
     if _remote is not None:
         status, blob = _remote.get(digest)
         if status == "hit":
@@ -373,11 +420,11 @@ def get(
 def put(key_parts: Tuple[str, ...], value: Any) -> None:
     """Store an entry through both tiers (best effort; errors swallowed).
 
-    The value (plain JSON data) is encoded once; the same record lands
-    atomically on local disk and is pushed to the remote service under a
-    bounded socket timeout, so a slow or dead remote can never block the
-    simulation -- the worst case is one timeout per attempt until the
-    circuit opens, each counted in ``remote_errors``.
+    The value (plain JSON data) is encoded once; the same record is
+    appended to the local log as one line and pushed to the remote
+    service under a bounded socket timeout, so a slow or dead remote can
+    never block the simulation -- the worst case is one timeout per
+    attempt until the circuit opens, each counted in ``remote_errors``.
     """
     if not _enabled:
         return
@@ -401,27 +448,154 @@ def put(key_parts: Tuple[str, ...], value: Any) -> None:
 
 
 def _write_local(digest: str, blob: bytes) -> bool:
-    """Atomically land an encoded record in the local tier (best effort)."""
+    """Append an encoded record to the local log as one line (best effort).
+
+    A short write or an ``OSError`` counts one ``errors``.
+    """
     if _cache_dir is None:
         return False
-    path = _entry_path(digest)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
+        written = _local_log().append(digest.encode() + blob + b"\n")
+    except OSError:
+        written = False
+    if not written:
+        _stats["errors"] += 1
+    return written
+
+
+def _local_log() -> "_Log":
+    global _log
+    if _log is None:
+        assert _cache_dir is not None
+        _log = _Log(_cache_dir / "estimates" / f"{code_fingerprint()}{LOG_SUFFIX}")
+    return _log
+
+
+#: A record's place in the log: ``(offset, length)``.
+_Span = Tuple[int, int]
+
+
+class _Log:
+    """This process's descriptor on the shared local log, and its view.
+
+    The view maps each entry digest (as bytes) to the span of the record
+    on every complete line read for it, in file order.  ``_end`` is the
+    offset just past the last complete line indexed, and ``_torn`` says
+    the last read found bytes after it.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._fd: Optional[int] = None
+        self._spans: Dict[bytes, List[_Span]] = {}
+        self._end = 0
+        self._torn = False
+
+    def close(self) -> None:
+        """Close the descriptor and drop the view."""
+        fd, self._fd = self._fd, None
+        self._spans = {}
+        self._end = 0
+        self._torn = False
+        if fd is not None:
             try:
-                os.unlink(tmp)
+                os.close(fd)
             except OSError:
                 pass
-            raise
-    except Exception:
-        _stats["errors"] += 1
-        return False
-    return True
+
+    def records(self, key: bytes) -> List[Tuple[_Span, bytes]]:
+        """Every record in the view for ``key``, in file order.
+
+        A key not in the view first indexes the bytes appended since the
+        last read.  Raises ``OSError`` on any failure but a missing
+        directory, which holds no records.
+        """
+        spans = self._spans.get(key)
+        if spans is None:
+            try:
+                self._read_new()
+            except FileNotFoundError:
+                return []
+            spans = self._spans.get(key)
+            if spans is None:
+                return []
+        fd = self._fd
+        assert fd is not None
+        return [(span, os.pread(fd, span[1], span[0])) for span in spans]
+
+    def drop(self, key: bytes, span: _Span) -> None:
+        """Forget one line, so no later lookup in this view retries it."""
+        spans = self._spans[key]
+        spans.remove(span)
+        if not spans:
+            del self._spans[key]
+
+    def append(self, line: bytes) -> bool:
+        """Append one whole line with one ``write``; False if it was short.
+
+        Creates the directory on the first write.  After a read that ended
+        inside a line, the write starts with a newline, so a torn tail
+        cannot swallow this line.
+        """
+        try:
+            fd = self._open()
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = self._open()
+        if self._torn:
+            line = b"\n" + line
+            self._torn = False
+        return os.write(fd, line) == len(line)
+
+    def _open(self) -> int:
+        if self._fd is None:
+            self._fd = os.open(
+                self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644
+            )
+        return self._fd
+
+    def _read_new(self) -> None:
+        """Index the complete lines appended since the last read."""
+        fd = self._open()
+        st = os.fstat(fd)
+        if st.st_nlink == 0:
+            # Deleted under us (``rm -rf``): drop it; the next write
+            # opens a new log at the path.
+            self.close()
+            return
+        if st.st_size < self._end:
+            # The log shrank: what the view points at may be gone.
+            self._spans = {}
+            self._end = 0
+        if st.st_size == self._end:
+            self._torn = False
+            return
+        data = os.pread(fd, st.st_size - self._end, self._end)
+        base = self._end
+        for key, offset, length in iter_records(data):
+            self._spans.setdefault(key, []).append((base + offset, length))
+        complete = data.rfind(b"\n") + 1
+        self._end = base + complete
+        self._torn = complete < len(data)
+
+
+def iter_records(data: bytes) -> Iterator[Tuple[bytes, int, int]]:
+    """``(entry digest, offset, length)`` of the record on each complete
+    line of log bytes ``data``, in order; offsets are into ``data``.
+
+    A partial last line is skipped, and so is a line too short to hold
+    an entry digest and a record (the empty line a torn-tail newline
+    leaves).
+    """
+    start = 0
+    while True:
+        stop = data.find(b"\n", start)
+        if stop < 0:
+            return
+        if stop - start > _DIGEST_CHARS:
+            record = start + _DIGEST_CHARS
+            yield data[start:record], record, stop - record
+        start = stop + 1
 
 
 class RemoteCacheClient:

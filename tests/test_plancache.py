@@ -4,17 +4,22 @@ The cache must be invisible except for speed: a disk hit decodes a
 data-only record carrying exactly the floats a fresh plan search would
 compute, so results stay bit-identical; corrupt, tampered or foreign
 records -- and any entry that is not a record at all, such as a pickle
--- degrade to counted, quarantined misses and never run code; and the
-library default is *off* so nothing touches the filesystem unless the
-CLI (or a test) opts in.
+-- degrade to counted, quarantined misses and never run code; every
+process appends to one log per cache directory, and concurrent or forked
+writers never tear each other's lines; and the library default is *off*
+so nothing touches the filesystem unless the CLI (or a test) opts in.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import pickle
+import shutil
 import struct
 
 import pytest
@@ -45,9 +50,35 @@ def make_executor():
     return FillJobExecutor(cycle)
 
 
-def the_entry(cache_dir):
-    (entry,) = (cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}")
-    return entry
+def the_log(cache_dir):
+    name = plancache.code_fingerprint() + plancache.LOG_SUFFIX
+    return cache_dir / "estimates" / name
+
+
+def lines_of(cache_dir, key):
+    """``(offset, record)`` of every line for ``key`` in the log, in file
+    order: where the line starts, and its bytes after the entry digest,
+    newline excluded."""
+    digest = plancache._entry_digest(key).encode()
+    found, offset = [], 0
+    for line in the_log(cache_dir).read_bytes().split(b"\n")[:-1]:
+        if line[:64] == digest:
+            found.append((offset, line[64:]))
+        offset += len(line) + 1
+    return found
+
+
+def set_record(cache_dir, key, record: bytes) -> None:
+    """Put ``record`` on the first line for ``key``, in the same file."""
+    log = the_log(cache_dir)
+    data = log.read_bytes()
+    offset, old = lines_of(cache_dir, key)[0]
+    start = offset + 64
+    log.write_bytes(data[:start] + record + data[start + len(old) :])
+
+
+def estimate_key(model, job_type=JobType.BATCH_INFERENCE):
+    return make_executor()._disk_key(model, job_type)
 
 
 def frame(record) -> bytes:
@@ -69,6 +100,51 @@ class Exploit:
 
     def __reduce__(self):
         return (side_effect, ())
+
+
+def spawned_writer(directory: str, worker: int) -> None:
+    """Put 100 shared and 100 own keys into ``directory``, reading the log
+    between writes (the body of one concurrent-writer process)."""
+    plancache.configure(directory)
+    for i in range(100):
+        plancache.put(("shared", str(i)), {"shared": i})
+        plancache.put(("own", str(worker), str(i)), {"worker": worker, "i": i})
+        assert plancache.get(("own", str(worker), str(i))) == (
+            True,
+            {"worker": worker, "i": i},
+        )
+        neighbour = ("own", str((worker + 1) % 4), str(i))
+        hit, value = plancache.get(neighbour)
+        assert not hit or value == {"worker": (worker + 1) % 4, "i": i}
+    assert plancache.stats()["errors"] == 0
+
+
+def forked_writer(fd: int) -> None:
+    """Put 20 keys through the log descriptor inherited from the parent."""
+    for i in range(20):
+        plancache.put(("child", str(i)), {"child": i})
+    assert plancache._log is not None and plancache._log._fd == fd
+    assert plancache.stats()["errors"] == 0
+
+
+def log_line(key, value) -> bytes:
+    """The log line the cache writes for ``key`` and ``value``."""
+    return plancache._entry_digest(key).encode() + plancache._encode(value) + b"\n"
+
+
+#: JSON text that exercises escaping: raw newlines, carriage returns,
+#: quotes, backslashes and the Unicode line separators.
+JSON_TEXT = st.text() | st.text(alphabet="a\n\r\"\\\u2028\u0085")
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=12,
+)
 
 
 class TestEstimateRoundTrip:
@@ -110,35 +186,35 @@ class TestEstimateRoundTrip:
         model = build_model("bert-base")
         clear_shared_caches()
         make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
-        entries = list((cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}"))
-        assert entries
-        for path in entries:
-            path.write_bytes(b"not a record")
+        log = the_log(cache_dir)
+        lines = log.read_bytes().split(b"\n")[:-1]
+        assert lines
+        log.write_bytes(b"".join(line[:64] + b"not a record\n" for line in lines))
         clear_shared_caches()
         plancache.reset_stats()
         model = build_model("bert-base")
         estimate = make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
-        assert estimate is not None  # recomputed despite the corrupt files
+        assert estimate is not None  # recomputed despite the corrupt records
         stats = plancache.stats()
         assert stats["hits"] == 0 and stats["errors"] >= 1 and stats["writes"] >= 1
 
     def test_truncated_entry_is_quarantined_and_rewritten(self, cache_dir):
-        """A torn write (truncated record) must quarantine, then self-heal.
+        """A record cut short in place must quarantine, then self-heal.
 
-        The live entry is truncated in place -- the crash-mid-write /
-        bit-rot case the ``truncate-cache`` chaos injector simulates --
-        and the next lookup must (a) miss, (b) move the corpse to
-        ``<name>.rec.corrupt``, (c) recompute the identical estimate and
-        (d) rewrite the entry so the lookup after that hits again.
+        The live record keeps its first 8 bytes and the rest of its line
+        becomes filler -- the bit-rot case the ``truncate-cache`` chaos
+        injector simulates -- and the next lookup must (a) miss, (b)
+        count a quarantine and leave the bad bytes in the log, (c)
+        recompute the identical estimate and (d) append it, so a fresh
+        view hits again without quarantining anything.
         """
         model = build_model("bert-base")
         clear_shared_caches()
         fresh = make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
-        entries = list((cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}"))
-        assert entries
-        for path in entries:
-            with open(path, "r+b") as fh:
-                fh.truncate(8)
+        key = estimate_key(model)
+        ((_, record),) = lines_of(cache_dir, key)
+        bad = record[:8] + b"#" * (len(record) - 8)
+        set_record(cache_dir, key, bad)
         clear_shared_caches()
         plancache.reset_stats()
         model = build_model("bert-base")
@@ -147,13 +223,9 @@ class TestEstimateRoundTrip:
         assert stats["quarantined"] >= 1 and stats["errors"] >= 1
         assert healed.samples_per_cycle == fresh.samples_per_cycle
         assert healed.flops_per_cycle == fresh.flops_per_cycle
-        corpses = list(
-            (cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}.corrupt")
-        )
-        assert corpses, "corrupt entry was not moved aside"
-        # The quarantined file really is the truncated one...
-        assert all(c.stat().st_size == 8 for c in corpses)
-        # ...and the healthy path was rewritten: a fresh process hits.
+        # The corpse stays in the log, byte for byte, ahead of the healed line...
+        assert [r for _, r in lines_of(cache_dir, key)] == [bad, record]
+        # ...and a fresh view skips it and hits.
         clear_shared_caches()
         plancache.reset_stats()
         model = build_model("bert-base")
@@ -161,31 +233,61 @@ class TestEstimateRoundTrip:
         stats = plancache.stats()
         assert stats["hits"] >= 1 and stats["quarantined"] == 0
 
+    def test_torn_last_line_is_neither_served_nor_counted(self, cache_dir):
+        """A log cut inside its last line (a crashed writer) holds a partial
+        line, which looks exactly like a write in flight: the lookup
+        recomputes without counting an error, and the healed line lands
+        after the torn one, so a fresh view hits."""
+        model = build_model("bert-base")
+        clear_shared_caches()
+        fresh = make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
+        key = estimate_key(model)
+        log = the_log(cache_dir)
+        ((offset, record),) = lines_of(cache_dir, key)
+        assert offset + 64 + len(record) + 1 == log.stat().st_size  # the last line
+        os.truncate(log, offset + 64 + len(record) // 2)
+        clear_shared_caches()
+        plancache.reset_stats()
+        healed = make_executor().build_estimate(
+            build_model("bert-base"), JobType.BATCH_INFERENCE
+        )
+        stats = plancache.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 1 and stats["writes"] == 1
+        assert stats["errors"] == 0 and stats["quarantined"] == 0
+        assert healed == fresh
+        assert lines_of(cache_dir, key)[-1][1] == record
+        clear_shared_caches()
+        plancache.reset_stats()
+        again = make_executor().build_estimate(
+            build_model("bert-base"), JobType.BATCH_INFERENCE
+        )
+        stats = plancache.stats()
+        assert stats["hits"] == 1 and stats["errors"] == 0 and again == fresh
+
     def test_transient_read_error_is_a_miss_and_keeps_the_entry(
         self, cache_dir, monkeypatch
     ):
-        """An I/O error (here EMFILE) says nothing about the entry's bytes:
-        it is a counted miss, the file stays put, and the next lookup hits."""
-        import errno
-
+        """An I/O error reading the log (here EIO) says nothing about the
+        entry's bytes: it is a counted miss, the log stays as it was, and
+        the next lookup reads it again and hits."""
         key = ("namespace", "model", "job")
         plancache.put(key, {"samples": 1.5})
-        (entry,) = (cache_dir / "estimates").glob(f"*{plancache.ENTRY_SUFFIX}")
-        blob = entry.read_bytes()
+        log = the_log(cache_dir)
+        blob = log.read_bytes()
+        clear_shared_caches()  # a new process: the lookup must read the log
 
-        def exhausted(path, *args, **kwargs):
-            raise OSError(errno.EMFILE, "Too many open files", str(path))
+        def failing(fd, length, offset):
+            raise OSError(errno.EIO, "Input/output error")
 
-        monkeypatch.setattr(plancache, "open", exhausted, raising=False)
+        monkeypatch.setattr(plancache.os, "pread", failing)
         plancache.reset_stats()
         assert plancache.get(key) == (False, None)
         stats = plancache.stats()
         assert stats["misses"] == 1 and stats["errors"] == 1
         assert stats["quarantined"] == 0
-        assert entry.read_bytes() == blob
-        assert not list((cache_dir / "estimates").glob("*.corrupt"))
+        monkeypatch.undo()  # the fault clears
+        assert log.read_bytes() == blob
 
-        monkeypatch.delattr(plancache, "open")  # the fault clears
         assert plancache.get(key) == (True, {"samples": 1.5})
         assert plancache.stats()["hits"] == 1
 
@@ -196,7 +298,7 @@ class TestEstimateRoundTrip:
         clear_shared_caches()
         make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
         assert plancache.stats()["writes"] == 0
-        assert not list(tmp_path.glob(f"**/*{plancache.ENTRY_SUFFIX}"))
+        assert not list(tmp_path.glob(f"**/*{plancache.LOG_SUFFIX}"))
 
     def test_code_fingerprint_gates_every_entry(self, cache_dir, monkeypatch):
         """Entries written by different *code* must never be served.
@@ -237,6 +339,120 @@ class TestEstimateRoundTrip:
         assert again.cycle_period == b.cycle_period
 
 
+class TestSharedLog:
+    """One append-only log per cache directory: every process appends
+    whole lines with one write and indexes what it reads."""
+
+    def test_one_file_holds_every_entry(self, cache_dir):
+        for i in range(64):
+            plancache.put(("one-file", str(i)), {"i": i})
+        assert [p.name for p in (cache_dir / "estimates").iterdir()] == [
+            the_log(cache_dir).name
+        ]
+        clear_shared_caches()
+        plancache.reset_stats()
+        for i in range(64):
+            assert plancache.get(("one-file", str(i))) == (True, {"i": i})
+        assert plancache.stats()["hits"] == 64
+
+    def test_concurrent_spawned_writers_never_tear_a_line(self, cache_dir):
+        """Four spawned processes -- more than the host's cores -- write
+        overlapping and private keys into one log while reading it."""
+        ctx = multiprocessing.get_context("spawn")
+        procs = [
+            ctx.Process(target=spawned_writer, args=(str(cache_dir), worker))
+            for worker in range(4)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
+        clear_shared_caches()
+        plancache.reset_stats()
+        for i in range(100):
+            assert plancache.get(("shared", str(i))) == (True, {"shared": i})
+            for worker in range(4):
+                assert plancache.get(("own", str(worker), str(i))) == (
+                    True,
+                    {"worker": worker, "i": i},
+                )
+        stats = plancache.stats()
+        assert stats["hits"] == 500 and stats["errors"] == 0
+        assert the_log(cache_dir).read_bytes().count(b"\n") == 800
+
+    def test_forked_child_appends_through_the_inherited_descriptor(self, cache_dir):
+        plancache.put(("parent",), {"who": "parent"})
+        fd = plancache._log._fd
+        child = multiprocessing.get_context("fork").Process(
+            target=forked_writer, args=(fd,)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        expected = log_line(("parent",), {"who": "parent"}) + b"".join(
+            log_line(("child", str(i)), {"child": i}) for i in range(20)
+        )
+        assert the_log(cache_dir).read_bytes() == expected
+        clear_shared_caches()
+        plancache.reset_stats()
+        for i in range(20):
+            assert plancache.get(("child", str(i))) == (True, {"child": i})
+        assert plancache.stats()["errors"] == 0
+
+    def test_a_failed_line_is_dropped_and_never_retried(self, cache_dir):
+        key = ("dropped",)
+        plancache.put(key, {"v": 1})
+        set_record(cache_dir, key, b"not a record")
+        clear_shared_caches()
+        plancache.reset_stats()
+        assert plancache.get(key) == (False, None)
+        assert plancache.get(key) == (False, None)  # not decoded again
+        stats = plancache.stats()
+        assert stats["misses"] == 2
+        assert stats["errors"] == 1 and stats["quarantined"] == 1
+        plancache.put(key, {"v": 1})  # the healed line is read on the next lookup
+        assert plancache.get(key) == (True, {"v": 1})
+        assert plancache.stats()["quarantined"] == 1
+
+    def test_deleted_log_is_dropped_and_the_next_write_opens_a_new_one(
+        self, cache_dir
+    ):
+        plancache.put(("a",), 1)
+        assert plancache.get(("a",)) == (True, 1)
+        shutil.rmtree(cache_dir)  # `rm -rf` under a live process
+        plancache.reset_stats()
+        assert plancache.get(("b",)) == (False, None)
+        plancache.put(("b",), 2)
+        stats = plancache.stats()
+        assert stats["writes"] == 1 and stats["errors"] == 0
+        assert the_log(cache_dir).read_bytes() == log_line(("b",), 2)
+        clear_shared_caches()
+        assert plancache.get(("b",)) == (True, 2)
+        assert plancache.get(("a",)) == (False, None)
+
+    def test_shrunk_log_is_indexed_again_from_the_start(self, cache_dir):
+        plancache.put(("a",), "a" * 100)
+        plancache.put(("b",), "b" * 100)
+        assert plancache.get(("a",)) == (True, "a" * 100)  # read to the end
+        os.truncate(the_log(cache_dir), 0)
+        plancache.put(("c",), "c")
+        plancache.reset_stats()
+        assert plancache.get(("c",)) == (True, "c")
+        assert plancache.get(("a",)) == (False, None)
+        assert plancache.stats()["errors"] == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_a_record_never_holds_a_newline(self, value):
+        """The newline frames log lines, so no record may contain one."""
+        assert b"\n" not in plancache._encode(value)
+
+
 class TestRecordsAreData:
     """Entries are validated data: nothing in one can run code or slip an
     estimate past the checks a fresh search would satisfy."""
@@ -247,7 +463,7 @@ class TestRecordsAreData:
         executor = make_executor()
         fresh = executor.build_estimate(model, JobType.BATCH_INFERENCE)
         key = executor._disk_key(model, JobType.BATCH_INFERENCE)
-        the_entry(cache_dir).write_bytes(pickle.dumps(Exploit()))
+        set_record(cache_dir, key, pickle.dumps(Exploit()))
         SIDE_EFFECTS.clear()
         plancache.reset_stats()
         assert plancache.get(key) == (False, None)
@@ -280,8 +496,8 @@ class TestRecordsAreData:
         model = build_model("bert-base")
         clear_shared_caches()
         fresh = make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
-        entry = the_entry(cache_dir)
-        blob = entry.read_bytes()
+        key = estimate_key(model)
+        ((_, blob),) = lines_of(cache_dir, key)
         record = json.loads(blob[64:])
         assert frame(record) == blob  # the documented framing, byte for byte
         if case == "stale-digest":
@@ -308,7 +524,7 @@ class TestRecordsAreData:
             elif case == "other-cycle-period":
                 record["cycle_period"] = 4.5
             bad = frame(record)
-        entry.write_bytes(bad)
+        set_record(cache_dir, key, bad)
         clear_shared_caches()
         plancache.reset_stats()
         model = build_model("bert-base")
@@ -317,7 +533,7 @@ class TestRecordsAreData:
         assert stats["hits"] == 0 and stats["misses"] == 1
         assert stats["errors"] == 1 and stats["quarantined"] == 1
         assert healed == fresh
-        assert stats["writes"] == 1 and entry.read_bytes() == blob
+        assert stats["writes"] == 1 and lines_of(cache_dir, key)[-1][1] == blob
         clear_shared_caches()
         plancache.reset_stats()
         again = make_executor().build_estimate(
@@ -373,15 +589,19 @@ class TestRecordsAreData:
 
 class TestChaosTruncateCache:
     def test_injector_truncates_a_real_entry_which_heals(self, cache_dir):
-        """The ``truncate-cache`` injector must find the live entries; the
-        lookup after it quarantines the victim and recomputes the same
-        estimate."""
+        """The ``truncate-cache`` injector must find the live records and cut
+        one in place; the lookup after it quarantines the victim and
+        recomputes the same estimate."""
         model = build_model("bert-base")
         clear_shared_caches()
         fresh = make_executor().build_estimate(model, JobType.BATCH_INFERENCE)
-        entry = the_entry(cache_dir)
+        key = estimate_key(model)
+        ((_, record),) = lines_of(cache_dir, key)
+        size = the_log(cache_dir).stat().st_size
         ChaosPlan.build("truncate-cache").maybe_inject("point-0", 1)
-        assert entry.stat().st_size == 8
+        ((_, cut),) = lines_of(cache_dir, key)
+        assert cut[:8] == record[:8] and cut[8:] != record[8:]
+        assert len(cut) == len(record) and the_log(cache_dir).stat().st_size == size
         clear_shared_caches()
         plancache.reset_stats()
         healed = make_executor().build_estimate(
@@ -390,7 +610,7 @@ class TestChaosTruncateCache:
         stats = plancache.stats()
         assert stats["quarantined"] == 1 and stats["hits"] == 0
         assert healed == fresh
-        assert entry.stat().st_size > 8  # rewritten
+        assert lines_of(cache_dir, key)[-1][1] == record  # appended again
 
 
 class TestScenarioEquivalence:
