@@ -12,7 +12,7 @@ CI's clean-venv job installs exactly this package to prove the plugin
 path works outside the source tree.
 """
 
-from repro.registry import register_bench_size, register_policy
+from repro.registry import register_policy
 
 
 @register_policy("toy-longest-wait")
@@ -20,15 +20,3 @@ def toy_longest_wait(job, state, executor_index):
     """Serve the job that has waited longest (FIFO restated as a score)."""
     return state.now - job.arrival_time
 
-
-def _register_sizes() -> None:
-    # Imported lazily so a broken bench subpackage could never take the
-    # policy registration down with it.
-    from repro.bench.workloads import BenchSize
-
-    register_bench_size(
-        BenchSize("toy-nano", num_jobs=50, pipeline_stages=8, devices_per_stage=1)
-    )
-
-
-_register_sizes()

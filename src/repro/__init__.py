@@ -27,7 +27,7 @@ The package is organised in layers:
   :class:`~repro.api.Experiment` facade, typed results with a versioned
   JSON schema, and streaming run observers.  **Embed through this.**
 * :mod:`repro.registry` -- unified plugin registries (policies,
-  preemption rules, arrival processes, fault models, bench sizes) with
+  preemption rules, arrival processes, fault models) with
   ``repro.plugins`` entry-point discovery.
 * :mod:`repro.cli` -- the ``python -m repro run|sweep|report`` command
   line, a thin shell over :mod:`repro.api`.

@@ -39,13 +39,12 @@ REGISTER_FUNCTIONS = {
     "register_chaos_injector": "chaos-injector",
     "register_invariant": "invariant",
     "register_analysis_rule": "analysis-rule",
-    "register_bench_size": "bench-size",
     "register_fuzz_budget": "fuzz-budget",
 }
 
 #: Kinds whose registered names must appear in the docs catalog tables
-#: (``docs/api.md``).  Bench sizes and fuzz budgets are value objects
-#: registered under computed names and are documented by their modules.
+#: (``docs/api.md``).  Fuzz budgets are value objects registered under
+#: computed names and are documented by their module.
 DOCUMENTED_KINDS = (
     "policy",
     "preemption-rule",
@@ -107,7 +106,7 @@ def _constant_str(node: Optional[ast.AST]) -> Optional[str]:
 def _object_name(call: ast.Call) -> Optional[str]:
     """The registered name of a value-object registration.
 
-    ``register_bench_size(BenchSize(name="smoke", ...))`` registers
+    ``register_fuzz_budget(FuzzBudget(name="smoke", ...))`` registers
     under the object's ``name=`` field; recover it when it is a literal.
     """
     if call.args and isinstance(call.args[0], ast.Call):
@@ -147,12 +146,12 @@ def iter_registrations(module: ModuleInfo) -> Iterator[Registration]:
             kind = _register_kind(module, node.func)
             if kind is None:
                 continue
-            if kind in ("bench-size", "fuzz-budget"):
+            if kind == "fuzz-budget":
                 # Value-object registration: name comes from the object.
                 name = _object_name(node)
                 if name is None and node.args and isinstance(node.args[0], ast.Name):
-                    # ``register_bench_size(SMOKE)`` where SMOKE was bound
-                    # to a constructor call earlier in the module.
+                    # ``register_fuzz_budget(SMOKE_BUDGET)`` where the name
+                    # was bound to a constructor call earlier in the module.
                     referenced = defs.get(node.args[0].id)
                     if isinstance(referenced, ast.Call):
                         for keyword in referenced.keywords:

@@ -67,8 +67,8 @@ _SUPPRESSION_RE = re.compile(
 
 #: Digest-affecting module paths: the modules whose behaviour feeds the
 #: golden result digests, where determinism rules apply (matched against
-#: the posix relpath).  ``bench/``, ``exec/``, ``verify/`` and the CLI
-#: are free to read wall clocks; these are not.
+#: the posix relpath).  ``exec/``, ``verify/`` and the CLI are free to
+#: read wall clocks; these are not.
 _DIGEST_PATH_RE = re.compile(
     r"(^|/)(sim|core|pipeline)/[^/]+\.py$"
     r"|(^|/)dist/sharding\.py$"

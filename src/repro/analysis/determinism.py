@@ -4,8 +4,8 @@ Every rule here applies only to *digest-affecting* modules (``sim/``,
 ``core/``, ``pipeline/``, ``dist/sharding.py``, ``utils/plancache.py``
 -- see :data:`repro.analysis.core._DIGEST_PATH_RE`): the code whose
 behaviour feeds the golden result digests that pin bit-identical
-reproduction.  Harness code (``bench/``, ``exec/``, the CLI) is free to
-read wall clocks.
+reproduction.  Harness code (``exec/``, the CLI) is free to read wall
+clocks.
 
 The one blessed exception inside digest modules is
 ``time.perf_counter``/``perf_counter_ns``: the kernel's per-event-kind

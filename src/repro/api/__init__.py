@@ -24,9 +24,9 @@ the CLI can do routes through it:
   conservation, clock and accounting invariants on every event, and
   register custom invariants via :func:`register_invariant`.
 * :mod:`repro.registry` (re-exported helpers) -- decorator registration
-  of policies, preemption rules, arrival processes, fault models and
-  bench sizes, plus ``repro.plugins`` entry-point discovery for
-  third-party packages.
+  of policies, preemption rules, arrival processes, fault models,
+  invariants, fuzz budgets, chaos injectors and lint rules, plus
+  ``repro.plugins`` entry-point discovery for third-party packages.
 
 Quick start::
 
@@ -55,7 +55,6 @@ from repro.api.results import (
 from repro.exec import ChaosPlan, RetryPolicy
 from repro.api.schema import (
     SchemaError,
-    validate_bench_payload,
     validate_profile_payload,
     validate_run_payload,
     validate_sweep_payload,
@@ -65,7 +64,6 @@ from repro.registry import (
     load_entry_point_plugins,
     register_analysis_rule,
     register_arrival_process,
-    register_bench_size,
     register_chaos_injector,
     register_fault_model,
     register_fuzz_budget,
@@ -109,7 +107,6 @@ __all__ = [
     "validate_run_payload",
     "validate_sweep_payload",
     "validate_profile_payload",
-    "validate_bench_payload",
     "ScenarioError",
     "ScenarioSpec",
     "ENTRY_POINT_GROUP",
@@ -118,7 +115,6 @@ __all__ = [
     "register_preemption_rule",
     "register_arrival_process",
     "register_fault_model",
-    "register_bench_size",
     "register_invariant",
     "register_fuzz_budget",
     "register_chaos_injector",

@@ -1,12 +1,12 @@
 """Structural validation of the frozen schema-v1 result payloads.
 
 The validators check the JSON payloads emitted by
-:meth:`RunResult.to_dict`, :meth:`SweepResult.to_dict`,
-:meth:`ProfileResult.to_dict` and ``repro bench`` against the **frozen
-v1 shapes**: required keys present with the right primitive types,
-``schema_version`` correct, metric blocks complete.  They are
-dependency-free (no jsonschema) and are what the schema round-trip tests
-and external consumers use to prove a payload is well-formed.
+:meth:`RunResult.to_dict`, :meth:`SweepResult.to_dict` and
+:meth:`ProfileResult.to_dict` against the **frozen v1 shapes**: required
+keys present with the right primitive types, ``schema_version`` correct,
+metric blocks complete.  They are dependency-free (no jsonschema) and
+are what the schema round-trip tests and external consumers use to prove
+a payload is well-formed.
 
 All validators raise :class:`SchemaError` naming the offending path, and
 return the payload unchanged so they compose as pass-throughs::
@@ -234,36 +234,4 @@ def validate_profile_payload(payload: Any) -> Mapping[str, Any]:
     _check_count_map(payload, "timings_by_kind", "profile payload")
     cache = _require_mapping(payload.get("plan_cache"), "profile payload.plan_cache")
     _require("enabled" in cache, "profile payload.plan_cache is missing 'enabled'")
-    return payload
-
-
-def validate_bench_payload(payload: Any) -> Mapping[str, Any]:
-    """Validate a ``repro bench`` / ``BENCH_<size>.json`` payload."""
-    payload = _require_mapping(payload, "bench payload")
-    schema = _check_key(payload, "schema", str, "bench payload")
-    _require(
-        schema == "repro-bench/v1",
-        f"bench payload.schema must be 'repro-bench/v1', got {schema!r}",
-    )
-    _check_key(payload, "size", str, "bench payload")
-    _check_key(payload, "num_jobs", int, "bench payload")
-    cases = payload.get("cases")
-    _require(isinstance(cases, list) and cases, "bench payload.cases must be a non-empty list")
-    for i, case in enumerate(cases):
-        where = f"bench payload.cases[{i}]"
-        case = _require_mapping(case, where)
-        _check_key(case, "name", str, where)
-        _check_key(case, "num_jobs", int, where)
-        _check_key(case, "num_executors", int, where)
-        timing = _require_mapping(case.get("optimized"), f"{where}.optimized")
-        for key in (
-            "setup_seconds",
-            "run_seconds",
-            "events_processed",
-            "events_per_second",
-            "jobs_submitted",
-            "jobs_completed",
-        ):
-            _check_key(timing, key, _NUMBER, f"{where}.optimized")
-        _check_key(timing, "result_digest", str, f"{where}.optimized")
     return payload

@@ -7,7 +7,7 @@ anything the CLI does is equally available to notebooks and services, and
 all ``--json`` payloads carry a ``schema_version`` (frozen schema v1, see
 ``docs/api.md``).
 
-Nine commands cover the common workflows:
+Eight commands cover the common workflows:
 
 ``run``
     Simulate one scenario file and print per-tenant plus aggregate
@@ -75,14 +75,6 @@ Nine commands cover the common workflows:
 
         python -m repro report --output EXPERIMENTS.md --only "Figure 9"
 
-``bench``
-    Run the sized simulator performance benchmarks and write a
-    machine-readable ``BENCH_<size>.json`` trajectory file (see
-    ``docs/performance.md``)::
-
-        python -m repro bench --size smoke --json
-        python -m repro bench --size medium --baseline
-
 ``profile``
     Run one scenario and report the kernel's per-event-kind handler
     timings plus plan-cache traffic (see ``docs/performance.md``)::
@@ -103,12 +95,12 @@ Nine commands cover the common workflows:
 ``run``, ``validate``, ``sweep`` and ``profile`` accept repeatable
 ``--set PATH=VALUE`` dotted-path overrides (the sweep-grid syntax, e.g.
 ``--set tenants.0.workload.arrival_rate_per_hour=240``).  Scheduling
-policies, preemption rules, arrival processes, fault models and bench
-sizes all resolve through the unified registries (:mod:`repro.registry`),
+policies, preemption rules, arrival processes and fault models all
+resolve through the unified registries (:mod:`repro.registry`),
 so plugins installed under the ``repro.plugins`` entry-point group are
 addressable by name from every command.
 
-``run``, ``sweep``, ``bench`` and ``profile`` share a persistent plan
+``run``, ``sweep``, ``profile`` and ``fuzz`` share a persistent plan
 cache under ``.repro-cache/`` (``--cache-dir`` to relocate,
 ``--no-disk-cache`` to opt out), so repeated invocations and sweep
 workers pay each plan search once; ``--cache-url HOST:PORT`` (or
@@ -134,7 +126,7 @@ from repro.utils import plancache
 from repro.utils.tables import Table
 
 #: Default location of the persistent plan/estimate cache shared by
-#: ``run``/``sweep``/``bench``/``profile`` (see repro.utils.plancache).
+#: ``run``/``sweep``/``profile``/``fuzz`` (see repro.utils.plancache).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
@@ -657,96 +649,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-# -- bench -------------------------------------------------------------------------
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_bench, write_bench_json
-    from repro.bench.workloads import SIZES
-
-    _configure_plancache(args)
-
-    sizes = args.size or ["smoke"]
-    stdout_only = args.output == "-"
-    if stdout_only:
-        # Keep the sibling commands' "- means stdout" convention: print the
-        # JSON payload and skip the BENCH_<size>.json file.
-        args.output, args.json = None, True
-    if args.output and len(sizes) > 1:
-        print(
-            "error: --output names a single file; use one --size per "
-            "invocation (the default writes one BENCH_<size>.json per size)",
-            file=sys.stderr,
-        )
-        return 2
-    say = (lambda *a, **k: None) if args.json else print
-    payloads = []
-    for size in sizes:
-        say(f"bench {size}: {SIZES[size].num_jobs} fill jobs")
-        payload = run_bench(
-            size,
-            baseline=args.baseline,
-            seed=args.seed,
-            sweep_case=args.sweep_case,
-            progress=say,
-        )
-        payloads.append(payload)
-        if not stdout_only:
-            path = write_bench_json(payload, args.output)
-            say(f"wrote {path}")
-        table = Table(
-            columns=[
-                "case",
-                "jobs",
-                "executors",
-                "events",
-                "wall-clock (s)",
-                "events/sec",
-            ]
-            + (["speedup vs no-cache", "identical"] if args.baseline else []),
-            title=f"repro bench --size {size}",
-            formats={"wall-clock (s)": ".3f", "events/sec": ".0f"},
-        )
-        for case in payload["cases"]:
-            opt = case["optimized"]
-            row = [
-                case["name"],
-                case["num_jobs"],
-                case["num_executors"],
-                opt["events_processed"],
-                opt["run_seconds"],
-                opt["events_per_second"],
-            ]
-            if args.baseline:
-                row += [
-                    f'{case["speedup"]}x' if case["speedup"] is not None else "-",
-                    "yes" if case["identical_results"] else "NO",
-                ]
-            table.add_row(*row)
-        say(table.to_ascii())
-        sweep_case = payload.get("sweep_case")
-        if sweep_case is not None:
-            cold = sweep_case["single_process_cold"]
-            warm = sweep_case["sharded_warm"]
-            say(
-                f"sweep case: {sweep_case['num_points']} points -- cold 1-process "
-                f"{cold['points_per_second']} pts/s vs {sweep_case['shards']}-shard "
-                f"warm {warm['points_per_second']} pts/s "
-                f"({sweep_case['speedup']}x, remote hits "
-                f"{warm['plan_cache']['remote_hits']}, identical="
-                f"{'yes' if sweep_case['identical_results'] else 'NO'})"
-            )
-    if args.json:
-        # One parseable document regardless of how many sizes ran.
-        _write_json(
-            payloads[0]
-            if len(payloads) == 1
-            else {"schema": "repro-bench/v1", "benches": payloads},
-            "-",
-        )
-    return 0
-
-
 # -- entry point -------------------------------------------------------------------
 
 
@@ -1041,46 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_p.set_defaults(func=cmd_lint)
 
-    bench_p = sub.add_parser(
-        "bench", help="run the simulator performance benchmarks"
-    )
-    from repro.bench.workloads import SIZES as _BENCH_SIZES
-
-    bench_p.add_argument(
-        "--size",
-        action="append",
-        choices=list(_BENCH_SIZES),
-        help="benchmark size (repeatable; default: smoke)",
-    )
-    bench_p.add_argument(
-        "--baseline",
-        action="store_true",
-        help="also run the brute-force no-cache mode and report the speedup",
-    )
-    bench_p.add_argument(
-        "--seed", type=int, default=0, help="workload generation seed"
-    )
-    bench_p.add_argument(
-        "--sweep-case",
-        action="store_true",
-        help=(
-            "also measure the sharded-sweep case: a cold single-process "
-            "sweep vs 2 shards reading through a warm plan-cache service "
-            "(adds a 'sweep_case' block to the payload)"
-        ),
-    )
-    bench_p.add_argument(
-        "--output",
-        metavar="PATH",
-        help="output file (default: BENCH_<size>.json in the working directory)",
-    )
-    bench_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the benchmark payload as JSON on stdout (silences the table)",
-    )
-    _add_cache_flags(bench_p)
-    bench_p.set_defaults(func=cmd_bench)
     return parser
 
 

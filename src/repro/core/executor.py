@@ -577,7 +577,7 @@ class FillJobExecutor:
         if use_cache and default_configs and plancache.is_enabled():
             # The persistent cross-process cache: keyed by the same pure
             # inputs as the in-process memo, so a sweep worker or a second
-            # bench run loads the plan search instead of re-running it.
+            # `repro run` loads the plan search instead of re-running it.
             # Records carry the floats bit-exactly, so a disk hit can never
             # change simulation results.
             disk_key = self._disk_key(model, job_type)

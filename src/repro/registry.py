@@ -2,7 +2,7 @@
 
 One :class:`Registry` instance exists per extension point -- scheduling
 *policies*, *preemption rules*, open-loop *arrival processes*, *fault
-models* and bench *workload sizes* -- replacing the hand-rolled
+models* and the verification and lint hooks -- replacing the hand-rolled
 ``POLICIES`` dict and scattered ``get_*`` lookups.  Registration is a
 decorator::
 
@@ -202,7 +202,7 @@ class RegistryView(Mapping):
     """Read-only ``Mapping`` facade over a :class:`Registry`.
 
     Backs the historical module-level dicts (``repro.core.policies.
-    POLICIES``, ``repro.bench.workloads.SIZES``) so existing call sites --
+    POLICIES`` and ``PREEMPTION_RULES``) so existing call sites --
     ``sorted(POLICIES)``, ``POLICIES["sjf"]``, ``"sjf" in POLICIES`` --
     keep working while the registry stays the single source of truth.
     """
@@ -237,8 +237,6 @@ arrival_processes = Registry(
 )
 #: Fault models: ``f(tenants, horizon_seconds, **params) -> [FaultSpec]``.
 fault_models = Registry("fault model", seed_module="repro.sim.faultmodels")
-#: Bench workload sizes: :class:`repro.bench.workloads.BenchSize` values.
-bench_sizes = Registry("bench size", seed_module="repro.bench.workloads")
 #: Runtime invariants: zero-argument factories producing
 #: :class:`repro.verify.invariants.Invariant` checkers.
 invariants = Registry("invariant", seed_module="repro.verify.invariants")
@@ -285,11 +283,6 @@ def register_fault_model(name: str, model: Any = None, *, overwrite: bool = Fals
     :class:`~repro.sim.kernel.FaultSpec` list to schedule.
     """
     return fault_models.register(name, model, overwrite=overwrite)
-
-
-def register_bench_size(size: Any, *, overwrite: bool = False) -> Any:
-    """Register a :class:`~repro.bench.workloads.BenchSize` under its name."""
-    return bench_sizes.register(size.name, size, overwrite=overwrite)
 
 
 def register_invariant(name: str, factory: Any = None, *, overwrite: bool = False):

@@ -88,7 +88,7 @@ class KernelStats:
     ``timings_by_kind`` maps each event-kind value to the wall-clock
     seconds its handlers consumed over the whole run -- the
     profiling-grade breakdown behind ``python -m repro profile`` and the
-    ``timings_by_kind`` block of results and ``BENCH_*.json``.
+    ``timings_by_kind`` block of results.
     """
 
     events_processed: int

@@ -2,7 +2,7 @@
 
 The in-process shared estimate caches (:mod:`repro.core.executor`) make
 plan searches free *within* one process, but every `repro sweep` worker
-and every fresh `repro bench`/`repro run` invocation still re-pays the
+and every fresh `repro run` invocation still re-pays the
 profile + Algorithm-1 cold start.  An estimate is a pure function of
 ``(bubble cycle, device, PipeFill config, efficiency model, model spec,
 job type)`` -- all frozen value objects -- so it can be cached *across
@@ -72,7 +72,7 @@ value is recomputed and appended again.
 
 The cache is **disabled by default** for library use (tests and direct
 imports see byte-for-byte the behaviour of the in-process caches alone);
-the CLI commands ``run``/``sweep``/``bench``/``profile`` enable it, with
+the CLI commands ``run``/``sweep``/``profile``/``fuzz`` enable it, with
 ``--cache-dir``/``--no-disk-cache`` to relocate or opt out.
 
 Hygiene: the directory is safe to delete at any time (`rm -rf

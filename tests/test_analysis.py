@@ -106,7 +106,7 @@ class TestWallClock:
     def test_non_digest_module_is_exempt(self, tmp_path):
         report = lint_tree(
             tmp_path,
-            {"bench/fixture.py": "import time\nNOW = time.time()\n"},
+            {"exec/fixture.py": "import time\nNOW = time.time()\n"},
             rules=["wall-clock"],
         )
         assert report.ok

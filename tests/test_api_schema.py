@@ -19,7 +19,6 @@ from repro.api import (
     SCHEMA_VERSION,
     SchemaError,
     result_digest,
-    validate_bench_payload,
     validate_profile_payload,
     validate_run_payload,
     validate_sweep_payload,
@@ -98,12 +97,6 @@ class TestCliPayloadSchemas:
         ) == 0
         payload = validate_profile_payload(json.loads(out.read_text()))
         assert payload["scenario"] == "smoke"
-
-    def test_committed_bench_file_validates(self):
-        payload = validate_bench_payload(
-            json.loads((REPO_ROOT / "BENCH_smoke.json").read_text())
-        )
-        assert payload["size"] == "smoke"
 
     def test_run_set_override_changes_result(self, tmp_path, capsys):
         out = tmp_path / "fifo.json"

@@ -109,21 +109,18 @@ class TestRun:
 
 class TestOneTenantRun:
     @pytest.fixture(scope="class")
-    def smoke(self):
-        from repro.bench.workloads import (
-            SIZES,
-            arrival_window_seconds,
-            build_bench_jobs,
-            build_bench_system,
-        )
+    def smoke(self, short_trace):
+        """A small gpt-5b pipeline (8 executors) loaded past capacity."""
+        from repro.models.registry import build_model
 
-        size = SIZES["smoke"]
-        executors = size.executors_per_tenant
-        return (
-            build_bench_system(size),
-            build_bench_jobs(size, num_executors=executors),
-            arrival_window_seconds(size, executors),
+        system = PipeFillSystem(
+            build_model("gpt-5b"),
+            ParallelConfig(
+                tensor_parallel=1, pipeline_stages=8, data_parallel=2,
+                microbatch_size=2, global_batch_size=32,
+            ),
         )
+        return system, short_trace, 1800.0
 
     def test_report_wraps_the_one_tenant_result(self, smoke):
         from repro.core.system import MAIN_TENANT

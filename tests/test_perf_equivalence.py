@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Experiment
+from repro.api import Experiment, result_digest
 from repro.core.executor import FillJobExecutor
 from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.configs import JobType
@@ -76,13 +76,6 @@ GOLDEN_DIGESTS = {
 }
 
 
-def result_digest(payload) -> str:
-    """The bench harness's digest (shared, so the two can never diverge)."""
-    from repro.bench.harness import _digest
-
-    return _digest(payload)
-
-
 def make_executors(durations=(1.5, 1.5), period=4.0):
     return {
         0: FillJobExecutor(
@@ -126,8 +119,8 @@ class TestGoldenDigests:
 
     def test_every_shipped_scenario_has_a_golden(self):
         shipped = {p.stem for p in SCENARIO_DIR.glob("*.yaml")}
-        # xlarge_cluster is validated (CI) and benchmarked (`bench --size
-        # xlarge`) but too large for a tier-1 golden run.
+        # xlarge_cluster is validated in CI but too large for a tier-1
+        # golden run.
         assert shipped - {"xlarge_cluster"} == set(GOLDEN_DIGESTS)
 
 
@@ -421,6 +414,15 @@ class TestOrderedIdSet:
         assert list(s) == ["a", "c", "d"]
         assert "c" in s and "b" not in s
         assert len(s) == 3 and bool(s)
+        # Removed ids may be re-appended and rejoin at the tail, as jobs
+        # re-queued after dispatch and preemption do.
+        ids = [f"job-{i}" for i in range(200)]
+        queue = OrderedIdSet(ids)
+        for jid in ids[::2]:
+            queue.remove(jid)
+        for jid in ids[::2]:
+            queue.append(jid)
+        assert list(queue) == ids[1::2] + ids[::2]
 
     def test_duplicate_append_rejected(self):
         s = OrderedIdSet(["a"])

@@ -2,8 +2,8 @@
 
 The kernel times every handler invocation (always on -- the overhead is
 two clock reads per event) and surfaces the accumulator as
-``timings_by_kind`` in kernel stats, simulation results, bench payloads
-and the ``repro profile`` command.  Timings must never leak into the
+``timings_by_kind`` in kernel stats, simulation results and the
+``repro profile`` command.  Timings must never leak into the
 digest-bearing default ``to_dict()`` payloads, which are compared across
 cache modes and PRs.
 """
@@ -121,37 +121,7 @@ class TestProfileCommand:
         assert set(payload["timings_by_kind"]) == set(payload["events_by_kind"])
 
 
-class TestBenchPayloadBlocks:
-    def test_bench_case_carries_timings_and_cache_stats(self):
-        from repro.bench.harness import BenchCase, run_case
-        from repro.bench.workloads import SIZES
-
-        case = BenchCase(
-            "single_tenant", SIZES["smoke"], multi_tenant=False, preemption=False
-        )
-        timing = run_case(case)
-        payload = timing.to_dict()
-        assert set(payload["timings_by_kind"]) == set(payload["events_by_kind"])
-        assert set(payload["plan_cache"]) == {
-            "hits", "misses", "writes", "errors", "quarantined",
-            "remote_hits", "remote_misses", "remote_errors",
-        }
-        # The digest hashes the simulation outcome only; wall-clock noise
-        # in the timing block must not perturb it (cross-checked by the
-        # plancache and equivalence suites).
-        assert "timings_by_kind" not in payload["result_digest"]
-
-
 class TestEnvironmentStamps:
-    def test_bench_payload_records_backend_and_numpy(self):
-        from repro.api import validate_bench_payload
-        from repro.bench.harness import run_bench
-
-        payload = validate_bench_payload(run_bench("smoke", seed=0))
-        assert payload["kernel_backend"] == "heapq"
-        assert payload["numpy"]
-        assert payload["python"]
-
     def test_profile_trace_is_perfetto_loadable(self, tmp_path):
         out = tmp_path / "trace.json"
         code = main(["profile", "scenarios/smoke.yaml", "--trace", str(out)])

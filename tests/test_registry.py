@@ -113,17 +113,6 @@ class TestShippedRegistries:
         assert set(PREEMPTION_RULES) == {"deadline"}
         assert get_preemption_rule("deadline") is deadline_preemption_rule
 
-    def test_bench_sizes_registry(self):
-        from repro.bench.workloads import SIZES, BenchSize
-
-        assert {"smoke", "small", "medium", "large", "xlarge", "churn"} <= set(SIZES)
-        custom = BenchSize("test-tiny", num_jobs=5, pipeline_stages=2, devices_per_stage=1)
-        registry.register_bench_size(custom)
-        try:
-            assert SIZES["test-tiny"] is custom
-        finally:
-            registry.bench_sizes.unregister("test-tiny")
-
     def test_arrival_process_registry_has_poisson(self):
         from repro.workloads.generator import ArrivalProcess
 

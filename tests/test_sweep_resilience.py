@@ -12,6 +12,7 @@ by timeout.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,7 +123,7 @@ class TestInterruptResume:
 
         journal_lines = [
             json.loads(line)
-            for line in open(interrupted.journal_path, encoding="utf-8")
+            for line in Path(interrupted.journal_path).read_text("utf-8").splitlines()
         ]
         assert [r["record"] for r in journal_lines] == ["sweep", "point"]
 
@@ -139,7 +140,7 @@ class TestInterruptResume:
         # re-run the journaled one.
         journal_lines = [
             json.loads(line)
-            for line in open(interrupted.journal_path, encoding="utf-8")
+            for line in Path(interrupted.journal_path).read_text("utf-8").splitlines()
         ]
         assert [r["record"] for r in journal_lines] == ["sweep", "point", "point"]
 
@@ -185,8 +186,8 @@ class TestInterruptResume:
         again = exp.sweep(workers=1, journal_dir=tmp_path, **GRID)
         assert again.ok and again.resumed_from is None
         assert again.digest() == clean_sweep.digest()
-        journal_lines = list(
-            open(f"{tmp_path}/{again.sweep_id}/journal.jsonl", encoding="utf-8")
+        journal_lines = (
+            (tmp_path / again.sweep_id / "journal.jsonl").read_text("utf-8").splitlines()
         )
         assert len(journal_lines) == 3  # header + 2 points, not doubled
 
@@ -235,6 +236,6 @@ class TestSupervisedFuzzCampaign:
         assert [f.stage for f in report.failures] == ["runtime"]
         (failure,) = report.failures
         assert failure.index == 1 and "code 77" in failure.message
-        assert failure.reproducer and open(failure.reproducer).read()
+        assert failure.reproducer and Path(failure.reproducer).read_text()
         # The other two cases still completed.
         assert report.events_processed > 0

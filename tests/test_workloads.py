@@ -365,27 +365,3 @@ class TestArrivalProcess:
         second = [(j.job_id, j.arrival_time) for j in process]
         assert first and first == second
 
-
-class TestBenchJobs:
-    def test_each_job_class_is_priced_once(self, monkeypatch):
-        """`repro bench` setup prices each (model, job type) once per call,
-        not once per job."""
-        from collections import Counter
-
-        from repro.bench import workloads as bench_workloads
-
-        calls: Counter = Counter()
-        price = bench_workloads.isolated_throughput
-
-        def counting(model, job_type, *args, **kwargs):
-            calls[model.name, job_type] += 1
-            return price(model, job_type, *args, **kwargs)
-
-        monkeypatch.setattr(bench_workloads, "isolated_throughput", counting)
-        size = bench_workloads.SIZES["smoke"]
-        jobs = bench_workloads.build_bench_jobs(
-            size, num_executors=size.executors_per_tenant
-        )
-        assert len(jobs) == size.num_jobs
-        assert set(calls) == {(job.model_name, job.job_type) for job in jobs}
-        assert max(calls.values()) == 1
