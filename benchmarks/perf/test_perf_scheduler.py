@@ -1,81 +1,14 @@
-"""Microbenchmarks for the scheduler hot path.
+"""Microbenchmarks for the scheduler's queue structures.
 
 Unlike the paper-figure benchmarks, these track the *simulator's own*
-performance: the cost of dispatch sweeps, estimate lookups and queue
-operations that dominate large multi-tenant runs.  They use the same sized
-workloads as ``python -m repro bench`` (the ``smoke`` size, so CI stays
-fast) and record events/sec as pytest-benchmark extra info.
-
-``python -m repro bench`` is the full harness; see docs/performance.md.
+performance: the cost of the queue operations that dominate large
+multi-tenant runs.  End-to-end simulator performance is measured by
+perfbench; see docs/performance.md.
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import BenchCase, run_case
-from repro.bench.workloads import SIZES, build_bench_jobs, build_bench_system
-from repro.core.scheduler import FillJobScheduler
 from repro.utils.ordered import OrderedIdSet
-
-_SMOKE = SIZES["smoke"]
-
-
-def _smoke_case(name: str, *, multi_tenant: bool, preemption: bool = False) -> BenchCase:
-    return BenchCase(name, _SMOKE, multi_tenant=multi_tenant, preemption=preemption)
-
-
-class TestSmokeWorkloads:
-    def test_single_tenant_smoke(self, benchmark):
-        timing = benchmark.pedantic(
-            run_case,
-            args=(_smoke_case("single_tenant", multi_tenant=False),),
-            rounds=1,
-            iterations=1,
-        )
-        benchmark.extra_info["events_per_second"] = round(timing.events_per_second, 1)
-        benchmark.extra_info["events_processed"] = timing.events_processed
-        assert timing.jobs_completed > 0
-        assert timing.events_processed >= _SMOKE.num_jobs
-
-    def test_multi_tenant_smoke(self, benchmark):
-        timing = benchmark.pedantic(
-            run_case,
-            args=(_smoke_case("multi_tenant", multi_tenant=True),),
-            rounds=1,
-            iterations=1,
-        )
-        benchmark.extra_info["events_per_second"] = round(timing.events_per_second, 1)
-        assert timing.jobs_completed > 0
-
-    def test_optimized_matches_brute_force(self):
-        """The memoised fast path must not change simulation results."""
-        case = _smoke_case("multi_tenant_preempt", multi_tenant=True, preemption=True)
-        optimized = run_case(case, use_cache=True)
-        brute = run_case(case, use_cache=False)
-        assert optimized.result_digest == brute.result_digest
-        assert optimized.events_processed == brute.events_processed
-
-
-class TestDispatchSweep:
-    def test_warm_dispatch_sweep(self, benchmark):
-        """Steady-state dispatch cost: queue scan over cached views."""
-        system = build_bench_system(_SMOKE)
-        jobs = build_bench_jobs(_SMOKE, num_executors=_SMOKE.executors_per_tenant)
-
-        def sweep():
-            scheduler = FillJobScheduler(system.executors)
-            for job in jobs[:100]:
-                scheduler.submit(job)
-            assigned = 0
-            for idx in scheduler.idle_executor_indices():
-                if scheduler.dispatch(idx, now=jobs[99].arrival_time) is not None:
-                    assigned += 1
-            return assigned
-
-        assigned = benchmark(sweep)
-        assert assigned == min(
-            _SMOKE.executors_per_tenant,
-            len([j for j in jobs[:100]]),
-        )
 
 
 class TestQueueStructures:

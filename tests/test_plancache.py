@@ -26,14 +26,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Experiment
+from repro.api import Experiment, result_digest
 from repro.core.executor import FillJobExecutor, clear_shared_caches
+from repro.core.system import PipeFillSystem
 from repro.exec import ChaosPlan
 from repro.models.configs import JobType
 from repro.models.registry import build_model
 from repro.pipeline.bubbles import BubbleCycle
+from repro.pipeline.parallelism import ParallelConfig
 from repro.utils import plancache
 from repro.utils.units import GIB
+from repro.workloads.generator import build_fill_job_trace
 
 
 @pytest.fixture()
@@ -634,4 +637,31 @@ class TestScenarioEquivalence:
         assert stats["hits"] > 0 and stats["misses"] == 0
         assert json.dumps(cold, sort_keys=True) == json.dumps(reference, sort_keys=True)
         assert json.dumps(warm, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+class TestBenchWarmPath:
+    def test_second_bench_run_hits_the_disk_cache(self, cache_dir):
+        """Two one-tenant runs, each starting with cold in-process caches as
+        two benchmark invocations do: the second reads every estimate from
+        disk and reproduces the first's result."""
+
+        def run():
+            clear_shared_caches()
+            plancache.reset_stats()
+            system = PipeFillSystem(
+                build_model("gpt-5b"),
+                ParallelConfig(
+                    tensor_parallel=1, pipeline_stages=8, data_parallel=2,
+                    microbatch_size=2, global_batch_size=32,
+                ),
+            )
+            jobs = build_fill_job_trace(1800.0, arrival_rate_per_hour=300, seed=3)
+            report = system.run(jobs, horizon_seconds=1800.0)
+            return result_digest(report.simulation.to_dict()), plancache.stats()
+
+        cold_digest, cold = run()
+        assert cold["writes"] > 0 and cold["hits"] == 0
+        warm_digest, warm = run()
+        assert warm["hits"] > 0 and warm["misses"] == 0
+        assert warm_digest == cold_digest
 
