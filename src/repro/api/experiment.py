@@ -303,7 +303,7 @@ class Experiment:
         """
         raw = self.to_raw()
         set_by_path(raw, path, value)
-        return Experiment._from_owned(raw)
+        return type(self)._from_owned(raw)
 
     def with_policy(
         self,
@@ -337,7 +337,7 @@ class Experiment:
         if rule is None:
             raw = self.to_raw()
             raw.pop("preemption", None)
-            return Experiment._from_owned(raw)
+            return type(self)._from_owned(raw)
         return self.with_override("preemption", _ensure_registered(
             registry.preemption_rules, rule, name, overwrite=overwrite
         ))
@@ -356,18 +356,15 @@ class Experiment:
         self,
         *,
         observers: Optional[Sequence[RunObserver]] = None,
-        use_cache: bool = True,
     ) -> RunResult:
         """Simulate the scenario end-to-end.
 
         ``observers`` wires streaming lifecycle callbacks into the run
         (see :class:`repro.api.RunObserver`); without observers the
         simulation takes the kernel's plain, branch-free loop.
-        ``use_cache=False`` selects the brute-force reference scheduler
-        mode the equivalence tests compare against.
         """
         spec = self.validate()
-        simulator = self._build_simulator(spec, use_cache)
+        simulator = self._build_simulator(spec)
         raw_result = simulator.run(
             faults=spec.faults,
             horizon_seconds=spec.horizon_seconds,
@@ -379,7 +376,6 @@ class Experiment:
         self,
         *,
         observers: Optional[Sequence[RunObserver]] = None,
-        use_cache: bool = True,
     ) -> EventStream:
         """Run step-wise: an :class:`EventStream` yielding each event.
 
@@ -393,7 +389,7 @@ class Experiment:
             print(stream.result.digest())  # same result as exp.run()
         """
         spec = self.validate()
-        simulator = self._build_simulator(spec, use_cache)
+        simulator = self._build_simulator(spec)
         events = simulator.iter_run(
             faults=spec.faults,
             horizon_seconds=spec.horizon_seconds,
@@ -766,7 +762,7 @@ class Experiment:
             grid_keys=tuple(grid_keys) if shards > 1 else None,
         )
 
-    def profile(self, *, use_cache: bool = True) -> ProfileResult:
+    def profile(self) -> ProfileResult:
         """Run once and report where the simulation time went.
 
         The kernel accumulates per-event-kind handler timings on every
@@ -776,7 +772,7 @@ class Experiment:
         """
         plancache.reset_stats()
         t0 = time.perf_counter()
-        run = self.run(use_cache=use_cache)
+        run = self.run()
         wall = time.perf_counter() - t0
         return ProfileResult(
             run=run,
@@ -787,12 +783,9 @@ class Experiment:
     # -- internals ---------------------------------------------------------------
 
     @staticmethod
-    def _build_simulator(spec: ScenarioSpec, use_cache: bool) -> MultiTenantSimulator:
+    def _build_simulator(spec: ScenarioSpec) -> MultiTenantSimulator:
         return MultiTenantSimulator(
-            build_tenants(spec),
-            policy=spec.policy,
-            preemption_rule=spec.preemption,
-            use_cache=use_cache,
+            build_tenants(spec), policy=spec.policy, preemption_rule=spec.preemption
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

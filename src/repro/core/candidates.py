@@ -45,15 +45,8 @@ maintained as jobs enter and leave a queue:
   columns, with the score formula inlined for the shipped shapes
   (``fifo``, ``edf``, ``slack``, ``makespan`` and the
   ``<deadline policy> + sjf`` compositions) and a masked ``argmax``
-  supplying the tie-break.  Classes at or below ``scan_cutoff`` live
-  candidates use an equivalent scalar loop (array setup costs more than
-  it saves on tiny classes); both paths are bit-identical and the
-  cutoff is tunable per index, which is how the property tests compare
-  them directly.  Unknown policies fall back to calling the policy per
-  candidate on the cached views -- or once per class batch when the
-  policy implements the optional vectorized protocol (a
-  ``score_batch(views, state, executor_index)`` attribute returning one
-  score per view, which must agree float-for-float with ``__call__``).
+  supplying the tie-break.  Unknown policies fall back to calling the
+  policy per candidate on the cached views.
 
 Every path reproduces the brute-force sweep **bit-identically**, including
 tie-breaking: the sweep keeps the first strictly-greater score in queue
@@ -129,11 +122,10 @@ class _ClassColumns:
     position order always equals insertion order, which the tie-breaking
     contract depends on.  ``slot_of`` maps job id to slot and -- being
     insertion-ordered and purged on removal -- doubles as the iteration
-    order for the scalar scan paths.
+    order for the per-candidate loops.
 
     ``deadlines`` stores ``nan`` for jobs without a deadline (the
-    vectorized scans filter it back to the scalar paths' "no deadline"
-    score); ``scores``/``tails`` hold the static-mode score and the
+    vectorized scans map it to the policies' "no deadline" score); ``scores``/``tails`` hold the static-mode score and the
     scan2 precomputed static tail, zero-filled when unused.
     """
 
@@ -255,11 +247,6 @@ class CandidateIndex:
     evicted records, mirroring ``GlobalScheduler._backlog_view``).
     """
 
-    #: Classes with at most this many slots are scanned with the scalar
-    #: loop: numpy array setup costs more than it saves on tiny classes.
-    #: Both paths are bit-identical; tests pin the cutoff to force one.
-    scan_cutoff = 8
-
     def __init__(
         self,
         table,  # FillJobScheduler: hosts class tables + exec feasibility sets
@@ -332,7 +319,7 @@ class CandidateIndex:
             # every other program scores off the class timing tables.
             view = self._view_provider(job)
         if self._split_nodl and job.deadline is None:
-            # The candidate's score is the same at every clock: the scalar
+            # The candidate's score is the same at every clock: the policy's
             # expression with the deadline term zeroed, computed here once
             # (same operations, same order -- bit-identical).
             if self.mode == "scan2":
@@ -499,13 +486,10 @@ class CandidateIndex:
         memo = self._scan_memo.get(key)
         if memo is not None and memo[0] == cache_key:
             return memo[1]
-        if cols.n > self.scan_cutoff:
-            if self._split_nodl:
-                found = self._scan_split(key, cols, now, pair)
-            else:
-                found = self._scan_class_vector(cols, now, state, pair)
+        if self._split_nodl:
+            found = self._scan_split(key, cols, now, pair)
         else:
-            found = self._scan_class_scalar(cols, now, state, pair)
+            found = self._scan_class_vector(cols, now, state, pair)
         self._scan_memo[key] = (cache_key, found)
         return found
 
@@ -632,117 +616,20 @@ class CandidateIndex:
         slot = int(masked.argmax())
         if not valid[slot]:
             # Every valid score is -inf (possible only with an exotic
-            # static tail): the scalar rule keeps the first valid entry.
+            # static tail): keep the first valid entry, as the
+            # per-candidate loops do.
             slot = int(np.flatnonzero(valid)[0])
         return (float(masked[slot]), int(seqs[slot]), cols.jobs[slot])
 
-    def _scan_class_scalar(self, cols, now, state, pair):
-        """Scalar mirror of the vectorized scan for tiny classes."""
-        mode = self.mode
-        jobs = cols.jobs
-        samples = cols.samples
-        seqs = cols.seqs
-        best = best_seq = None
-        best_job = None
-        if mode == "scan2":
-            w1, kind1, _w2, _p2 = self.program
-            spc, period = pair
-            use_proc = kind1 == "slack"
-            tails = cols.tails
-            for slot in cols.slot_of.values():
-                job = jobs[slot]
-                if job.arrival_time > now:
-                    continue
-                deadline = job.deadline
-                if deadline is None:
-                    s1 = 0.0
-                else:
-                    slack = (
-                        (deadline - now) - (float(samples[slot]) / spc) * period
-                        if use_proc
-                        else deadline - now
-                    )
-                    s1 = 1.0 / (max(slack, 0.0) + _EPS)
-                score = (w1 * s1) + float(tails[slot])
-                if best is None or score > best:
-                    best, best_seq, best_job = score, int(seqs[slot]), job
-        else:
-            kind = self.program
-            if kind == "fifo":
-                for slot in cols.slot_of.values():
-                    job = jobs[slot]
-                    if job.arrival_time > now:
-                        continue
-                    score = now - job.arrival_time
-                    if best is None or score > best:
-                        best, best_seq, best_job = score, int(seqs[slot]), job
-            elif kind in ("edf", "slack"):
-                use_proc = kind == "slack"
-                spc, period = pair
-                for slot in cols.slot_of.values():
-                    job = jobs[slot]
-                    if job.arrival_time > now:
-                        continue
-                    deadline = job.deadline
-                    if deadline is None:
-                        score = 0.0
-                    else:
-                        slack = (
-                            (deadline - now) - (float(samples[slot]) / spc) * period
-                            if use_proc
-                            else deadline - now
-                        )
-                        score = 1.0 / (max(slack, 0.0) + _EPS)
-                    if best is None or score > best:
-                        best, best_seq, best_job = score, int(seqs[slot]), job
-            else:  # makespan
-                max_rem = state.max_rem_time
-                spc, period = pair
-                for slot in cols.slot_of.values():
-                    job = jobs[slot]
-                    if job.arrival_time > now:
-                        continue
-                    proc = (float(samples[slot]) / spc) * period
-                    score = 1.0 / (max(proc, max_rem) + _EPS)
-                    if best is None or score > best:
-                        best, best_seq, best_job = score, int(seqs[slot]), job
-        if best_job is None:
-            return None
-        return (best, best_seq, best_job)
-
     def _scan_class_generic(self, cols, executor_index, now, state):
-        """The policy itself, on the cached views.
-
-        A policy exposing the optional vectorized protocol -- a
-        ``score_batch(views, state, executor_index)`` attribute returning
-        one score per view, float-for-float equal to ``__call__`` -- is
-        invoked once per class with every arrived candidate; ``argmax``
-        over the insertion-ordered batch reproduces the first
-        strictly-greater tie-break.  Policies without it are called per
-        candidate, exactly as the brute-force sweep would.
-        """
+        """The policy itself, called per candidate on the cached views,
+        exactly as the brute-force sweep would."""
         if state is None:
             state = self._state_provider(now)
         policy = self.policy
         jobs = cols.jobs
         views = cols.views
         seqs = cols.seqs
-        batch = getattr(policy, "score_batch", None)
-        if batch is not None:
-            slots = [
-                slot
-                for slot in cols.slot_of.values()
-                if jobs[slot].arrival_time <= now
-            ]
-            if not slots:
-                return None
-            scores = np.asarray(
-                batch([views[slot] for slot in slots], state, executor_index),
-                dtype=np.float64,
-            )
-            pick = int(scores.argmax())
-            slot = slots[pick]
-            return (float(scores[pick]), int(seqs[slot]), jobs[slot])
         best = best_seq = None
         best_job = None
         for slot in cols.slot_of.values():

@@ -37,7 +37,6 @@ from repro.core.plan import (
     PackedPlan,
     PlanError,
     pack_fill_job,
-    plan_fill_job,
 )
 from repro.hardware.device import DeviceSpec, V100_16GB
 from repro.hardware.memory import DeviceOOMError, MemoryAllocator
@@ -49,7 +48,6 @@ from repro.models.profiles import (
     best_profile,
     cached_profile,
     clear_profile_cache,
-    profile_model,
 )
 from repro.pipeline.bubbles import BubbleCycle
 from repro.utils import plancache
@@ -204,9 +202,10 @@ class FillExecutionEstimate:
     def plan(self) -> "ExecutionPlan | PackedPlan":
         """The execution plan behind the estimate.
 
-        An eager :class:`ExecutionPlan` in brute-force reference mode, a
-        lazily-materialized :class:`PackedPlan` on the cached fast path
-        (same API, identical metrics).
+        A lazily-materialized :class:`PackedPlan` from the executor's
+        search, or an eager :class:`ExecutionPlan` from
+        :func:`repro.verify.reference.reference_estimate` (same API,
+        identical metrics).
         """
         executor = self.__dict__["_source"][0]
         return pack_fill_job(self.profile.graph, executor.cycle, executor.config)
@@ -378,41 +377,39 @@ class FillJobExecutor:
         job_type: JobType,
         profile: ModelProfile,
         isolated_samples_per_second: float,
-        *,
-        use_cache: bool = True,
     ) -> Optional[FillExecutionEstimate]:
+        """Run Algorithm 1 on one configuration (``None`` when it cannot plan).
+
+        Uses the vectorized packer: the plan is identical to the scalar
+        :func:`~repro.core.plan.plan_fill_job`'s, with node tuples
+        materialized lazily.  The reference search keeps the scalar
+        planner, so the differential oracles and golden digests prove the
+        two packers bit-identical.
+        """
         try:
-            if use_cache:
-                # The vectorized Algorithm-1 fast path: identical plan, node
-                # tuples materialized lazily.  The brute-force reference mode
-                # keeps the scalar planner, so the differential oracles and
-                # golden digests prove the two packers bit-identical.
-                plan = pack_fill_job(profile.graph, self.cycle, self.config)
-            else:
-                plan = plan_fill_job(profile.graph, self.cycle, self.config)
+            plan = pack_fill_job(profile.graph, self.cycle, self.config)
         except PlanError:
             return None
+        return self._estimate_from_plan(
+            model, job_type, profile, isolated_samples_per_second, plan
+        )
 
+    def _estimate_from_plan(
+        self,
+        model: ModelSpec,
+        job_type: JobType,
+        profile: ModelProfile,
+        isolated_samples_per_second: float,
+        plan: "ExecutionPlan | PackedPlan",
+    ) -> FillExecutionEstimate:
+        """The estimate of one configuration's plan on this device."""
         num_cycles = max(plan.num_cycles, 1)
         effective_work = 0.0
         used_bubble = 0.0
         bubble_durations = {i: b.duration for i, b in enumerate(plan.bubbles)}
-        if isinstance(plan, PackedPlan):
-            # Same accumulation order as the partition loop below, fed from
-            # the packed per-visit durations instead of materialized nodes.
-            for bubble_index, duration in plan.nonempty_visits():
-                effective_work += duration * self.efficiency.bubble_efficiency(
-                    duration
-                )
-                used_bubble += bubble_durations[bubble_index]
-        else:
-            for partition in plan.partitions:
-                if partition.is_empty:
-                    continue
-                effective_work += partition.duration * self.efficiency.bubble_efficiency(
-                    partition.duration
-                )
-                used_bubble += bubble_durations[partition.bubble_index]
+        for bubble_index, duration in plan.nonempty_visits():
+            effective_work += duration * self.efficiency.bubble_efficiency(duration)
+            used_bubble += bubble_durations[bubble_index]
         # Convert completed node-time back into samples and FLOPs via the
         # steady-state per-iteration totals.
         iterations_completed = effective_work / profile.graph.total_duration
@@ -431,37 +428,6 @@ class FillJobExecutor:
         estimate._attach(profile=profile, plan=plan)
         return estimate
 
-    def _reference_search(
-        self, model: ModelSpec, job_type: JobType, configs: Sequence[ExecutionConfig]
-    ) -> Optional[FillExecutionEstimate]:
-        """The exhaustive search of the brute-force reference mode.
-
-        Profiles every configuration from scratch, plans each one that fits
-        in memory with the scalar planner, in ``configs`` order, and keeps
-        the first with the strictly highest effective samples/s.
-        """
-        usable_memory = self.usable_memory_bytes
-        isolated: Optional[float] = None
-        best: Optional[FillExecutionEstimate] = None
-        for exec_config in configs:
-            profile = profile_model(model, job_type, exec_config, self.device, self.efficiency)
-            if profile.device_footprint_bytes > usable_memory:
-                continue
-            if isolated is None:
-                isolated = self._isolated_throughput(model, job_type)
-            estimate = self._evaluate_config(
-                model, job_type, profile, isolated, use_cache=False
-            )
-            if estimate is None:
-                continue
-            if (
-                best is None
-                or estimate.effective_samples_per_second
-                > best.effective_samples_per_second
-            ):
-                best = estimate
-        return best
-
     def _best_first_search(
         self, model: ModelSpec, job_type: JobType, configs: Sequence[ExecutionConfig]
     ) -> Optional[FillExecutionEstimate]:
@@ -476,7 +442,8 @@ class FillJobExecutor:
         only equals it from a later position: no plan exceeds its margined
         bound, and every later configuration has a bound no larger (at an
         equal bound, a later position), so neither step can drop the
-        configuration the reference search picks.
+        configuration the exhaustive in-order search
+        (:func:`repro.verify.reference.reference_estimate`) picks.
         """
         usable_memory = self.usable_memory_bytes
         ranked = []
@@ -553,28 +520,27 @@ class FillJobExecutor:
         job_type: JobType,
         *,
         configs: Optional[Sequence[ExecutionConfig]] = None,
-        use_cache: bool = True,
     ) -> Optional[FillExecutionEstimate]:
         """Pick the best execution configuration for a fill job on this device.
 
         Returns ``None`` when no configuration fits the bubbles (the
         scheduler then places the job elsewhere or rejects it).  Of the
         configurations with the highest effective throughput, the first in
-        ``configs`` wins.  The fast path finds it best-first
-        (:meth:`_best_first_search`); ``use_cache=False`` runs the
-        exhaustive in-order reference search (:meth:`_reference_search`).
+        ``configs`` wins; :meth:`_best_first_search` finds it.  A search
+        over the default candidates is memoised (and persisted when the
+        plan cache is on); an explicit ``configs`` list always searches.
         """
+        if configs is not None:
+            return self._best_first_search(model, job_type, configs)
         # repro: lint-ignore[hash-id] -- identity-memo cache key; the entry
         # pins the spec and the key is never ordered or serialized.
         key = (id(model), job_type)
-        default_configs = configs is None
-        if use_cache and default_configs:
-            entry = self._estimate_cache.get(key)
-            # Entries pin their spec, so a hit is always the same object.
-            if entry is not None and entry[0] is model:
-                return entry[1]
+        entry = self._estimate_cache.get(key)
+        # Entries pin their spec, so a hit is always the same object.
+        if entry is not None and entry[0] is model:
+            return entry[1]
         disk_key = None
-        if use_cache and default_configs and plancache.is_enabled():
+        if plancache.is_enabled():
             # The persistent cross-process cache: keyed by the same pure
             # inputs as the in-process memo, so a sweep worker or a second
             # `repro run` loads the plan search instead of re-running it.
@@ -589,16 +555,12 @@ class FillJobExecutor:
                     self._estimate_cache.clear()
                 self._estimate_cache[key] = (model, value)
                 return value
-        if configs is None:
-            configs = candidate_configs(job_type)
-        search = self._best_first_search if use_cache else self._reference_search
-        best = search(model, job_type, configs)
-        if use_cache and default_configs:
-            if len(self._estimate_cache) >= _MAX_NAMESPACE_ENTRIES:
-                self._estimate_cache.clear()
-            self._estimate_cache[key] = (model, best)
-            if disk_key is not None:
-                plancache.put(disk_key, _record(best))
+        best = self._best_first_search(model, job_type, candidate_configs(job_type))
+        if len(self._estimate_cache) >= _MAX_NAMESPACE_ENTRIES:
+            self._estimate_cache.clear()
+        self._estimate_cache[key] = (model, best)
+        if disk_key is not None:
+            plancache.put(disk_key, _record(best))
         return best
 
     def processing_time(

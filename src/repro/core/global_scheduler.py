@@ -74,11 +74,12 @@ class GlobalScheduler:
     preemption_rule:
         Optional rule enabling deadline-driven preemption; ``None``
         disables preemption entirely.
-    use_cache:
-        When true (the default) backlog job views are memoised per
-        (tenant, job) and dispatch sweeps skip executors already proven
-        workless; disabling it re-scores everything from scratch on every
-        call (the brute-force reference mode for equivalence tests).
+
+    Backlog job views are memoised per (tenant, job), one candidate index
+    per tenant answers dispatch queries, and dispatch sweeps skip
+    executors already proven workless.
+    :class:`repro.verify.reference.ReferenceGlobalScheduler` re-scores
+    everything from scratch instead; the equivalence tests compare the two.
     """
 
     def __init__(
@@ -87,14 +88,12 @@ class GlobalScheduler:
         *,
         policy: SchedulingPolicy = sjf_policy,
         preemption_rule: Optional[PreemptionRule] = None,
-        use_cache: bool = True,
     ) -> None:
         if not tenants:
             raise ValueError("the global scheduler needs at least one tenant")
         self.tenants: Dict[str, FillJobScheduler] = dict(tenants)
         self.policy = policy
         self.preemption_rule = preemption_rule
-        self.use_cache = use_cache
         self.jobs: Dict[str, FillJob] = {}
         self.rejected: Dict[str, FillJob] = {}
         #: Tenant a job is (or was) resident on, once dispatched there.
@@ -125,21 +124,16 @@ class GlobalScheduler:
         # backlog (scores differ per tenant: processing times depend on
         # the tenant's bubble cycles).  Maintained on submit / placement /
         # eviction; a departed tenant's index is dropped for good.
-        self._backlog_indexes: Dict[str, CandidateIndex] = (
-            {
-                name: CandidateIndex(
-                    sched,
-                    policy,
-                    view_provider=partial(self._backlog_view, name),
-                    samples_provider=self._backlog_samples,
-                    state_provider=sched.scheduler_view,
-                )
-                for name, sched in self.tenants.items()
-                if sched.use_cache
-            }
-            if use_cache
-            else {}
-        )
+        self._backlog_indexes: Dict[str, CandidateIndex] = {
+            name: CandidateIndex(
+                sched,
+                policy,
+                view_provider=partial(self._backlog_view, name),
+                samples_provider=self._backlog_samples,
+                state_provider=sched.scheduler_view,
+            )
+            for name, sched in self.tenants.items()
+        }
 
     # -- submission -------------------------------------------------------------
 
@@ -210,8 +204,7 @@ class GlobalScheduler:
                 ),
                 deadline=job.deadline,
             )
-            if self.use_cache:
-                self._view_cache[key] = view
+            self._view_cache[key] = view
         return view
 
     def _forget_backlog_views(self, job_id: str, *, keep_tenant: Optional[str] = None) -> None:
@@ -231,25 +224,12 @@ class GlobalScheduler:
     ) -> Tuple[Optional[FillJob], float]:
         """Highest-scoring backlog job runnable on this tenant executor.
 
-        On the cached path the tenant's candidate index answers without
-        re-scoring the backlog (see :mod:`repro.core.candidates`).
+        The tenant's candidate index answers without re-scoring the backlog
+        (see :mod:`repro.core.candidates`).  Only live tenants get here: a
+        departed tenant's index is gone, but so is every executor it could
+        dispatch to.
         """
-        index = self._backlog_indexes.get(tenant)
-        if index is not None and index.policy is self.policy:
-            return index.best_for_executor(executor_index, now)
-        sched = self.tenants[tenant]
-        state_view = sched.scheduler_view(now)
-        best_job: Optional[FillJob] = None
-        best_score = -float("inf")
-        for job in self.backlog_jobs(now):
-            view = self._backlog_view(tenant, job)
-            if view.proc_times.get(executor_index, float("inf")) == float("inf"):
-                continue
-            score = self.policy(view, state_view, executor_index)
-            if score > best_score:
-                best_score = score
-                best_job = job
-        return best_job, best_score
+        return self._backlog_indexes[tenant].best_for_executor(executor_index, now)
 
     def dispatch(
         self, tenant: str, executor_index: int, now: float
@@ -308,38 +288,28 @@ class GlobalScheduler:
         the simulation results) unchanged.
         """
         assignments: List[Assignment] = []
-        use_fast_path = self.use_cache
         exhausted: set = set()
         progress = True
         while progress:
             progress = False
             for tenant, sched in self.tenants.items():
-                if use_fast_path and not self._backlog and not sched.has_queued_jobs():
+                if not self._backlog and not sched.has_queued_jobs():
                     continue
-                indices = (
-                    sched.idle_executor_indices()
-                    if use_fast_path
-                    else [i for i, s in sched.executors.items() if s.is_available]
-                )
-                for idx in indices:
+                for idx in sched.idle_executor_indices():
                     if (tenant, idx) in exhausted:
                         continue
                     assignment = self.dispatch(tenant, idx, now)
-                    if assignment is not None:
-                        assignments.append(assignment)
-                        progress = True
-                        if (
-                            use_fast_path
-                            and not self._backlog
-                            and not sched.has_queued_jobs()
-                        ):
-                            # The assignment drained the last waiting job:
-                            # every remaining idle executor would scan to
-                            # no candidate, so skip them outright (jobs
-                            # only leave queues within a sweep).
-                            break
-                    elif use_fast_path:
+                    if assignment is None:
                         exhausted.add((tenant, idx))
+                        continue
+                    assignments.append(assignment)
+                    progress = True
+                    if not self._backlog and not sched.has_queued_jobs():
+                        # The assignment drained the last waiting job:
+                        # every remaining idle executor would scan to no
+                        # candidate, so skip them outright (jobs only
+                        # leave queues within a sweep).
+                        break
         return assignments
 
     # -- preemption -------------------------------------------------------------

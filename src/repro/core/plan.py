@@ -131,6 +131,12 @@ class ExecutionPlan:
         """Partitions executed during one bubble cycle."""
         return [p for p in self.partitions if p.cycle_index == cycle_index]
 
+    def nonempty_visits(self) -> Iterator[Tuple[int, float]]:
+        """Yield ``(bubble_index, duration)`` per non-empty partition, in order."""
+        for partition in self.partitions:
+            if not partition.is_empty:
+                yield partition.bubble_index, partition.duration
+
 
 def _replication_count(
     graph_duration: float, total_usable_bubble: float
@@ -285,9 +291,9 @@ def plan_fill_job(
 #   ``GraphPartition`` tuples -- with the exact ``iter{i}/{name}`` clone names
 #   ``ComputationalGraph.concatenate`` would have produced -- on first access.
 #
-# ``use_cache=False`` simulations keep calling plan_fill_job, so the
-# brute-force differential oracles and the golden-digest suite prove the two
-# paths bit-identical end-to-end.
+# The reference search (repro.verify.reference) keeps calling plan_fill_job,
+# so the differential oracles and the golden-digest suite prove the two paths
+# bit-identical end-to-end.
 
 
 class PackedPlan:

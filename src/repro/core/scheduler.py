@@ -171,13 +171,11 @@ class FillJobScheduler:
     model_resolver:
         Maps a job's ``model_name`` to a :class:`ModelSpec`; defaults to the
         package model registry.
-    use_cache:
-        When true (the default) the scheduler memoises per-job processing
-        times and policy views and the executors share their estimate
-        caches process-wide; disabling it rebuilds every view and dict per
-        call and replaces the shared estimate caches with scheduler-private
-        per-executor memos (the pre-optimisation semantics) -- the
-        brute-force reference mode the equivalence tests compare against.
+
+    The scheduler memoises per-job processing times and policy views, and
+    its executors share their estimate caches process-wide.
+    :class:`repro.verify.reference.ReferenceScheduler` re-prices
+    everything from scratch instead; the equivalence tests compare the two.
     """
 
     def __init__(
@@ -186,7 +184,6 @@ class FillJobScheduler:
         *,
         policy: SchedulingPolicy = sjf_policy,
         model_resolver: Callable[[str], ModelSpec] = build_model,
-        use_cache: bool = True,
     ) -> None:
         if not executors:
             raise ValueError("the scheduler needs at least one executor")
@@ -196,7 +193,6 @@ class FillJobScheduler:
         }
         self.policy = policy
         self.model_resolver = model_resolver
-        self.use_cache = use_cache
         self.records: Dict[str, JobRecord] = {}
         self._queue = OrderedIdSet()
         # Executor indices in declaration order (dispatch iterates them in
@@ -212,12 +208,6 @@ class FillJobScheduler:
         # whenever it changes (assignment, completion, preemption).
         self._full_times: Dict[str, Dict[int, float]] = {}
         self._views: Dict[str, JobView] = {}
-        # Brute-force mode bypasses the process-wide shared estimate caches
-        # entirely and memoises per (executor, model name, job type) in
-        # this scheduler only -- exactly the pre-optimisation executor
-        # cache semantics -- so it is a genuine oracle for shared-cache
-        # keying bugs, at pre-optimisation cost.
-        self._private_estimates: Dict[tuple, Optional[FillExecutionEstimate]] = {}
         # Class tables: jobs sharing (model_name, job_type) share estimates
         # on every executor, so feasibility and seconds-per-sample are
         # per-*class* state, computed once.  ``exec_classes`` inverts the
@@ -232,16 +222,12 @@ class FillJobScheduler:
         self._state_view_memo: Optional[tuple] = None
         # The incremental candidate index over this scheduler's own queue
         # (arrival-order submissions plus preemption/failure re-queues).
-        self._index: Optional[CandidateIndex] = (
-            CandidateIndex(
-                self,
-                policy,
-                view_provider=self.job_view,
-                samples_provider=self._queued_samples,
-                state_provider=self.scheduler_view,
-            )
-            if use_cache
-            else None
+        self._index = CandidateIndex(
+            self,
+            policy,
+            view_provider=self.job_view,
+            samples_provider=self._queued_samples,
+            state_provider=self.scheduler_view,
         )
 
     # -- submission -------------------------------------------------------------
@@ -256,8 +242,7 @@ class FillJobScheduler:
             record.state = FillJobState.REJECTED
             return record
         self._queue.append(job.job_id)
-        if self._index is not None:
-            self._index.add(job)
+        self._index.add(job)
         return record
 
     # -- predictions -------------------------------------------------------------
@@ -265,16 +250,8 @@ class FillJobScheduler:
     def _estimate(
         self, executor_index: int, model: ModelSpec, job_type: JobType
     ) -> Optional[FillExecutionEstimate]:
-        """One executor's estimate, honouring this scheduler's cache mode."""
-        executor = self.executors[executor_index].executor
-        if self.use_cache:
-            return executor.build_estimate(model, job_type)
-        key = (executor_index, model.name, job_type)
-        if key not in self._private_estimates:
-            self._private_estimates[key] = executor.build_estimate(
-                model, job_type, use_cache=False
-            )
-        return self._private_estimates[key]
+        """One executor's estimate of a job class."""
+        return self.executors[executor_index].executor.build_estimate(model, job_type)
 
     def estimate_for(self, job: FillJob, executor_index: int) -> Optional[FillExecutionEstimate]:
         """The executor's estimate of running ``job`` (``None`` if it cannot)."""
@@ -290,7 +267,6 @@ class FillJobScheduler:
         one estimate per executor, so feasibility and the
         ``(samples_per_cycle, cycle_period)`` timing pair are class-wide.
         Infeasible executors are marked with ``samples_per_cycle = -1``.
-        Only used on the cached fast path.
         """
         key = (model_name, job_type)
         if key in self._class_times:
@@ -321,20 +297,8 @@ class FillJobScheduler:
         return self._class_exec[key]
 
     def fits_any(self, job: FillJob) -> bool:
-        """Whether at least one executor can ever run the job.
-
-        On the cached path this is one class-table lookup; the brute-force
-        mode short-circuits at the first finite estimate instead of
-        pricing the job on every executor.
-        """
-        if self.use_cache:
-            return self._class_fits[self.ensure_class(job.model_name, job.job_type)]
-        model = self.model_resolver(job.model_name)
-        for idx in self._executor_order:
-            estimate = self._estimate(idx, model, job.job_type)
-            if estimate is not None and estimate.samples_per_cycle > 0:
-                return True
-        return False
+        """Whether at least one executor can ever run the job (one class-table lookup)."""
+        return self._class_fits[self.ensure_class(job.model_name, job.job_type)]
 
     def processing_times(
         self, job: FillJob, *, num_samples: Optional[float] = None
@@ -346,28 +310,21 @@ class FillJobScheduler:
         are memoised per job: they depend only on the executors' bubble
         cycles, which are fixed for the lifetime of a run.
         """
-        if num_samples is None and self.use_cache:
+        if num_samples is None:
             cached = self._full_times.get(job.job_id)
             if cached is not None:
                 return cached
         samples = job.num_samples if num_samples is None else num_samples
+        # Same arithmetic as FillExecutionEstimate.processing_time, sourced
+        # from the class table instead of per-job estimate lookups
+        # (bit-identical; the equivalence tests prove it).
+        key = self.ensure_class(job.model_name, job.job_type)
+        if not samples > 0 and self._class_fits[key]:
+            check_positive(samples, "num_samples")
         times: Dict[int, float] = {}
-        if self.use_cache:
-            # Same arithmetic as FillExecutionEstimate.processing_time,
-            # sourced from the class table instead of per-job estimate
-            # lookups (bit-identical; the equivalence tests prove it).
-            key = self.ensure_class(job.model_name, job.job_type)
-            if not samples > 0 and self._class_fits[key]:
-                check_positive(samples, "num_samples")
-            for idx, spc, period in self._class_times[key]:
-                times[idx] = float("inf") if spc <= 0 else (samples / spc) * period
-        else:
-            for idx in self.executors:
-                estimate = self.estimate_for(job, idx)
-                times[idx] = (
-                    float("inf") if estimate is None else estimate.processing_time(samples)
-                )
-        if num_samples is None and self.use_cache:
+        for idx, spc, period in self._class_times[key]:
+            times[idx] = float("inf") if spc <= 0 else (samples / spc) * period
+        if num_samples is None:
             self._full_times[job.job_id] = times
         return times
 
@@ -410,10 +367,9 @@ class FillJobScheduler:
         invalidated whenever ``samples_remaining`` changes (assignment,
         completion, preemption), so banked progress is always reflected.
         """
-        if self.use_cache:
-            view = self._views.get(job.job_id)
-            if view is not None:
-                return view
+        view = self._views.get(job.job_id)
+        if view is not None:
+            return view
         record = self.records.get(job.job_id)
         remaining = None if record is None else record.samples_remaining
         if remaining is not None and remaining == job.num_samples:
@@ -424,8 +380,7 @@ class FillJobScheduler:
             proc_times=self.processing_times(job, num_samples=remaining),
             deadline=job.deadline,
         )
-        if self.use_cache:
-            self._views[job.job_id] = view
+        self._views[job.job_id] = view
         return view
 
     def _forget_view(self, job_id: str) -> None:
@@ -449,21 +404,19 @@ class FillJobScheduler:
     def scheduler_view(self, now: float) -> SchedulerView:
         """The policy-facing view of current executor occupancy.
 
-        On the cached path the view is memoised until the clock moves or
-        any executor's ``busy_until`` changes (assignment, completion,
-        preemption): within one dispatch sweep the same view serves every
-        executor between assignments.
+        The view is memoised until the clock moves or any executor's
+        ``busy_until`` changes (assignment, completion, preemption): within
+        one dispatch sweep the same view serves every executor between
+        assignments.
         """
-        if self.use_cache:
-            memo = self._state_view_memo
-            if memo is not None and memo[0] == now and memo[1] == self._state_version:
-                return memo[2]
+        memo = self._state_view_memo
+        if memo is not None and memo[0] == now and memo[1] == self._state_version:
+            return memo[2]
         view = SchedulerView(
             now=now,
             rem_times={idx: st.remaining_time(now) for idx, st in self.executors.items()},
         )
-        if self.use_cache:
-            self._state_view_memo = (now, self._state_version, view)
+        self._state_view_memo = (now, self._state_version, view)
         return view
 
     def queued_jobs(self, now: Optional[float] = None) -> List[FillJob]:
@@ -548,8 +501,7 @@ class FillJobScheduler:
                 f"only queued jobs can be evicted; {job_id!r} is {record.state}"
             )
         self._queue.remove(job_id)
-        if self._index is not None:
-            self._index.remove(job_id)
+        self._index.remove(job_id)
         del self.records[job_id]
         self.forget_job(job_id)
         return record
@@ -592,25 +544,12 @@ class FillJobScheduler:
 
         Returns ``(None, -inf)`` when no queued job fits the device.  Used
         directly by the global scheduler, which compares this score against
-        the global backlog's best.  On the cached path the answer comes
-        from the incremental candidate index (O(log n) for static-score
-        policies, a feasible-classes-only scan otherwise) instead of
-        re-scoring the whole queue.
+        the global backlog's best.  The answer comes from the incremental
+        candidate index (O(log n) for static-score policies, a
+        feasible-classes-only scan otherwise) instead of re-scoring the
+        whole queue.
         """
-        if self._index is not None and self._index.policy is self.policy:
-            return self._index.best_for_executor(executor_index, now)
-        state_view = self.scheduler_view(now)
-        best_job: Optional[FillJob] = None
-        best_score = -float("inf")
-        for job in self.queued_jobs(now):
-            view = self.job_view(job)
-            if view.proc_times.get(executor_index, float("inf")) == float("inf"):
-                continue
-            score = self.policy(view, state_view, executor_index)
-            if score > best_score:
-                best_score = score
-                best_job = job
-        return best_job, best_score
+        return self._index.best_for_executor(executor_index, now)
 
     def select_job(self, executor_index: int, now: float) -> Optional[FillJob]:
         """Pick the queued job with the highest policy score for this device."""
@@ -632,8 +571,7 @@ class FillJobScheduler:
         proc_time = estimate.processing_time(record.samples_remaining)
         completion = now + proc_time
         self._queue.remove(job.job_id)
-        if self._index is not None:
-            self._index.remove(job.job_id)
+        self._index.remove(job.job_id)
         self._forget_view(job.job_id)
         record.state = FillJobState.RUNNING
         record.assigned_executor = executor_index
@@ -707,8 +645,7 @@ class FillJobScheduler:
         # prices only the leftover samples.
         self._forget_view(job_id)
         self._queue.append(job_id)
-        if self._index is not None:
-            self._index.add(record.job)
+        self._index.add(record.job)
         ex_state.current_job_id = None
         ex_state.busy_until = now
         self._state_version += 1

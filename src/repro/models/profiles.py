@@ -12,8 +12,8 @@ The resulting :class:`ModelProfile` carries a linearised
 nodes in reverse order, then an optimizer step for training jobs) that
 Algorithm 1 packs into pipeline bubbles.  Profiles are pure, so readers
 take them from one process-wide memo (:func:`cached_profile`); only the
-executor's brute-force reference search calls :func:`profile_model`
-directly.
+brute-force :func:`repro.verify.reference.reference_estimate` calls
+:func:`profile_model` directly.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ def model_names(*, fill_jobs_only: bool = False) -> List[str]:
     return sorted(source)
 
 
-def build_model(name: str, *, use_cache: bool = True) -> ModelSpec:
+def build_model(name: str) -> ModelSpec:
     """Build (or fetch from cache) the model registered under ``name``.
 
     Model specs are immutable, so caching is safe and keeps workload
@@ -56,8 +56,6 @@ def build_model(name: str, *, use_cache: bool = True) -> ModelSpec:
         builder = _ALL_MODELS[name]
     except KeyError:
         raise KeyError(f"unknown model {name!r}; known: {sorted(_ALL_MODELS)}") from None
-    if not use_cache:
-        return builder()
     if name not in _CACHE:
         _CACHE[name] = builder()
     return _CACHE[name]

@@ -183,8 +183,8 @@ class MultiTenantResult:
 
         ``include_timings`` adds the wall-clock ``timings_by_kind`` block;
         it defaults off because the default payload must stay a pure
-        function of the simulation outcome (digests compare it across
-        cache modes and PRs).
+        function of the simulation outcome (digests compare it between the
+        fast path and the reference, and across changes).
         """
         from repro.sim.metrics import fill_metrics_dict as metrics_dict
 
@@ -301,7 +301,6 @@ class MultiTenantSimulator:
         *,
         policy: Union[SchedulingPolicy, str] = sjf_policy,
         preemption_rule: Optional[Union[PreemptionRule, str]] = None,
-        use_cache: bool = True,
     ) -> None:
         from repro.registry import resolve_policy, resolve_preemption_rule
 
@@ -313,22 +312,16 @@ class MultiTenantSimulator:
         self.tenants: Dict[str, Tenant] = {t.name: t for t in tenants}
         self.policy = resolve_policy(policy)
         self.preemption_rule = resolve_preemption_rule(preemption_rule)
-        self.use_cache = use_cache
 
     # -- helpers -----------------------------------------------------------------
 
     def _build_global_scheduler(self) -> GlobalScheduler:
         schedulers = {
-            name: FillJobScheduler(
-                tenant.system.executors, policy=self.policy, use_cache=self.use_cache
-            )
+            name: FillJobScheduler(tenant.system.executors, policy=self.policy)
             for name, tenant in self.tenants.items()
         }
         return GlobalScheduler(
-            schedulers,
-            policy=self.policy,
-            preemption_rule=self.preemption_rule,
-            use_cache=self.use_cache,
+            schedulers, policy=self.policy, preemption_rule=self.preemption_rule
         )
 
     def _arrival_stream(

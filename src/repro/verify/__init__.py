@@ -12,10 +12,14 @@ digests and the hypothesis suite:
   :class:`~repro.sim.observers.RunObserver` API) that checks
   machine-checkable invariants while a run executes and raises structured
   :class:`InvariantViolation`\\ s;
+* :mod:`repro.verify.reference` -- the brute-force reference: the
+  exhaustive plan search, the pre-index dispatch sweep and the
+  schedulers, simulator and experiment built on them
+  (``ReferenceExperiment.from_yaml(path).run()``); imported on use, since
+  it builds on :mod:`repro.api`, which imports this package;
 * :mod:`repro.verify.oracles` -- differential oracles asserting digest
-  equality between the optimised fast path and the ``use_cache=False``
-  brute-force reference, and between indexed and generic-fallback
-  candidate evaluation;
+  equality between the optimised fast path and the reference, and
+  between indexed and generic-fallback candidate evaluation;
 * :mod:`repro.verify.shrink` -- a greedy failure shrinker producing a
   minimal reproducer scenario for any failing predicate;
 * :mod:`repro.verify.campaign` -- the fuzz campaign driver behind

@@ -3,11 +3,12 @@
 One campaign generates ``runs`` scenarios from a seeded
 :class:`~repro.verify.fuzz.ScenarioFuzzer`, executes each under the full
 :class:`~repro.verify.invariants.InvariantObserver`, then cross-checks it
-with both differential oracles (fast path vs ``use_cache=False`` brute
-force, indexed vs generic-fallback candidate evaluation).  Any failure is
-greedily shrunk (:mod:`repro.verify.shrink`) to a minimal reproducer and
-written to ``repro-failures/<campaign-seed>-<index>.yaml``; the campaign
-keeps going, so one broken scenario never hides another.
+with both differential oracles (fast path vs the brute-force
+:mod:`repro.verify.reference`, indexed vs generic-fallback candidate
+evaluation).  Any failure is greedily shrunk (:mod:`repro.verify.shrink`)
+to a minimal reproducer and written to
+``repro-failures/<campaign-seed>-<index>.yaml``; the campaign keeps going,
+so one broken scenario never hides another.
 """
 
 from __future__ import annotations

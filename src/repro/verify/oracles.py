@@ -3,10 +3,10 @@
 The simulator carries two deliberate redundancies that double as
 correctness oracles:
 
-* every scheduler runs either the optimised fast path (memoised views,
-  shared estimate caches, incremental candidate indexes) or the
-  ``use_cache=False`` brute-force reference that re-prices everything
-  from scratch -- the two must produce identical results;
+* the optimised fast path (memoised views, shared estimate caches,
+  incremental candidate indexes) has a brute-force twin in
+  :mod:`repro.verify.reference` that re-prices everything from scratch
+  -- the two must produce identical results;
 * the candidate index compiles registered policies into specialised
   evaluation programs (``static``/``scan1``/``scan2``), with a
   ``generic`` fallback that calls the policy per candidate -- wrapping a
@@ -46,18 +46,18 @@ class DifferentialMismatch(AssertionError):
 def check_cache_oracle(
     raw: Mapping[str, Any], *, reference_digest: Optional[str] = None
 ) -> str:
-    """Assert the fast path and ``use_cache=False`` brute force agree.
+    """Assert the fast path and :class:`~repro.verify.reference.ReferenceExperiment` agree.
 
     ``reference_digest`` skips re-running the fast path when the caller
     already has its digest (the fuzz campaign reuses the invariant run's
     result).  Returns the agreed digest.
     """
     from repro.api import Experiment
+    from repro.verify.reference import ReferenceExperiment
 
-    experiment = Experiment.from_dict(dict(raw))
     if reference_digest is None:
-        reference_digest = experiment.run().digest()
-    brute = experiment.run(use_cache=False).digest()
+        reference_digest = Experiment.from_dict(dict(raw)).run().digest()
+    brute = ReferenceExperiment.from_dict(dict(raw)).run().digest()
     if brute != reference_digest:
         raise DifferentialMismatch(
             "cache-oracle", str(raw.get("name", "?")), reference_digest, brute

@@ -176,9 +176,12 @@ class TestRun:
         assert result.to_dict()["schema_version"] == 1
         assert len(result.digest()) == 16
 
-    def test_use_cache_false_is_bit_identical(self):
-        exp = Experiment.from_yaml(SMOKE)
-        assert exp.run().digest() == exp.run(use_cache=False).digest()
+    def test_reference_experiment_is_bit_identical(self):
+        from repro.verify.reference import ReferenceExperiment
+
+        reference = ReferenceExperiment.from_yaml(SMOKE)
+        assert isinstance(reference.with_seed(1), ReferenceExperiment)
+        assert Experiment.from_yaml(SMOKE).run().digest() == reference.run().digest()
 
 
 class TestObservers:

@@ -6,21 +6,23 @@ executor failures/recoveries, tenant leave/requeue evictions -- the best
 (job, score) it reports for every executor must equal what a brute-force
 rescore of the live queue computes with the actual policy, including
 tie-breaking (first strictly-greater score in insertion order).  The
-brute-force oracle below deliberately mirrors the pre-index sweep loops.
+brute-force oracle below is the pre-index sweep,
+:func:`repro.verify.reference.best_scored`.
 
 Policies cover all index programs: ``sjf`` (static heap), ``fifo``/
-``slack``/``makespan`` (inlined scans), ``slack+sjf`` (composed scan with
-a precomputed static tail) and an unregistered custom policy (generic
-fallback calling the policy per candidate).
+``edf``/``slack``/``makespan`` (vectorized scans), ``slack+sjf`` and
+``edf+sjf`` (composed scans with a precomputed static tail) and an
+unregistered custom policy (generic fallback calling the policy per
+candidate).  Churn starts from an empty queue, so every scan is also
+checked on classes of one to a few candidates.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.executor import FillJobExecutor
 from repro.core.global_scheduler import GlobalScheduler
@@ -36,6 +38,7 @@ from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
 from repro.utils.units import GIB
+from repro.verify.reference import best_scored
 
 #: Heterogeneous cycles: the tight-memory one rejects the larger models,
 #: so per-executor feasibility genuinely differs between job classes.
@@ -62,6 +65,7 @@ def custom_policy(job, state, executor_index):
 POLICY_CASES = {
     "sjf": sjf_policy,
     "fifo": fifo_policy,
+    "edf": POLICIES["edf"],
     "slack": slack_policy,
     "makespan": makespan_policy,
     "slack+sjf": POLICIES["slack+sjf"],
@@ -86,38 +90,27 @@ def make_job(rng, i, now):
     )
 
 
-def brute_select(sched: FillJobScheduler, executor_index: int, now: float):
-    """The pre-index sweep, verbatim: full rescore of the live queue."""
-    state_view = SchedulerView(
+def fresh_state(sched: FillJobScheduler, now: float) -> SchedulerView:
+    """The occupancy view rebuilt from the executors, bypassing the memo."""
+    return SchedulerView(
         now=now,
         rem_times={idx: st.remaining_time(now) for idx, st in sched.executors.items()},
     )
-    best_job, best_score = None, -float("inf")
-    for job in sched.queued_jobs(now):
-        view = sched.job_view(job)
-        if view.proc_times.get(executor_index, float("inf")) == float("inf"):
-            continue
-        score = sched.policy(view, state_view, executor_index)
-        if score > best_score:
-            best_score, best_job = score, job
-    return best_job, best_score
+
+
+def brute_select(sched: FillJobScheduler, executor_index: int, now: float):
+    """The pre-index sweep: full rescore of the live queue."""
+    return best_scored(
+        sched.policy, sched.queued_jobs(now), sched.job_view,
+        fresh_state(sched, now), executor_index,
+    )
 
 
 def brute_backlog(gs: GlobalScheduler, tenant: str, executor_index: int, now: float):
-    sched = gs.tenants[tenant]
-    state_view = SchedulerView(
-        now=now,
-        rem_times={idx: st.remaining_time(now) for idx, st in sched.executors.items()},
+    return best_scored(
+        gs.policy, gs.backlog_jobs(now), partial(gs._backlog_view, tenant),
+        fresh_state(gs.tenants[tenant], now), executor_index,
     )
-    best_job, best_score = None, -float("inf")
-    for job in gs.backlog_jobs(now):
-        view = gs._backlog_view(tenant, job)
-        if view.proc_times.get(executor_index, float("inf")) == float("inf"):
-            continue
-        score = gs.policy(view, state_view, executor_index)
-        if score > best_score:
-            best_score, best_job = score, job
-    return best_job, best_score
 
 
 def assert_agrees(indexed, brute, context: str):
@@ -295,87 +288,3 @@ class TestInvalidationExplicitly:
         assert finite  # and those times price the remaining samples only
         full_view_time = gs.tenants["y"].processing_times(job)[0]
         assert view.proc_times[0] == pytest.approx(full_view_time / 2.0, rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# Scorer parity: vectorized vs scalar scans, property-based
-# ---------------------------------------------------------------------------
-
-#: Policies covering every vectorized program: plain scans (fifo, edf,
-#: slack, makespan) and the composed two-term scans (slack+sjf, edf+sjf)
-#: which additionally exercise the no-deadline class split.
-_SCAN_POLICIES = ["fifo", "edf", "slack", "makespan", "slack+sjf", "edf+sjf"]
-
-_PARITY_MODELS = ["bert-base", "bert-large", "efficientnet"]
-
-
-def _parity_executors():
-    roomy = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)
-    tight = BubbleCycle.from_durations([0.6, 0.9], 1.2 * GIB, period=5.0)
-    return {0: FillJobExecutor(roomy), 1: FillJobExecutor(tight)}
-
-
-def _churn(scheduler, rng, steps):
-    """One deterministic churn trajectory; yields ``now`` after each step."""
-    now = 0.0
-    for step in range(steps):
-        now += rng.uniform(0.0, 30.0)
-        op = rng.random()
-        if op < 0.55:
-            deadline = now + rng.uniform(50.0, 5_000.0) if rng.random() < 0.5 else None
-            scheduler.submit(
-                FillJob(
-                    job_id=f"j{step}",
-                    model_name=rng.choice(_PARITY_MODELS),
-                    job_type=JobType.BATCH_INFERENCE,
-                    num_samples=rng.uniform(50.0, 5_000.0),
-                    arrival_time=now,
-                    deadline=deadline,
-                )
-            )
-        elif op < 0.75:
-            idle = scheduler.idle_executor_indices()
-            if idle:
-                scheduler.dispatch(rng.choice(idle), now)
-        elif op < 0.9:
-            busy = [i for i, s in scheduler.executors.items() if s.is_busy]
-            if busy:
-                scheduler.preempt(rng.choice(busy), now)
-        else:
-            busy = [i for i, s in scheduler.executors.items() if s.is_busy]
-            if busy:
-                idx = rng.choice(busy)
-                scheduler.complete(idx, scheduler.executors[idx].busy_until)
-        yield now
-
-
-class TestVectorScalarScorerParity:
-    """The vectorized candidate scan must return bit-identical (score,
-    tie-break) selections to the scalar scan on randomized churn -- forced
-    against each other by pinning ``scan_cutoff`` to 0 (always vectorize)
-    vs "infinity" (always scalar)."""
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        policy_name=st.sampled_from(_SCAN_POLICIES),
-        seed=st.integers(0, 2**20),
-    )
-    def test_bit_identical_selection_under_churn(self, policy_name, seed):
-        policy = POLICIES[policy_name]
-        vector = FillJobScheduler(_parity_executors(), policy=policy)
-        scalar = FillJobScheduler(_parity_executors(), policy=policy)
-        vector._index.scan_cutoff = 0  # every class takes the array pass
-        scalar._index.scan_cutoff = 10**9  # every class stays scalar
-        churn_v = _churn(vector, random.Random(seed), steps=60)
-        churn_s = _churn(scalar, random.Random(seed), steps=60)
-        for step, (now_v, now_s) in enumerate(zip(churn_v, churn_s)):
-            assert now_v == now_s
-            for idx in vector.executors:
-                job_v, score_v = vector.select_job_scored(idx, now_v)
-                job_s, score_s = scalar.select_job_scored(idx, now_s)
-                context = f"{policy_name}: step {step}, executor {idx}"
-                assert (job_v is None) == (job_s is None), context
-                if job_v is not None:
-                    # Bit-identical score AND identical tie-break winner.
-                    assert score_v == score_s, context
-                    assert job_v.job_id == job_s.job_id, context

@@ -156,7 +156,7 @@ class TestProfileMemo:
     def test_clear_shared_caches_makes_the_next_search_profile_again(self, profile_calls):
         cycle = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)
         # One spec object throughout: a new spec would miss the memo anyway.
-        model = build_model("bert-base", use_cache=False)
+        model = dataclasses.replace(build_model("bert-base"))
         FillJobExecutor(cycle).build_estimate(model, JobType.BATCH_INFERENCE)
         first = len(profile_calls)
         assert first > 0
@@ -170,7 +170,7 @@ class TestProfileMemo:
         assert len(profile_calls) == 2 * first
 
     def test_distinct_specs_sharing_a_name_never_share_a_profile(self, profile_calls):
-        spec = build_model("bert-base", use_cache=False)
+        spec = dataclasses.replace(build_model("bert-base"))
         twin = dataclasses.replace(spec, layers=spec.layers[:-1])
         assert twin.name == spec.name
         config = ExecutionConfig(batch_size=8)
@@ -184,7 +184,7 @@ class TestProfileMemo:
 
     def test_memo_flushes_at_its_entry_bound(self, profile_calls, monkeypatch):
         monkeypatch.setattr(profiles, "_MAX_PROFILES", 3)
-        model = build_model("bert-base", use_cache=False)
+        model = dataclasses.replace(build_model("bert-base"))
         configs = [ExecutionConfig(batch_size=b) for b in (1, 2, 4, 8)]
         for config in configs[:3]:
             cached_profile(model, JobType.BATCH_INFERENCE, config)

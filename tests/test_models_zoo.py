@@ -34,9 +34,6 @@ class TestRegistry:
     def test_cache_returns_same_object(self):
         assert build_model("bert-base") is build_model("bert-base")
 
-    def test_no_cache_builds_fresh(self):
-        assert build_model("bert-base", use_cache=False) is not build_model("bert-base")
-
 
 class TestParameterCounts:
     """Parameter counts should be within 15% of the values in Table 1 / Section 5.2."""

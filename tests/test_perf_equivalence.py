@@ -1,17 +1,18 @@
 """Cache-correctness tests for the optimised scheduler hot path.
 
 The memoised fast path (shared executor estimate caches, per-job
-processing-time/view memos, idle-executor sets and exhausted-sweep
-pruning) must be *invisible*: every shipped scenario must produce
-bit-identical results whether the caches are on (the default) or off
-(``use_cache=False``, the brute-force reference mode that rebuilds every
-job view and processing-time dict per call and sources estimates from
-scheduler-private per-executor memos instead of the shared caches -- the
-pre-optimisation semantics, so a shared-cache keying bug cannot leak into
-the reference run).  ``TestExecutorCacheCorrectness`` additionally
-compares shared-cache entries and explicit ``configs=`` searches against
-from-scratch plan searches, and checks the throughput bound the
-best-first configuration search relies on.
+processing-time/view memos, candidate indexes, idle-executor sets and
+exhausted-sweep pruning) must be *invisible*: every shipped scenario must
+produce bit-identical results on the fast path and on
+:class:`repro.verify.reference.ReferenceExperiment`, the brute-force
+reference that rebuilds every job view and processing-time dict per call
+and sources estimates from scheduler-private per-executor memos instead
+of the shared caches -- the pre-optimisation semantics, so a shared-cache
+keying bug cannot leak into the reference run.
+``TestExecutorCacheCorrectness`` additionally compares shared-cache
+entries and explicit ``configs=`` searches against
+:func:`repro.verify.reference.reference_estimate`, and checks the
+throughput bound the best-first configuration search relies on.
 
 Also covers the invalidation rule the caches depend on: preempting a job
 banks partial progress and shrinks ``samples_remaining``, so any cached
@@ -34,6 +35,7 @@ from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
 from repro.utils.ordered import OrderedIdSet
 from repro.utils.units import GIB
+from repro.verify.reference import ReferenceExperiment, reference_estimate
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -102,7 +104,7 @@ class TestScenarioEquivalence:
     def test_scenario_identical_to_brute_force(self, name):
         spec = Experiment.from_yaml(SCENARIO_DIR / f"{name}.yaml").validate()
         optimized = Experiment.from_spec(spec).run().raw.to_dict()
-        brute = Experiment.from_spec(spec).run(use_cache=False).raw.to_dict()
+        brute = ReferenceExperiment.from_spec(spec).run().raw.to_dict()
         assert json.dumps(optimized, sort_keys=True) == json.dumps(
             brute, sort_keys=True
         )
@@ -179,6 +181,7 @@ class TestExecutorCacheCorrectness:
         from repro.core.executor import clear_shared_caches
         from repro.models import profiles as profiles_module
         from repro.models.registry import FILL_JOB_MODELS, build_model
+        from repro.verify import reference as reference_module
 
         calls = {"pack": 0, "plan": 0, "profile": 0}
 
@@ -193,7 +196,7 @@ class TestExecutorCacheCorrectness:
             executor_module, "pack_fill_job", counting("pack", executor_module.pack_fill_job)
         )
         monkeypatch.setattr(
-            executor_module, "plan_fill_job", counting("plan", executor_module.plan_fill_job)
+            reference_module, "plan_fill_job", counting("plan", reference_module.plan_fill_job)
         )
         monkeypatch.setattr(
             profiles_module, "profile_model", counting("profile", profiles_module.profile_model)
@@ -214,7 +217,7 @@ class TestExecutorCacheCorrectness:
                 model = build_model(name)
                 for job_type in JobType:
                     cached = executor.build_estimate(model, job_type)
-                    fresh = executor.build_estimate(model, job_type, use_cache=False)
+                    fresh = reference_estimate(executor, model, job_type)
                     assert (cached is None) == (fresh is None), (name, job_type)
                     reference[i, name, job_type] = None
                     if fresh is None:
@@ -309,9 +312,7 @@ class TestExecutorCacheCorrectness:
         executor = data.draw(st.sampled_from(_keying_variants()))
         model = build_model(data.draw(st.sampled_from(sorted(FILL_JOB_MODELS))))
         fast = executor.build_estimate(model, job_type, configs=configs)
-        reference = executor.build_estimate(
-            model, job_type, configs=configs, use_cache=False
-        )
+        reference = reference_estimate(executor, model, job_type, configs)
         assert (fast is None) == (reference is None)
         if fast is not None:
             assert fast.exec_config == reference.exec_config
@@ -348,9 +349,7 @@ class TestExecutorCacheCorrectness:
         ]
         # ...then verify each cached entry against a from-scratch search.
         for ex, hit in zip(variants, cached):
-            fresh = ex.build_estimate(
-                model, JobType.BATCH_INFERENCE, use_cache=False
-            )
+            fresh = reference_estimate(ex, model, JobType.BATCH_INFERENCE)
             assert (hit is None) == (fresh is None)
             if hit is not None:
                 assert hit.samples_per_cycle == fresh.samples_per_cycle

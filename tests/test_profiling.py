@@ -4,8 +4,8 @@ The kernel times every handler invocation (always on -- the overhead is
 two clock reads per event) and surfaces the accumulator as
 ``timings_by_kind`` in kernel stats, simulation results and the
 ``repro profile`` command.  Timings must never leak into the
-digest-bearing default ``to_dict()`` payloads, which are compared across
-cache modes and PRs.
+digest-bearing default ``to_dict()`` payloads, which are compared between
+the fast path and the reference, and across changes.
 """
 
 from __future__ import annotations

@@ -371,7 +371,7 @@ class TestBubbleCycleProperties:
 
 
 # ---------------------------------------------------------------------------
-# Horizon-cutoff invariants (one and two tenants, with and without use_cache)
+# Horizon-cutoff invariants (one and two tenants, fast path and reference)
 # ---------------------------------------------------------------------------
 
 
@@ -405,26 +405,28 @@ def _horizon_jobs():
     ]
 
 
-def _one_tenant_run(jobs, *, use_cache=True, **kwargs):
-    """A one-tenant simulation of ``jobs`` over ``_horizon_executors()``."""
+def _one_tenant_run(jobs, *, reference=False, **kwargs):
+    """A one-tenant simulation of ``jobs`` over ``_horizon_executors()``,
+    on :class:`~repro.verify.reference.ReferenceSimulator` if ``reference``."""
     from types import SimpleNamespace
 
     from repro.core.config import PipeFillConfig
     from repro.sim.multi_tenant import MultiTenantSimulator, Tenant
+    from repro.verify.reference import ReferenceSimulator
 
     system = SimpleNamespace(
         executors=_horizon_executors(),
         config=PipeFillConfig(),
         main_job=SimpleNamespace(tflops_per_device=10.0, bubble_ratio=0.5),
     )
-    simulator = MultiTenantSimulator([Tenant("main", system)], use_cache=use_cache)
-    return simulator.run(extra_jobs=jobs, **kwargs)
+    simulator_class = ReferenceSimulator if reference else MultiTenantSimulator
+    return simulator_class([Tenant("main", system)]).run(extra_jobs=jobs, **kwargs)
 
 
 class TestHorizonCutoffProperties:
     """Pro-rated FLOP accounting and event counts stay consistent wherever
     ``horizon_seconds`` cuts the run -- mid-segment, mid-queue, or past the
-    makespan -- with one or two tenants and in both cache modes."""
+    makespan -- with one or two tenants, on the fast path and the reference."""
 
     @given(
         fractions=st.tuples(
@@ -439,7 +441,7 @@ class TestHorizonCutoffProperties:
         for fraction in sorted(fractions):
             horizon = fraction * full.horizon_seconds
             cached = _one_tenant_run(jobs, horizon_seconds=horizon)
-            brute = _one_tenant_run(jobs, use_cache=False, horizon_seconds=horizon)
+            brute = _one_tenant_run(jobs, reference=True, horizon_seconds=horizon)
             # The memoised fast path is invisible at any cutoff.
             assert cached.to_dict() == brute.to_dict()
             m = cached.aggregate
@@ -484,6 +486,7 @@ class TestHorizonCutoffProperties:
 
         from repro.core.config import PipeFillConfig
         from repro.sim.multi_tenant import MultiTenantSimulator, Tenant
+        from repro.verify.reference import ReferenceSimulator
 
         def stub():
             return SimpleNamespace(
@@ -503,9 +506,7 @@ class TestHorizonCutoffProperties:
         full = MultiTenantSimulator(tenants()).run()
         horizon = fraction * full.horizon_seconds
         cached = MultiTenantSimulator(tenants()).run(horizon_seconds=horizon)
-        brute = MultiTenantSimulator(tenants(), use_cache=False).run(
-            horizon_seconds=horizon
-        )
+        brute = ReferenceSimulator(tenants()).run(horizon_seconds=horizon)
         assert cached.to_dict() == brute.to_dict()
         agg = cached.aggregate
         assert sum(cached.events_by_kind.values()) == cached.events_processed
