@@ -1,16 +1,18 @@
 #!/usr/bin/env python
-"""Dist smoke: sharded sweeps + the plan-cache service, end to end.
+"""Dist smoke: a sharded sweep and a shared plan log, end to end.
 
-Runs the full scaling-out loop (docs/distributed.md) the way a real
-fleet would — every stage in a separate OS process:
+Runs the scaling-out loop (docs/distributed.md) the way two machines
+would, every stage in a separate OS process:
 
-1. start ``repro cache-serve`` (ephemeral port, spool dir);
-2. run the two shards of a 2-way sharded sweep as separate ``repro
-   sweep --shard i/2`` processes, each with a cold private local cache
-   pointed at the shared service;
-3. recombine the partials with ``repro merge``;
-4. assert the merged digest equals the committed single-process digest,
-   and that the service actually served plans (hits > 0).
+1. run the two shards of a 2-way sharded sweep as parallel ``repro
+   sweep --shard i/2`` processes, each with a cold private
+   ``--cache-dir`` (one per "machine");
+2. concatenate the shards' plan-cache logs into a third cache
+   directory, as ``cat`` would;
+3. ``repro profile`` the scenario against the third directory and
+   assert that every plan lookup hits (hits > 0, 0 misses, 0 errors);
+4. recombine the partials with ``repro merge`` and assert the merged
+   digest equals the committed single-process digest.
 
 Writes the merged result to ``dist_merged.json`` (uploaded as a CI
 artifact).  Used by the CI ``dist-smoke`` job and runnable locally:
@@ -32,7 +34,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import validate_sweep_payload  # noqa: E402
 from repro.api.results import result_digest  # noqa: E402
-from repro.utils.plancache import RemoteCacheClient  # noqa: E402
 
 SCENARIO = "scenarios/multi_tenant.yaml"
 #: ``Experiment.from_yaml(SCENARIO).sweep(workers=1).digest()`` — the
@@ -55,71 +56,70 @@ def _repro(*args: str) -> list:
     return [sys.executable, "-m", "repro", *args]
 
 
+def _run(*args: str) -> None:
+    subprocess.run(_repro(*args), env=_env(), cwd=REPO_ROOT, check=True)
+
+
+def _concatenate_logs(sources: list, target: Path) -> int:
+    """Concatenate every source's ``estimates/*.log`` by name into
+    ``target``; returns the number of lines written."""
+    estimates = target / "estimates"
+    estimates.mkdir(parents=True)
+    lines = 0
+    for source in sources:
+        for log in sorted((source / "estimates").glob("*.log")):
+            data = log.read_bytes()
+            with open(estimates / log.name, "ab") as out:
+                out.write(data)
+            lines += data.count(b"\n")
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        print("[1/4] starting repro cache-serve")
-        server = subprocess.Popen(
-            _repro(
-                "cache-serve",
-                "--port",
-                "0",
-                "--spool-dir",
-                f"{tmp}/spool",
-            ),
-            env=_env(),
-            cwd=REPO_ROOT,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            banner = server.stderr.readline().strip()
-            print(f"      {banner}")
-            # "repro cache-serve: listening on HOST:PORT, ..."
-            url = banner.split("listening on ")[1].split(",")[0].split(" ")[0]
+        root = Path(tmp)
+        caches = [root / f"cache{index}" for index in range(NUM_SHARDS)]
+        partials = [root / f"part{index}.json" for index in range(NUM_SHARDS)]
 
-            print(f"[2/4] running {NUM_SHARDS} shard sweeps (separate processes)")
-            partials = []
-            for index in range(NUM_SHARDS):
-                out = Path(tmp) / f"part{index}.json"
-                subprocess.run(
-                    _repro(
-                        "sweep",
-                        SCENARIO,
-                        "--shard",
-                        f"{index}/{NUM_SHARDS}",
-                        "--workers",
-                        "1",
-                        "--cache-dir",
-                        f"{tmp}/cache{index}",  # cold local tier per "machine"
-                        "--cache-url",
-                        url,
-                        "--json",
-                        str(out),
-                    ),
-                    env=_env(),
-                    cwd=REPO_ROOT,
-                    check=True,
-                )
-                partials.append(out)
-
-            stats = RemoteCacheClient(url).server_stats()
-            print(f"      service stats: {stats}")
-            assert stats is not None, "cache-serve did not answer a stats probe"
-            assert stats["puts"] > 0, "no shard wrote plans through to the service"
-            assert stats["hits"] > 0, (
-                "no remote cache hits: the shards never shared a plan search"
-            )
-
-            print("[3/4] merging the partials with repro merge")
-            subprocess.run(
-                _repro("merge", *map(str, partials), "--json", str(ARTIFACT)),
+        print(f"[1/4] running {NUM_SHARDS} shard sweeps in parallel processes")
+        shards = [
+            subprocess.Popen(
+                _repro(
+                    "sweep",
+                    SCENARIO,
+                    "--shard",
+                    f"{index}/{NUM_SHARDS}",
+                    "--workers",
+                    "1",
+                    "--cache-dir",
+                    str(caches[index]),  # a cold private cache per "machine"
+                    "--json",
+                    str(partials[index]),
+                ),
                 env=_env(),
                 cwd=REPO_ROOT,
-                check=True,
             )
-        finally:
-            server.terminate()
-            server.wait(timeout=10)
+            for index in range(NUM_SHARDS)
+        ]
+        codes = [shard.wait() for shard in shards]
+        assert codes == [0] * NUM_SHARDS, f"shard exit codes {codes}"
+
+        shared = root / "shared"
+        lines = _concatenate_logs(caches, shared)
+        print(f"[2/4] concatenated the shards' plan logs: {lines} line(s)")
+        assert lines > 0, "the shards wrote no plans"
+
+        profile = root / "profile.json"
+        _run("profile", SCENARIO, "--cache-dir", str(shared), "--json", str(profile))
+        stats = json.loads(profile.read_text())["plan_cache"]
+        print(
+            f"[3/4] profile against the concatenated log: {stats['hits']} hit(s), "
+            f"{stats['misses']} miss(es), {stats['errors']} error(s)"
+        )
+        assert stats["hits"] > 0, "no hits: the concatenated log served no plan"
+        assert stats["misses"] == 0 and stats["errors"] == 0, stats
+
+        _run("merge", *map(str, partials), "--json", str(ARTIFACT))
 
     merged = json.loads(ARTIFACT.read_text())
     validate_sweep_payload(merged)

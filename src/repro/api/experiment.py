@@ -144,7 +144,7 @@ class SweepInterrupted(KeyboardInterrupt):
 
 
 def _sweep_point_worker(
-    payload: Tuple[Dict[str, Any], Optional[str], Tuple, Optional[str]]
+    payload: Tuple[Dict[str, Any], Optional[str], Tuple]
 ) -> Dict[str, Any]:
     """Run one sweep grid point (executed in a supervised worker process).
 
@@ -154,20 +154,14 @@ def _sweep_point_worker(
     key (the document's content digest) describes exactly what ran.
 
     ``cache_dir`` (``None`` = disabled) points every worker at the same
-    persistent plan cache, and ``cache_url`` additionally attaches the
-    shared plan-cache service tier, so a sharded fleet pays each plan
-    search once *globally* instead of once per worker.  ``registrations``
-    replays the parent's policy/preemption registrations referenced by
-    the grid, so custom registered callables resolve even under the
-    ``spawn``/``forkserver`` start methods, where workers re-import
-    ``repro`` from scratch.
+    persistent plan cache, so the workers pay each plan search once
+    instead of once per worker.  ``registrations`` replays the parent's
+    policy/preemption registrations referenced by the grid, so custom
+    registered callables resolve even under the ``spawn``/``forkserver``
+    start methods, where workers re-import ``repro`` from scratch.
     """
-    raw, cache_dir, registrations, cache_url = payload
-    plancache.configure(
-        cache_dir,
-        enabled=cache_dir is not None or cache_url is not None,
-        remote_url=cache_url,
-    )
+    raw, cache_dir, registrations = payload
+    plancache.configure(cache_dir)
     for kind, name, obj in registrations:
         target = registry.policies if kind == "policy" else registry.preemption_rules
         target.register(name, obj, overwrite=True)
@@ -608,11 +602,8 @@ class Experiment:
                 journal.start(header)
 
         cache_dir = (
-            str(plancache.cache_dir())
-            if plancache.is_enabled() and plancache.cache_dir() is not None
-            else None
+            str(plancache.cache_dir()) if plancache.is_enabled() else None
         )
-        cache_url = plancache.remote_url()
         registrations = _shippable_registrations(spec, parameter, values)
 
         # One supervised task per unique, not-yet-journaled point this
@@ -626,7 +617,7 @@ class Experiment:
             tasks.append(
                 SupervisedTask(
                     key=key,
-                    payload=(doc, cache_dir, registrations, cache_url),
+                    payload=(doc, cache_dir, registrations),
                     description=f"{parameter}={value}",
                 )
             )

@@ -7,7 +7,7 @@ anything the CLI does is equally available to notebooks and services, and
 all ``--json`` payloads carry a ``schema_version`` (frozen schema v1, see
 ``docs/api.md``).
 
-Eight commands cover the common workflows:
+Seven commands cover the common workflows:
 
 ``run``
     Simulate one scenario file and print per-tenant plus aggregate
@@ -62,18 +62,13 @@ Eight commands cover the common workflows:
         python -m repro merge shard0.json shard1.json --json merged.json
         python -m repro merge .repro-cache/sweeps/<id>-shard*of2 --json -
 
-``cache-serve``
-    Run the shared plan-cache service: a tiny TCP daemon sweep shards
-    point at with ``--cache-url`` (or ``REPRO_CACHE_URL``) so a fleet
-    pays each plan search once globally::
-
-        python -m repro cache-serve --host 0.0.0.0 --port 8377
-
 ``report``
     Regenerate the paper's tables/figures (the same harnesses as
-    ``benchmarks/``) and write ``EXPERIMENTS.md``::
+    ``benchmarks/``) and write ``EXPERIMENTS.md``; with ``--only``, print
+    the selected sections unless ``--output`` names a file::
 
-        python -m repro report --output EXPERIMENTS.md --only "Figure 9"
+        python -m repro report
+        python -m repro report --only "Figure 9"
 
 ``profile``
     Run one scenario and report the kernel's per-event-kind handler
@@ -103,9 +98,9 @@ addressable by name from every command.
 ``run``, ``sweep``, ``profile`` and ``fuzz`` share a persistent plan
 cache under ``.repro-cache/`` (``--cache-dir`` to relocate,
 ``--no-disk-cache`` to opt out), so repeated invocations and sweep
-workers pay each plan search once; ``--cache-url HOST:PORT`` (or
-``REPRO_CACHE_URL``) adds the shared ``cache-serve`` tier behind it so
-a sharded fleet pays each plan search once *globally*.  Scenario files are documented in
+workers on one machine pay each plan search once.  Shards on other
+machines share plans by copying or concatenating the cache's log files
+(see ``docs/distributed.md``).  Scenario files are documented in
 ``docs/scenarios.md``; every command exits non-zero with a one-line
 error for malformed specs.
 """
@@ -114,7 +109,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
@@ -142,13 +136,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the persistent plan cache for this invocation",
     )
-    parser.add_argument(
-        "--cache-url",
-        default=None,
-        metavar="HOST:PORT",
-        help="shared plan-cache service ('repro cache-serve') to read "
-        "through and write back to; defaults to $REPRO_CACHE_URL when set",
-    )
 
 
 def _add_set_flag(parser: argparse.ArgumentParser) -> None:
@@ -162,15 +149,7 @@ def _add_set_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _configure_plancache(args: argparse.Namespace) -> None:
-    # --cache-url beats the environment; REPRO_CACHE_URL lets a fleet be
-    # pointed at one 'repro cache-serve' without touching every command.
-    cache_url = getattr(args, "cache_url", None) or os.environ.get(
-        "REPRO_CACHE_URL"
-    ) or None
-    plancache.configure(
-        None if args.no_disk_cache else args.cache_dir,
-        remote_url=cache_url,
-    )
+    plancache.configure(None if args.no_disk_cache else args.cache_dir)
 
 
 def _coerce_scalar(token: str) -> Any:
@@ -470,58 +449,23 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- cache-serve -------------------------------------------------------------------
-
-
-def cmd_cache_serve(args: argparse.Namespace) -> int:
-    """Run the shared plan-cache service in the foreground."""
-    from repro.dist import PlanCacheServer
-
-    server = PlanCacheServer(
-        host=args.host,
-        port=args.port,
-        spool_dir=args.spool_dir,
-        max_entries=args.max_entries,
-    )
-    host, port = server.address
-    print(
-        f"repro cache-serve: listening on {host}:{port}"
-        + (f", spooling to {args.spool_dir}" if args.spool_dir else "")
-        + " (Ctrl-C to stop)",
-        file=sys.stderr,
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        stats = server.stats()
-        print(
-            f"repro cache-serve: stopped -- {stats['entries']} entrie(s), "
-            f"{stats['hits']} hit(s), {stats['puts']} put(s)",
-            file=sys.stderr,
-        )
-    finally:
-        server.stop()
-    return 0
-
-
 # -- report ------------------------------------------------------------------------
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import run_all, render_markdown
+    from repro.experiments.report import run_all, write_report
 
     only = args.only or None
     results = run_all(only)
     if not results:
         print(f"error: no experiments matched {only!r}", file=sys.stderr)
         return 2
-    content = render_markdown(results)
-    if args.output == "-":
-        print(content)
-    else:
-        Path(args.output).write_text(content)
-        print(f"wrote {len(results)} experiment section(s) to {args.output}")
+    # A subset goes to stdout unless asked for: it must never replace the
+    # whole report by default.
+    output = args.output or ("-" if only else "EXPERIMENTS.md")
+    write_report(results, output)
+    if output != "-":
+        print(f"wrote {len(results)} experiment section(s) to {output}")
     return 0
 
 
@@ -574,19 +518,12 @@ def _print_profile(scenario_path: str, spec: ScenarioSpec, profile: ProfileResul
     print(table.to_ascii())
     cache = profile.plan_cache
     if cache.get("enabled"):
-        line = (
+        print(
             f"plan cache ({plancache.cache_dir()}): "
             f"{cache['hits']} hit(s), {cache['misses']} miss(es), "
             f"{cache['writes']} write(s), {cache['errors']} error(s), "
             f"{cache['quarantined']} quarantined"
         )
-        if plancache.remote_url() is not None:
-            line += (
-                f"; remote ({plancache.remote_url()}): "
-                f"{cache['remote_hits']} hit(s), {cache['remote_misses']} miss(es), "
-                f"{cache['remote_errors']} error(s)"
-            )
-        print(line)
     else:
         print("plan cache: disabled")
     print(
@@ -815,39 +752,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     merge_p.set_defaults(func=cmd_merge)
 
-    serve_p = sub.add_parser(
-        "cache-serve",
-        help="run the shared plan-cache service for sharded fleets",
-    )
-    serve_p.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="address to bind (default: 127.0.0.1; use 0.0.0.0 for a fleet)",
-    )
-    serve_p.add_argument(
-        "--port",
-        type=int,
-        default=8377,
-        help="port to bind (default: 8377; 0 picks an ephemeral port)",
-    )
-    serve_p.add_argument(
-        "--spool-dir",
-        default=None,
-        metavar="DIR",
-        help="also persist entries to DIR so a restarted server comes back warm",
-    )
-    serve_p.add_argument(
-        "--max-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap the in-memory store at N entries (default: unbounded)",
-    )
-    serve_p.set_defaults(func=cmd_cache_serve)
-
     report_p = sub.add_parser("report", help="regenerate the paper-experiment report")
     report_p.add_argument(
-        "--output", default="EXPERIMENTS.md", help="output path ('-' for stdout)"
+        "--output",
+        help="output path ('-' for stdout; default: EXPERIMENTS.md, or "
+        "stdout with --only)",
     )
     report_p.add_argument(
         "--only",

@@ -1,8 +1,7 @@
-"""``repro.dist`` -- cluster-scale sweep sharding and the plan-cache service.
+"""``repro.dist`` -- sweep sharding and partial-result merging.
 
-Sweeps were process-parallel on one box and the content-addressed plan
-cache was per-machine, so a fleet paid every plan search N times.  This
-package is the distribution layer that fixes both:
+Sweeps run process-parallel on one box; this package splits one grid
+across many processes or machines:
 
 * :mod:`repro.dist.sharding` -- deterministic, content-keyed partition of
   a validated sweep grid: ``shard(point_key, num_shards)`` assigns every
@@ -14,19 +13,14 @@ package is the distribution layer that fixes both:
   schema-v1 sweep payload that is bit-identical to an unsharded run;
   grid-digest mismatches are refused and overlapping/missing shards are
   reported (``repro merge``).
-* :mod:`repro.dist.protocol` / :mod:`repro.dist.cacheserver` -- a tiny
-  length-prefixed get/put protocol over the existing plan-cache content
-  keys and a stdlib-socket daemon (``repro cache-serve``) speaking it,
-  so a fleet shares one plan-cache namespace and pays each plan search
-  once globally.  The tiered client (local disk -> remote, read-through
-  / write-back) lives in :mod:`repro.utils.plancache` and degrades
-  silently to local-only when the service is unreachable.
 
-Everything here is stdlib-only (sockets, threads, json) -- no new
-dependencies.
+Machines share plan searches through files, not a service: the plan
+cache (:mod:`repro.utils.plancache`) is one append-only log per cache
+directory, and copying or concatenating logs into another machine's
+``<cache-dir>/estimates/`` serves their plans there (see
+``docs/distributed.md``).
 """
 
-from repro.dist.cacheserver import PlanCacheServer
 from repro.dist.merge import (
     MergeError,
     journal_to_partial_payload,
@@ -37,7 +31,6 @@ from repro.dist.sharding import shard, shard_keys
 
 __all__ = [
     "MergeError",
-    "PlanCacheServer",
     "journal_to_partial_payload",
     "load_partial",
     "merge_sweep_payloads",

@@ -1,14 +1,17 @@
 """Assemble all experiment tables into an EXPERIMENTS.md report.
 
-Used by ``examples/reproduce_paper.py`` and ``python -m repro report`` to
-refresh ``EXPERIMENTS.md``; every harness can also be run individually
-through the benchmark suite.
+:func:`write_report` is the one writer of ``EXPERIMENTS.md``:
+``python -m repro report`` and ``examples/reproduce_paper.py`` both call
+it, so both write the committed bytes.  Every harness can also be run
+individually through the benchmark suite.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.experiments.fig1_utilization import run_fig1
 from repro.experiments.fig2_bubble_fraction import run_fig2
@@ -115,7 +118,7 @@ def run_all(
 
 
 def render_markdown(results: Dict[str, Table]) -> str:
-    """Render experiment results as the body of EXPERIMENTS.md."""
+    """Render experiment results as EXPERIMENTS.md, final newline included."""
     lines: List[str] = [
         "# EXPERIMENTS",
         "",
@@ -134,4 +137,13 @@ def render_markdown(results: Dict[str, Table]) -> str:
         lines.append("")
         lines.append(table.to_markdown())
         lines.append("")
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
+
+
+def write_report(results: Dict[str, Table], output: Union[str, Path]) -> None:
+    """Write the rendered report to the path ``output`` (``"-"``: stdout)."""
+    text = render_markdown(results)
+    if output == "-":
+        sys.stdout.write(text)
+    else:
+        Path(output).write_text(text, encoding="utf-8")

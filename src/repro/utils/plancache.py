@@ -12,7 +12,7 @@ as an explicit ``None`` (JSON ``null``).
 
 Layout
 ------
-The local tier is one append-only log per cache directory (default
+The cache is one append-only log per cache directory (default
 ``.repro-cache/``) and code fingerprint::
 
     <cache-dir>/estimates/<code fingerprint><LOG_SUFFIX>
@@ -85,32 +85,17 @@ the old log instead of serving plans computed by a different algorithm.
 A warm cache restored onto changed code (e.g. CI's ``restore-keys``
 prefix fallback) therefore degrades to misses, never to wrong results.
 
-The local tier is per machine.  On a directory shared over NFS,
-``O_APPEND`` is not atomic and a line can be garbled; a garbled line
-fails its digest and is recomputed, never served.  Sharing plans across
-machines is the remote tier's job.
-
-Remote tier
------------
-``configure(..., remote_url="HOST:PORT")`` (CLI: ``--cache-url`` or
-``REPRO_CACHE_URL``) adds a second, *shared* tier behind the local
-directory: a ``repro cache-serve`` daemon (:mod:`repro.dist.cacheserver`)
-addressed over the length-prefixed protocol of
-:mod:`repro.dist.protocol`.  Lookups read through (local disk first,
-then the service; a remote hit is written back to local disk so it is
-paid at most once per machine) and stores write through both tiers, so
-a fleet of sweep shards pays each plan search **once globally**.  The
-remote entry is the same record as the local line under the same
-fingerprinted content digest, so a mixed-version fleet can only miss.  A
-remote record is decoded and validated exactly like a local one before it
-is returned or written back, so a peer can never run code in a client.
-
-The remote tier can never make a run slower than local-only by more
-than its bounded socket timeout, and can never fail a run: every remote
-operation is wrapped, counted in the ``remote_errors`` stat on failure,
-and after :data:`_REMOTE_MAX_CONSECUTIVE_ERRORS` consecutive failures
-the circuit opens and the process silently degrades to local-only for
-the rest of its lifetime.
+The log is per machine.  On a directory shared over NFS, ``O_APPEND``
+is not atomic and a line can be garbled; a garbled line fails its
+digest and is recomputed, never served.  Plans cross machines as files:
+copy a log, or concatenate several with ``cat`` into
+``<cache-dir>/estimates/<code fingerprint>.log`` on the reading machine.
+Every line carries its whole key, so it means the same in any log of
+its fingerprint.  A torn last line glues onto the next file's first
+line; the glued line fails its digest, so both keys are recomputed,
+never served wrong.  Nothing compares a record's *value* with a
+recomputation, so a copied log is only as trustworthy as the machine
+that wrote it.
 """
 
 from __future__ import annotations
@@ -119,8 +104,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import socket
-import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -141,19 +124,9 @@ _DIGEST_CHARS = 64
 #: silently changes results.
 _FINGERPRINT_SUBPACKAGES = ("core", "hardware", "models", "pipeline")
 
-#: Consecutive remote failures after which the circuit opens and the
-#: process stops talking to the service (silent local-only degradation).
-_REMOTE_MAX_CONSECUTIVE_ERRORS = 3
-
-#: Bounded socket timeout for every remote operation (seconds).  A slow
-#: or dead service costs at most this much, at most
-#: ``_REMOTE_MAX_CONSECUTIVE_ERRORS`` times, then nothing.
-_REMOTE_DEFAULT_TIMEOUT = 2.0
-
 _enabled = False
 _cache_dir: Optional[Path] = None
 _code_fingerprint: Optional[str] = None
-_remote: Optional["RemoteCacheClient"] = None
 _log: Optional["_Log"] = None
 
 #: Hit/miss/write counters since process start (or the last reset).
@@ -163,9 +136,6 @@ _stats = {
     "writes": 0,
     "errors": 0,
     "quarantined": 0,
-    "remote_hits": 0,
-    "remote_misses": 0,
-    "remote_errors": 0,
 }
 
 #: Canonical key JSON per pinned object (model specs and efficiency
@@ -176,37 +146,17 @@ _object_keys: Dict[int, Tuple[Any, str]] = {}
 _MAX_OBJECT_KEYS = 4096
 
 
-def configure(
-    cache_dir,
-    *,
-    enabled: bool = True,
-    remote_url: Optional[str] = None,
-    remote_timeout: Optional[float] = None,
-) -> None:
+def configure(cache_dir, *, enabled: bool = True) -> None:
     """Point the cache at a directory (created lazily) and switch it on/off.
 
+    ``cache_dir=None`` disables the cache whatever ``enabled`` says.
     Closes the local log and drops this process's view of it (see
     :func:`close`), whether or not the directory changes.
-    ``remote_url`` ("HOST:PORT") additionally attaches the shared
-    plan-cache service tier; omitting it (the default) detaches any
-    previously-configured remote, so reconfiguration is always explicit
-    and legacy callers keep their exact semantics.  The remote tier works
-    with or without a local directory (``cache_dir=None`` plus a url is a
-    remote-only cache).
     """
-    global _enabled, _cache_dir, _remote
+    global _enabled, _cache_dir
     close()
     _cache_dir = None if cache_dir is None else Path(cache_dir)
-    _enabled = bool(enabled) and (_cache_dir is not None or remote_url is not None)
-    if _remote is not None:
-        _remote.close()
-    _remote = (
-        RemoteCacheClient(
-            remote_url, timeout=remote_timeout or _REMOTE_DEFAULT_TIMEOUT
-        )
-        if enabled and remote_url is not None
-        else None
-    )
+    _enabled = bool(enabled) and _cache_dir is not None
     _object_keys.clear()
 
 
@@ -251,11 +201,6 @@ def is_enabled() -> bool:
 def cache_dir() -> Optional[Path]:
     """The configured cache directory (``None`` when unconfigured)."""
     return _cache_dir
-
-
-def remote_url() -> Optional[str]:
-    """The configured remote service url (``None`` without a remote tier)."""
-    return None if _remote is None else _remote.url
 
 
 def stats() -> Dict[str, int]:
@@ -305,12 +250,11 @@ def content_key(obj: Any) -> str:
 
 
 def _entry_digest(key_parts: Tuple[str, ...]) -> str:
-    """The content digest addressing an entry in *both* tiers.
+    """The content digest that opens an entry's line in the log.
 
     Embeds the format version and the code fingerprint, so the digest is
-    the complete cross-machine identity of an entry: the prefix of its
-    line in the local log and the remote service key are this same
-    string.
+    the complete cross-machine identity of an entry: a line copied into
+    another machine's log means the same there.
     """
     text = "/".join((f"v{_FORMAT_VERSION}", code_fingerprint()) + key_parts)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -347,84 +291,57 @@ def _plain(value: Any) -> Any:
 def get(
     key_parts: Tuple[str, ...], decode: Callable[[Any], Any] = _plain
 ) -> Tuple[bool, Any]:
-    """Look an entry up through the tiers; returns ``(hit, value)``.
+    """Look an entry up in the log; returns ``(hit, value)``.
 
     ``decode`` turns the record's parsed JSON into the returned value and
     raises to reject it (the executor validates its schema there); the
     default returns the plain JSON data.  It runs inside this function's
     error handling, so a rejected record counts exactly like bytes that
-    fail to parse.
+    fail to parse, and the lookup moves on to the key's next line.
 
-    The local log is consulted first, and it serves the first line for
-    the key whose record decodes.  No line for the key (or no log) is a
-    miss.  Any error reading the log other than a missing file (too many
-    open files, a flaky disk) is a miss plus one ``errors``, and nothing
-    is dropped: the entry may be valid, and the next lookup reads it
-    again.  A line whose record fails to decode (bit rot, a torn or
-    garbled write, a stale digest, a value ``decode`` rejects) is dropped
-    from this process's view and never retried; when every line for the
-    key fails, the lookup is a miss, one ``errors`` and one
-    ``quarantined``, so the value is recomputed and appended again.  On a
-    local miss the remote service (when configured) is asked; a remote
-    hit is decoded, appended to the local log, and counted as
-    ``remote_hits``.  Any remote trouble (connection refused, timeout, a
-    record that fails to decode) counts one ``remote_errors`` and
-    degrades to a plain miss; a rejected remote record never reaches
-    local disk.  ``value`` may legitimately be ``None`` on a hit.
+    The log serves the first line for the key whose record decodes.  No
+    line for the key (or no log) is a miss.  Any error reading the log
+    other than a missing file (too many open files, a flaky disk) is a
+    miss plus one ``errors``, and nothing is dropped: the entry may be
+    valid, and the next lookup reads it again.  A line whose record
+    fails to decode (bit rot, a torn or garbled write, a stale digest, a
+    value ``decode`` rejects) is dropped from this process's view and
+    never retried; when every line for the key fails, the lookup is a
+    miss, one ``errors`` and one ``quarantined``, so the value is
+    recomputed and appended again.  ``value`` may legitimately be
+    ``None`` on a hit.
     """
     if not _enabled:
         return False, None
-    digest = _entry_digest(key_parts)
-    if _cache_dir is not None:
-        log = _local_log()
-        key = digest.encode()
+    log = _local_log()
+    key = _entry_digest(key_parts).encode()
+    try:
+        records = log.records(key)
+    except OSError:
+        _stats["misses"] += 1
+        _stats["errors"] += 1
+        return False, None
+    for span, blob in records:
         try:
-            records = log.records(key)
-        except OSError:
-            _stats["misses"] += 1
-            _stats["errors"] += 1
-            return False, None
-        for span, blob in records:
-            try:
-                value = _decode(blob, decode)
-            except Exception:
-                log.drop(key, span)
-                continue
-            _stats["hits"] += 1
-            return True, value
-        if records:
-            _stats["misses"] += 1
-            _stats["errors"] += 1
-            _stats["quarantined"] += 1
-            return False, None
-    if _remote is not None:
-        status, blob = _remote.get(digest)
-        if status == "hit":
-            try:
-                value = _decode(blob, decode)
-            except Exception:
-                _stats["misses"] += 1
-                _stats["remote_errors"] += 1
-                return False, None
-            _stats["remote_hits"] += 1
-            _write_local(digest, blob)
-            return True, value
-        if status == "miss":
-            _stats["remote_misses"] += 1
-        else:
-            _stats["remote_errors"] += 1
+            value = _decode(blob, decode)
+        except Exception:
+            log.drop(key, span)
+            continue
+        _stats["hits"] += 1
+        return True, value
     _stats["misses"] += 1
+    if records:
+        _stats["errors"] += 1
+        _stats["quarantined"] += 1
     return False, None
 
 
 def put(key_parts: Tuple[str, ...], value: Any) -> None:
-    """Store an entry through both tiers (best effort; errors swallowed).
+    """Append an entry to the log (best effort; errors counted).
 
-    The value (plain JSON data) is encoded once; the same record is
-    appended to the local log as one line and pushed to the remote
-    service under a bounded socket timeout, so a slow or dead remote can
-    never block the simulation -- the worst case is one timeout per
-    attempt until the circuit opens, each counted in ``remote_errors``.
+    The value (plain JSON data) is encoded once and appended as one
+    line.  A value JSON cannot carry, a short write or an ``OSError``
+    counts one ``errors`` and leaves the value uncached.
     """
     if not _enabled:
         return
@@ -436,31 +353,15 @@ def put(key_parts: Tuple[str, ...], value: Any) -> None:
         # would not have had.
         _stats["errors"] += 1
         return
-    digest = _entry_digest(key_parts)
-    if _write_local(digest, blob):
-        _stats["writes"] += 1
-    if _remote is not None:
-        if _remote.put(digest, blob):
-            if _cache_dir is None:
-                _stats["writes"] += 1
-        else:
-            _stats["remote_errors"] += 1
-
-
-def _write_local(digest: str, blob: bytes) -> bool:
-    """Append an encoded record to the local log as one line (best effort).
-
-    A short write or an ``OSError`` counts one ``errors``.
-    """
-    if _cache_dir is None:
-        return False
+    line = _entry_digest(key_parts).encode() + blob + b"\n"
     try:
-        written = _local_log().append(digest.encode() + blob + b"\n")
+        written = _local_log().append(line)
     except OSError:
         written = False
-    if not written:
+    if written:
+        _stats["writes"] += 1
+    else:
         _stats["errors"] += 1
-    return written
 
 
 def _local_log() -> "_Log":
@@ -596,96 +497,3 @@ def iter_records(data: bytes) -> Iterator[Tuple[bytes, int, int]]:
             record = start + _DIGEST_CHARS
             yield data[start:record], record, stop - record
         start = stop + 1
-
-
-class RemoteCacheClient:
-    """One process's connection to the shared plan-cache service.
-
-    A thread-safe, lazily-connected client over one persistent socket
-    (reconnected on error).  Every operation is bounded by the configured
-    timeout and *never raises*: failures return an error status and feed
-    the consecutive-failure circuit breaker -- after
-    :data:`_REMOTE_MAX_CONSECUTIVE_ERRORS` misfires the client goes
-    permanently quiet and every later call is a free local miss.
-    """
-
-    def __init__(self, url: str, *, timeout: float = _REMOTE_DEFAULT_TIMEOUT) -> None:
-        from repro.dist import protocol  # stdlib-only; no import cycle
-
-        self._protocol = protocol
-        self.url = str(url)
-        self._address = protocol.parse_url(url)
-        self.timeout = float(timeout)
-        self._sock = None
-        self._consecutive_errors = 0
-        self._lock = threading.Lock()
-
-    @property
-    def dead(self) -> bool:
-        """True once the circuit breaker has opened."""
-        return self._consecutive_errors >= _REMOTE_MAX_CONSECUTIVE_ERRORS
-
-    def get(self, key: str) -> Tuple[str, bytes]:
-        """Fetch a blob; returns ``("hit", blob)``, ``("miss", b"")`` or
-        ``("error", b"")``."""
-        response = self._request(self._protocol.encode_get(key))
-        if response is None:
-            return "error", b""
-        if response[:1] == self._protocol.STATUS_HIT:
-            return "hit", response[1:]
-        if response[:1] == self._protocol.STATUS_MISS:
-            return "miss", b""
-        return "error", b""
-
-    def put(self, key: str, blob: bytes) -> bool:
-        """Push a blob; False on any failure (bounded by the timeout)."""
-        response = self._request(self._protocol.encode_put(key, blob))
-        return response is not None and response[:1] == self._protocol.STATUS_OK
-
-    def server_stats(self) -> Optional[Dict[str, int]]:
-        """The service's counters (``None`` when unreachable)."""
-        response = self._request(self._protocol.OP_STATS)
-        if response is None or response[:1] != self._protocol.STATUS_STATS:
-            return None
-        try:
-            return json.loads(response[1:].decode())
-        except ValueError:
-            return None
-
-    def ping(self) -> bool:
-        response = self._request(self._protocol.OP_PING)
-        return response is not None and response[:1] == self._protocol.STATUS_OK
-
-    def close(self) -> None:
-        with self._lock:
-            self._close_socket()
-
-    # -- internals ---------------------------------------------------------------
-
-    def _request(self, payload: bytes) -> Optional[bytes]:
-        if self.dead:
-            return None
-        with self._lock:
-            try:
-                if self._sock is None:
-                    self._sock = socket.create_connection(
-                        self._address, timeout=self.timeout
-                    )
-                self._protocol.send_frame(self._sock, payload)
-                response = self._protocol.recv_frame(self._sock)
-                if response is None:
-                    raise ConnectionError("service closed the connection")
-            except Exception:
-                self._close_socket()
-                self._consecutive_errors += 1
-                return None
-            self._consecutive_errors = 0
-            return response
-
-    def _close_socket(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None

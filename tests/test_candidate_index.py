@@ -20,6 +20,7 @@ checked on classes of one to a few candidates.
 from __future__ import annotations
 
 import random
+import zlib
 from functools import partial
 
 import pytest
@@ -127,7 +128,7 @@ class TestLocalIndexUnderChurn:
     def test_matches_brute_force_rescore(self, policy_name):
         policy = POLICY_CASES[policy_name]
         sched = FillJobScheduler(make_executors(), policy=policy)
-        rng = random.Random(hash(policy_name) & 0xFFFF)
+        rng = random.Random(zlib.crc32(policy_name.encode()))
         now = 0.0
         for step in range(160):
             now += rng.uniform(0.0, 30.0)
@@ -185,7 +186,7 @@ class TestGlobalIndexUnderChurn:
             "c": FillJobScheduler(make_executors(), policy=policy),
         }
         gs = GlobalScheduler(tenants, policy=policy)
-        rng = random.Random(0xC0FFEE ^ (hash(policy_name) & 0xFFFF))
+        rng = random.Random(0xC0FFEE ^ zlib.crc32(policy_name.encode()))
         now = 0.0
         left = False
         for step in range(140):

@@ -1,17 +1,16 @@
-"""Sharded sweeps, the plan-cache service, and partial-result merging.
+"""Sharded sweeps and partial-result merging.
 
 The distribution layer's whole contract is *exactness*: sharding is an
 exact cover of the grid (hypothesis-checked for arbitrary grids and
-shard counts), merged partials are byte-identical to the unsharded sweep
-(checked for every shipped scenario at N=2 and N=4), and the tiered plan
-cache never changes results -- killing the cache server mid-workload
-degrades to the local tier with identical digests, never to an error.
+shard counts), and merged partials are byte-identical to the unsharded
+sweep (checked for every shipped scenario at N=2 and N=4).  Sharing
+plans across machines by concatenating plan-cache logs is tested in
+``tests/test_plancache.py``.
 """
 
 from __future__ import annotations
 
 import json
-import socket
 from pathlib import Path
 
 import pytest
@@ -21,17 +20,14 @@ from hypothesis import strategies as st
 from repro.api import Experiment, ScenarioError, validate_sweep_payload
 from repro.dist import (
     MergeError,
-    PlanCacheServer,
     journal_to_partial_payload,
     load_partial,
     merge_sweep_payloads,
     shard,
     shard_keys,
 )
-from repro.dist import protocol
 from repro.exec.journal import content_digest
 from repro.utils import plancache
-from repro.utils.plancache import RemoteCacheClient
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -75,242 +71,6 @@ class TestSharding:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             shard("k", 0)
-
-
-# -- wire protocol -----------------------------------------------------------------
-
-
-class TestProtocol:
-    def test_frame_round_trip_over_socketpair(self):
-        a, b = socket.socketpair()
-        try:
-            protocol.send_frame(a, b"hello \x00 world")
-            assert protocol.recv_frame(b) == b"hello \x00 world"
-            protocol.send_frame(b, b"")
-            assert protocol.recv_frame(a) == b""
-        finally:
-            a.close()
-            b.close()
-
-    def test_clean_eof_reads_none(self):
-        a, b = socket.socketpair()
-        a.close()
-        try:
-            assert protocol.recv_frame(b) is None
-        finally:
-            b.close()
-
-    def test_oversized_frame_is_refused(self):
-        a, b = socket.socketpair()
-        try:
-            with pytest.raises(protocol.ProtocolError):
-                protocol.send_frame(a, b"x" * (protocol.MAX_FRAME_BYTES + 1))
-        finally:
-            a.close()
-            b.close()
-
-    def test_put_encoding_round_trips(self):
-        payload = protocol.encode_put("some/key", b"\x00blob\xff")
-        assert payload[:1] == protocol.OP_PUT
-        key, blob = protocol.decode_put(payload[1:])
-        assert (key, blob) == ("some/key", b"\x00blob\xff")
-
-    def test_get_encoding(self):
-        payload = protocol.encode_get("abc")
-        assert payload[:1] == protocol.OP_GET and payload[1:] == b"abc"
-
-    @pytest.mark.parametrize(
-        "url", ["127.0.0.1:9000", "tcp://127.0.0.1:9000", "repro://127.0.0.1:9000"]
-    )
-    def test_parse_url_accepts_schemes(self, url):
-        assert protocol.parse_url(url) == ("127.0.0.1", 9000)
-
-    @pytest.mark.parametrize("url", ["", "nohost", "host:notaport", "host:-1"])
-    def test_parse_url_rejects_garbage(self, url):
-        with pytest.raises(ValueError):
-            protocol.parse_url(url)
-
-
-# -- cache server + remote client --------------------------------------------------
-
-
-class TestCacheServer:
-    def test_get_put_round_trip_and_stats(self):
-        with PlanCacheServer() as server:
-            client = RemoteCacheClient(server.url)
-            try:
-                assert client.ping()
-                status, _ = client.get("k1")
-                assert status == "miss"
-                assert client.put("k1", b"blob-1")
-                status, blob = client.get("k1")
-                assert (status, blob) == ("hit", b"blob-1")
-                stats = client.server_stats()
-            finally:
-                client.close()
-            assert stats["gets"] == 2 and stats["hits"] == 1
-            assert stats["misses"] == 1 and stats["puts"] == 1
-            assert stats["entries"] == 1
-
-    def test_spool_survives_restart(self, tmp_path):
-        spool = tmp_path / "spool"
-        with PlanCacheServer(spool_dir=spool) as server:
-            client = RemoteCacheClient(server.url)
-            client.put("persistent", b"payload")
-            client.close()
-        with PlanCacheServer(spool_dir=spool) as server:
-            client = RemoteCacheClient(server.url)
-            try:
-                assert client.get("persistent") == ("hit", b"payload")
-            finally:
-                client.close()
-            # Answered from the spool: a hit, not a miss.
-            stats = server.stats()
-            assert stats["hits"] == 1 and stats["misses"] == 0
-
-    def test_max_entries_bounds_memory(self):
-        with PlanCacheServer(max_entries=2) as server:
-            client = RemoteCacheClient(server.url)
-            try:
-                for i in range(5):
-                    client.put(f"k{i}", b"x")
-                stats = client.server_stats()
-            finally:
-                client.close()
-            assert stats["entries"] <= 2
-
-    def test_client_survives_dead_server(self):
-        server = PlanCacheServer()
-        server.start()
-        url = server.url
-        server.stop()
-        client = RemoteCacheClient(url)
-        try:
-            # Silent degradation: errors, never exceptions.
-            assert client.get("k") == ("error", b"")
-            assert client.put("k", b"b") is False
-            assert client.ping() is False
-            assert client.dead  # circuit breaker opened after 3 failures
-        finally:
-            client.close()
-
-
-# -- tiered plan cache -------------------------------------------------------------
-
-
-@pytest.fixture
-def restore_plancache():
-    saved = (plancache.cache_dir(), plancache.is_enabled(), plancache.remote_url())
-    yield
-    directory, enabled, url = saved
-    plancache.configure(directory, enabled=enabled, remote_url=url)
-    plancache.reset_stats()
-
-
-#: Calls made by unpickling :class:`_Exploit`.
-_SIDE_EFFECTS: list = []
-
-
-def _side_effect() -> None:
-    _SIDE_EFFECTS.append("ran")
-
-
-class _Exploit:
-    """A pickle that calls :func:`_side_effect` when loaded."""
-
-    def __reduce__(self):
-        return (_side_effect, ())
-
-
-class TestTieredPlancache:
-    KEY = ("test", "tier", "alpha")
-
-    def test_write_through_and_read_through(self, tmp_path, restore_plancache):
-        with PlanCacheServer() as server:
-            # Process 1: cold put writes through to both tiers.
-            plancache.configure(tmp_path / "proc1", remote_url=server.url)
-            plancache.reset_stats()
-            plancache.put(self.KEY, {"plan": 42})
-            assert plancache.stats()["writes"] == 1
-            assert server.stats()["puts"] == 1
-
-            # Process 2 (fresh local dir): local miss, remote hit,
-            # write-back to the local tier.
-            plancache.configure(tmp_path / "proc2", remote_url=server.url)
-            plancache.reset_stats()
-            hit, value = plancache.get(self.KEY)
-            assert hit and value == {"plan": 42}
-            stats = plancache.stats()
-            assert stats["remote_hits"] == 1 and stats["remote_errors"] == 0
-
-            # The write-back means the next read is purely local.
-            plancache.reset_stats()
-            hit, value = plancache.get(self.KEY)
-            assert hit and value == {"plan": 42}
-            stats = plancache.stats()
-            assert stats["hits"] == 1 and stats["remote_hits"] == 0
-
-    def test_remote_only_mode(self, tmp_path, restore_plancache):
-        with PlanCacheServer() as server:
-            plancache.configure(None, remote_url=server.url)
-            plancache.reset_stats()
-            assert plancache.is_enabled() and plancache.cache_dir() is None
-            plancache.put(self.KEY, [1, 2, 3])
-            hit, value = plancache.get(self.KEY)
-            assert hit and value == [1, 2, 3]
-            assert plancache.stats()["remote_hits"] == 1
-
-    def test_dead_remote_degrades_to_local(self, tmp_path, restore_plancache):
-        server = PlanCacheServer()
-        server.start()
-        url = server.url
-        server.stop()
-        plancache.configure(tmp_path / "local", remote_url=url)
-        plancache.reset_stats()
-        plancache.put(self.KEY, "value")  # local write still lands
-        hit, value = plancache.get(self.KEY)
-        assert hit and value == "value"
-        stats = plancache.stats()
-        assert stats["writes"] == 1 and stats["remote_errors"] >= 1
-
-    def test_remote_miss_is_counted(self, tmp_path, restore_plancache):
-        with PlanCacheServer() as server:
-            plancache.configure(tmp_path / "local", remote_url=server.url)
-            plancache.reset_stats()
-            hit, _ = plancache.get(("never", "stored"))
-            assert not hit
-            stats = plancache.stats()
-            assert stats["misses"] == 1 and stats["remote_misses"] == 1
-
-    def test_remote_pickle_never_runs_code(self, tmp_path, restore_plancache):
-        """A peer can push any blob under any key; a pickle must neither
-        run on load nor reach the client's local disk."""
-        import pickle
-
-        local = tmp_path / "local"
-        _SIDE_EFFECTS.clear()
-        with PlanCacheServer() as server:
-            peer = RemoteCacheClient(server.url)
-            try:
-                assert peer.put(
-                    plancache._entry_digest(self.KEY), pickle.dumps(_Exploit())
-                )
-            finally:
-                peer.close()
-            plancache.configure(local, remote_url=server.url)
-            plancache.reset_stats()
-            assert plancache.get(self.KEY) == (False, None)
-        assert _SIDE_EFFECTS == []
-        stats = plancache.stats()
-        assert stats["remote_hits"] == 0 and stats["remote_errors"] == 1
-        assert stats["misses"] == 1
-        assert not list(local.rglob("*")), "a rejected blob was written back"
-
-    def test_stats_carry_remote_counters(self, restore_plancache):
-        plancache.configure(None, enabled=False)
-        stats = plancache.stats()
-        for key in ("remote_hits", "remote_misses", "remote_errors"):
-            assert key in stats
 
 
 # -- merge bit-identity across every shipped scenario ------------------------------
@@ -537,10 +297,10 @@ class TestMergeFromJournals:
             journal_to_partial_payload(journal.path)
 
 
-# -- sweeps against the cache service ----------------------------------------------
+# -- CLI surface -------------------------------------------------------------------
 
-_SERVICE_SCENARIO = {
-    "name": "dist-service",
+_SMALL_SCENARIO = {
+    "name": "dist-small",
     "horizon_seconds": 600,
     "tenants": [
         {
@@ -559,79 +319,19 @@ _SERVICE_SCENARIO = {
 }
 
 
-class TestSweepWithCacheService:
-    def test_server_death_mid_workload_degrades_to_local(
-        self, tmp_path, restore_plancache
-    ):
-        """Killing the cache server changes throughput, never results."""
-        from repro.core.executor import clear_shared_caches
-
-        grid = dict(parameter="tenants.0.parallel.microbatch_size", values=[1, 2])
-        exp = Experiment.from_dict(json.loads(json.dumps(_SERVICE_SCENARIO)))
-
-        clear_shared_caches()
-        plancache.configure(tmp_path / "ref", enabled=True)
-        reference = exp.sweep(workers=1, **grid)
-
-        server = PlanCacheServer()
-        server.start()
-        clear_shared_caches()
-        plancache.configure(tmp_path / "warm", remote_url=server.url)
-        plancache.reset_stats()
-        warm = exp.sweep(workers=1, **grid)
-        assert warm.digest() == reference.digest()
-        assert server.stats()["puts"] > 0
-
-        # The server dies MID-sweep (after the first point completes);
-        # the remaining points silently fall back to local tiers.
-        clear_shared_caches()
-        plancache.configure(tmp_path / "degraded", remote_url=server.url)
-        plancache.reset_stats()
-        killed = []
-
-        def kill_server_once(message: str) -> None:
-            if "completed" in message and not killed:
-                server.stop()
-                killed.append(True)
-
-        degraded = exp.sweep(workers=1, log=kill_server_once, **grid)
-        assert killed, "the kill hook never fired"
-        assert degraded.digest() == reference.digest()
-        stats = plancache.stats()
-        assert stats["remote_errors"] >= 1
-        assert json.dumps(degraded.to_dict(), sort_keys=True) == json.dumps(
-            reference.to_dict(), sort_keys=True
-        )
-
-    def test_cross_run_remote_hits(self, tmp_path, restore_plancache):
-        """A second 'machine' (fresh local dir) reads plans from the service."""
-        from repro.core.executor import clear_shared_caches
-
-        exp = Experiment.from_dict(json.loads(json.dumps(_SERVICE_SCENARIO)))
-        with PlanCacheServer() as server:
-            clear_shared_caches()
-            plancache.configure(tmp_path / "m1", remote_url=server.url)
-            plancache.reset_stats()
-            first = exp.run()
-            warm_writes = plancache.stats()["writes"]
-            assert warm_writes > 0
-
-            clear_shared_caches()
-            plancache.configure(tmp_path / "m2", remote_url=server.url)
-            plancache.reset_stats()
-            second = exp.run()
-            stats = plancache.stats()
-        assert second.digest() == first.digest()
-        assert stats["remote_hits"] > 0 and stats["remote_errors"] == 0
-
-
-# -- CLI surface -------------------------------------------------------------------
+@pytest.fixture
+def restore_plancache():
+    saved = (plancache.cache_dir(), plancache.is_enabled())
+    yield
+    directory, enabled = saved
+    plancache.configure(directory, enabled=enabled)
+    plancache.reset_stats()
 
 
 class TestCliDist:
     def _write_scenario(self, tmp_path) -> Path:
-        path = tmp_path / "svc.json"
-        path.write_text(json.dumps(_SERVICE_SCENARIO))
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(_SMALL_SCENARIO))
         return path
 
     def test_shard_flag_round_trips_through_merge(self, tmp_path, restore_plancache):

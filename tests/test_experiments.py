@@ -169,6 +169,17 @@ class TestReport:
         assert "## Table 1" in markdown
         assert "Figure 2" in markdown
 
+    def test_report_only_prints_unless_given_an_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A subset never replaces the whole report by default."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--only", "Table 1"]) == 0
+        assert capsys.readouterr().out == render_markdown(run_all(["Table 1"]))
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
+
 
 def _first_difference(committed: str, regenerated: str) -> str:
     """Name the first differing line of EXPERIMENTS.md and its section."""
@@ -189,12 +200,16 @@ def _first_difference(committed: str, regenerated: str) -> str:
 
 
 class TestPaperContract:
-    def test_experiments_md_regenerates_byte_for_byte(self):
-        """Every paper figure, rerun without a disk cache, matches EXPERIMENTS.md."""
+    def test_experiments_md_regenerates_byte_for_byte(self, tmp_path):
+        """Every paper figure, rerun without a disk cache through
+        ``repro report``, matches EXPERIMENTS.md byte for byte."""
+        from repro.cli import main
         from repro.utils import plancache
 
         plancache.configure(None, enabled=False)
-        regenerated = render_markdown(run_all()) + "\n"
+        output = tmp_path / "EXPERIMENTS.md"
+        assert main(["report", "--output", str(output)]) == 0
+        regenerated = output.read_bytes().decode("utf-8")
         committed = EXPERIMENTS_MD.read_bytes().decode("utf-8")
         if regenerated != committed:
             pytest.fail(_first_difference(committed, regenerated), pytrace=False)

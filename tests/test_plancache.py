@@ -8,6 +8,7 @@ records -- and any entry that is not a record at all, such as a pickle
 process appends to one log per cache directory, and concurrent or forked
 writers never tear each other's lines; and the library default is *off*
 so nothing touches the filesystem unless the CLI (or a test) opts in.
+Logs copied or concatenated from other machines are read like any other.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import shutil
 import struct
 
@@ -303,6 +305,15 @@ class TestEstimateRoundTrip:
         assert plancache.stats()["writes"] == 0
         assert not list(tmp_path.glob(f"**/*{plancache.LOG_SUFFIX}"))
 
+    def test_stats_hold_exactly_the_log_counters(self, cache_dir):
+        assert set(plancache.stats()) == {
+            "hits",
+            "misses",
+            "writes",
+            "errors",
+            "quarantined",
+        }
+
     def test_code_fingerprint_gates_every_entry(self, cache_dir, monkeypatch):
         """Entries written by different *code* must never be served.
 
@@ -386,7 +397,16 @@ class TestSharedLog:
                 )
         stats = plancache.stats()
         assert stats["hits"] == 500 and stats["errors"] == 0
-        assert the_log(cache_dir).read_bytes().count(b"\n") == 800
+        # Exactly the 800 records, none torn.  A reader that caught a write
+        # in flight starts its next write with a newline, so the log may
+        # also hold empty lines, and nothing else.
+        data = the_log(cache_dir).read_bytes()
+        assert data.endswith(b"\n")
+        records = [line for line in data.split(b"\n") if line]
+        assert len(records) == 800
+        for line in records:
+            assert re.fullmatch(rb"[0-9a-f]{64}", line[:64])
+            plancache._decode(line[64:], plancache._plain)
 
     def test_forked_child_appends_through_the_inherited_descriptor(self, cache_dir):
         plancache.put(("parent",), {"who": "parent"})
@@ -448,6 +468,38 @@ class TestSharedLog:
         assert plancache.get(("c",)) == (True, "c")
         assert plancache.get(("a",)) == (False, None)
         assert plancache.stats()["errors"] == 0
+
+    def test_concatenated_logs_share_plans(self, cache_dir, tmp_path):
+        """Plans cross machines as files.  Two machines write disjoint keys;
+        the first machine's log is cut inside its last record, and the two
+        logs are concatenated (as ``cat`` does) into a third directory.
+        Every key hits there except two: the torn key, whose line now ends
+        with the second log's first line, and that swallowed first key.
+        The glued line fails its digest: one quarantine, one error."""
+        first, second, third = tmp_path / "m1", tmp_path / "m2", tmp_path / "m3"
+        values = {}
+        for directory in (first, second):
+            plancache.configure(directory)
+            for i in range(8):
+                key = (directory.name, str(i))
+                values[key] = {"machine": directory.name, "i": i}
+                plancache.put(key, values[key])
+        torn, swallowed = (first.name, "7"), (second.name, "0")
+        ((offset, record),) = lines_of(first, torn)
+        assert offset + 64 + len(record) + 1 == the_log(first).stat().st_size
+        os.truncate(the_log(first), offset + 64 + len(record) // 2)
+        the_log(third).parent.mkdir(parents=True)
+        the_log(third).write_bytes(
+            the_log(first).read_bytes() + the_log(second).read_bytes()
+        )
+
+        plancache.configure(third)
+        plancache.reset_stats()
+        missed = [key for key in values if plancache.get(key) != (True, values[key])]
+        assert missed == [torn, swallowed]
+        stats = plancache.stats()
+        assert stats["hits"] == len(values) - 2 and stats["misses"] == 2
+        assert stats["quarantined"] == 1 and stats["errors"] == 1
 
     @settings(max_examples=300, deadline=None)
     @given(value=JSON_VALUES)

@@ -15,7 +15,6 @@ import json
 from repro.api import Experiment
 from repro.cli import main
 from repro.core.executor import clear_shared_caches
-from repro.dist import PlanCacheServer
 from repro.sim.events import EventKind
 from repro.sim.kernel import SimKernel
 from repro.utils import plancache
@@ -76,9 +75,8 @@ class TestProfileCommand:
         assert json.loads(out.read_text())["plan_cache"]["enabled"] is False
 
     def test_profile_reports_a_degraded_cache(self, capsys, tmp_path):
-        """The plan-cache line answers "did a cache degrade?": errors and
-        quarantines always, and the remote tier's counters when one is
-        attached."""
+        """The plan-cache line answers "did a cache degrade?" with its
+        errors and quarantines."""
         cache = tmp_path / "cache"
         args = ["profile", "scenarios/smoke.yaml", "--cache-dir", str(cache)]
         try:
@@ -97,19 +95,6 @@ class TestProfileCommand:
                 f"plan cache ({cache}): 0 hit(s), {stats['misses']} miss(es), "
                 f"{stats['writes']} write(s), {len(lines)} error(s), "
                 f"{len(lines)} quarantined\n"
-            ) in printed
-
-            fresh = tmp_path / "fresh"
-            with PlanCacheServer() as server:
-                clear_shared_caches()
-                remote = ["--cache-dir", str(fresh), "--cache-url", server.url]
-                assert main(args[:2] + remote) == 0
-                printed = capsys.readouterr().out
-            assert (
-                f"plan cache ({fresh}): 0 hit(s), {stats['misses']} miss(es), "
-                f"{stats['writes']} write(s), 0 error(s), 0 quarantined; "
-                f"remote ({server.url}): 0 hit(s), {stats['misses']} miss(es), "
-                "0 error(s)\n"
             ) in printed
         finally:
             plancache.configure(None, enabled=False)
