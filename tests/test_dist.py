@@ -5,7 +5,8 @@ exact cover of the grid (hypothesis-checked for arbitrary grids and
 shard counts), and merged partials are byte-identical to the unsharded
 sweep (checked for every shipped scenario at N=2 and N=4).  Sharing
 plans across machines by concatenating plan-cache logs is tested in
-``tests/test_plancache.py``.
+``tests/test_plancache.py``; here, that a pickle in a peer's log never
+runs.
 """
 
 from __future__ import annotations
@@ -295,6 +296,66 @@ class TestMergeFromJournals:
         journal.close()
         with pytest.raises(MergeError, match="predates sharded sweeps"):
             journal_to_partial_payload(journal.path)
+
+
+# -- plans from other machines -----------------------------------------------------
+
+#: Calls made by unpickling :class:`_Exploit`.
+_SIDE_EFFECTS: list = []
+
+
+def _side_effect() -> None:
+    _SIDE_EFFECTS.append("ran")
+
+
+class _Exploit:
+    """A pickle that calls :func:`_side_effect` when loaded."""
+
+    def __reduce__(self):
+        return (_side_effect, ())
+
+
+class TestTieredPlancache:
+    """A machine's plan cache has one tier, its own log; plans from another
+    machine arrive as that machine's log, concatenated onto it."""
+
+    KEY = ("test", "tier", "alpha")
+
+    def test_remote_pickle_never_runs_code(self, tmp_path, restore_plancache):
+        """A peer can write any bytes under any key into the log it hands
+        over, even behind a matching body digest; a pickle there must
+        neither run nor be served, and looking it up writes nothing."""
+        import hashlib
+        import pickle
+
+        blob = pickle.dumps(_Exploit())
+        peer_line = (
+            plancache._entry_digest(self.KEY).encode()
+            + hashlib.sha256(blob).hexdigest().encode()
+            + blob
+            + b"\n"
+        )
+        assert peer_line.count(b"\n") == 1  # one whole line of the peer's log
+
+        local = tmp_path / "local"
+        plancache.configure(local)
+        plancache.put(("own",), {"plan": 1})
+        name = plancache.code_fingerprint() + plancache.LOG_SUFFIX
+        log = local / "estimates" / name
+        with open(log, "ab") as out:  # `cat peer.log >> local.log`
+            out.write(peer_line)
+        before = log.read_bytes()
+
+        _SIDE_EFFECTS.clear()
+        plancache.configure(local)  # read the log as a new process would
+        plancache.reset_stats()
+        assert plancache.get(self.KEY) == (False, None)
+        assert plancache.get(("own",)) == (True, {"plan": 1})
+        assert _SIDE_EFFECTS == []
+        stats = plancache.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["errors"] == 1 and stats["quarantined"] == 1
+        assert log.read_bytes() == before, "a lookup wrote to the log"
 
 
 # -- CLI surface -------------------------------------------------------------------
