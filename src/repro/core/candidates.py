@@ -10,54 +10,64 @@ maintained as jobs enter and leave a queue:
   behave identically on a given executor up to their sample count: they
   share one :class:`~repro.core.executor.FillExecutionEstimate` per
   executor, hence the same feasibility and the same seconds-per-sample.
-  The owning scheduler memoises one *class table* per class -- the
-  ``(samples_per_cycle, cycle_period)`` pair per executor plus the set of
-  feasible executors -- so per-job state collapses to a sample count.
+  The owning scheduler numbers the classes in first-seen order and serves,
+  per executor, the ``(feasible, samples_per_cycle, cycle_period)`` arrays
+  indexed by class id -- so per-job state collapses to a class id and a
+  sample count.
 
-* **Per-executor feasibility sets.**  Each executor knows which classes it
-  can run; an idle executor whose feasible classes hold no waiting
-  candidate is skipped in O(1) instead of scanning the whole backlog.
+* **One column store.**  Every waiting candidate, of every class, sits in
+  one set of parallel numpy columns (class id, sequence, samples,
+  deadline, arrival, static score, static tail) plus aligned Python lists
+  for the job objects and cached views.  Slots are appended in insertion
+  order; a removal marks its slot as never arriving (``arrival = +inf``)
+  in O(1), and the columns compact -- preserving insertion order -- when
+  half the slots are dead.
 
-* **Structure-of-arrays candidate columns.**  Each class keeps its
-  waiting candidates in parallel numpy arrays (:class:`_ClassColumns`:
-  sequence, samples, deadline, arrival, precomputed score/tail) plus
-  aligned Python lists for the job objects and cached views.  Slots are
-  appended in insertion order, removals tombstone in O(1), and the
-  columns compact -- preserving insertion order -- when half the slots
-  are dead.  This is what lets one dispatch query score *every* feasible
-  candidate of a class in a single vectorized array pass.
+* **One masked pass per query.**  Time-dependent policies cannot live in
+  a heap (deadline proximity reorders as the clock advances), so a
+  dispatch query scores *every* waiting candidate in one numpy pass: each
+  slot's timing pair is gathered from the executor's class arrays by
+  class id, slots that have not arrived or whose class the executor
+  cannot run are masked to ``-inf``, and ``argmax`` picks the winner.  The
+  score formula is inlined for the shipped shapes (``fifo``, ``edf``,
+  ``slack``, ``makespan`` and the ``<deadline policy> + sjf``
+  compositions, whose static tail is computed once at insertion).  A job
+  without a deadline stores an infinite one, for which the inlined
+  deadline term is exactly the policies' ``0.0`` (``1 / (inf + eps)``).
 
 * **Lazily-invalidated score heaps.**  Policies whose score for a fixed
   :class:`~repro.core.policies.JobView` is independent of time and
   executor (``static_score = True``, e.g. SJF) keep candidates in one
-  score-ordered heap per class.  Dispatch peeks the best entry in
-  O(log n); entries invalidated by removal or re-queue (preemption banks
-  progress and changes the remaining work) are discarded lazily at peek
-  time, which is how invalidation can ride the existing event handlers
-  without ever walking the heaps.  For the shipped SJF shape the static
-  score itself is computed straight off the class timing arrays
+  score-ordered heap per class.  Dispatch peeks each feasible class's top
+  in O(log n); entries invalidated by removal or re-queue (preemption
+  banks progress and changes the remaining work) are discarded lazily at
+  peek time, which is how invalidation can ride the existing event
+  handlers without ever walking the heaps.  A top that has not arrived
+  yet (only when the scheduler is driven directly) sends the query to the
+  masked pass over the stored scores.  For the shipped SJF shape the
+  static score itself is computed straight off the class timing arrays
   (``1 / (min over feasible executors of (samples/spc)*period + eps)``),
   skipping the per-job view construction entirely.
 
-* **Vectorized flat scans.**  Time-dependent policies cannot live in a
-  heap (deadline proximity reorders as the clock advances), so their
-  classes are scanned -- but as numpy expressions over the candidate
-  columns, with the score formula inlined for the shipped shapes
-  (``fifo``, ``edf``, ``slack``, ``makespan`` and the
-  ``<deadline policy> + sjf`` compositions) and a masked ``argmax``
-  supplying the tie-break.  Unknown policies fall back to calling the
-  policy per candidate on the cached views.
+* **The generic walk.**  Unknown policies are called per candidate on the
+  cached views, walking the store once in insertion order over the same
+  mask.
 
-Every path reproduces the brute-force sweep **bit-identically**, including
-tie-breaking: the sweep keeps the first strictly-greater score in queue
-insertion order, i.e. the maximum score with the minimum insertion
-sequence among ties, which is exactly what ``argmax`` over
-insertion-ordered columns returns (first occurrence of the maximum).  The
-score arithmetic mirrors the policy functions expression-for-expression
--- numpy elementwise float64 operations perform the same IEEE-754
-operations as the scalar Python arithmetic -- which
-``tests/test_candidate_index.py`` asserts under churn and
-``tests/test_perf_equivalence.py`` asserts end-to-end via golden digests.
+Every path reproduces the brute-force sweep
+(:func:`repro.verify.reference.best_scored`) **bit-identically**,
+including tie-breaking: the sweep keeps the first strictly-greater score
+in queue insertion order, i.e. the maximum score with the minimum
+insertion sequence among ties -- which is what ``argmax`` over the
+insertion-ordered store returns (first occurrence of the maximum), what
+the heap order ``(-score, sequence)`` puts on top, and what the walk's
+strict comparison keeps.  The score arithmetic mirrors the policy
+functions expression-for-expression -- numpy elementwise float64
+operations perform the same IEEE-754 operations as the scalar Python
+arithmetic.  A best score of ``-inf`` means "never place": every path
+then returns ``(None, -inf)``.  A NaN score raises ``ValueError`` (see
+:data:`~repro.core.policies.SchedulingPolicy`).
+``tests/test_candidate_index.py`` asserts all of this under churn and
+``tests/test_perf_equivalence.py`` end-to-end via golden digests.
 """
 
 from __future__ import annotations
@@ -68,11 +78,19 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.policies import ComposedPolicy, JobView, SchedulerView, _EPS
+from repro.core.policies import (
+    ComposedPolicy,
+    JobView,
+    SchedulerView,
+    _EPS,
+    nan_score_error,
+)
 
 #: State handed to static policies when computing their (state-independent)
 #: score once at index insertion time.
 _STATIC_STATE = SchedulerView(now=0.0)
+
+_NEG_INF = -float("inf")
 
 
 def _is_static(policy) -> bool:
@@ -109,131 +127,6 @@ def resolve_program(policy) -> Tuple[str, object]:
     return ("generic", None)
 
 
-class _ClassColumns:
-    """Structure-of-arrays storage for one class's waiting candidates.
-
-    Parallel columns indexed by *slot*: numpy arrays for everything a
-    vectorized score expression consumes, Python lists for the job
-    objects and (generic-mode) cached views.  Slots are assigned in
-    insertion order and never reordered; a removal tombstones its slot
-    (``seq = -1``) in O(1).  When an append finds the arrays full, the
-    columns either compact (if at least half the slots are dead) or
-    double -- both preserve the relative order of live slots, so
-    position order always equals insertion order, which the tie-breaking
-    contract depends on.  ``slot_of`` maps job id to slot and -- being
-    insertion-ordered and purged on removal -- doubles as the iteration
-    order for the per-candidate loops.
-
-    ``deadlines`` stores ``nan`` for jobs without a deadline (the
-    vectorized scans map it to the policies' "no deadline" score); ``scores``/``tails`` hold the static-mode score and the
-    scan2 precomputed static tail, zero-filled when unused.
-    """
-
-    _INITIAL = 16
-
-    __slots__ = (
-        "seqs",
-        "samples",
-        "deadlines",
-        "arrivals",
-        "scores",
-        "tails",
-        "jobs",
-        "views",
-        "slot_of",
-        "n",
-        "version",
-        "dl_slots",
-        "_dl_cache",
-    )
-
-    def __init__(self) -> None:
-        cap = self._INITIAL
-        self.seqs = np.full(cap, -1, dtype=np.int64)
-        self.samples = np.zeros(cap, dtype=np.float64)
-        self.deadlines = np.zeros(cap, dtype=np.float64)
-        self.arrivals = np.zeros(cap, dtype=np.float64)
-        self.scores = np.zeros(cap, dtype=np.float64)
-        self.tails = np.zeros(cap, dtype=np.float64)
-        self.jobs: List[object] = [None] * cap
-        self.views: List[object] = [None] * cap
-        self.slot_of: Dict[str, int] = {}
-        self.n = 0  # high-water slot (live + tombstoned)
-        self.version = 0  # bumped on every add/remove (scan memo key)
-        # Slots of deadline-carrying entries, in insertion order (may
-        # contain tombstones; the seq check filters them at scan time).
-        self.dl_slots: List[int] = []
-        self._dl_cache = None
-
-    def dl_index(self) -> np.ndarray:
-        """``dl_slots`` as an int64 gather index (cached until it changes)."""
-        cache = self._dl_cache
-        if cache is None or cache.size != len(self.dl_slots):
-            cache = np.asarray(self.dl_slots, dtype=np.int64)
-            self._dl_cache = cache
-        return cache
-
-    def __len__(self) -> int:
-        return len(self.slot_of)
-
-    def add(self, job_id, seq, job, samples, deadline, arrival, score, tail, view) -> None:
-        n = self.n
-        if n == len(self.jobs):
-            self._compact_or_grow()
-            n = self.n
-        self.seqs[n] = seq
-        self.samples[n] = samples
-        self.deadlines[n] = np.nan if deadline is None else deadline
-        self.arrivals[n] = arrival
-        self.scores[n] = 0.0 if score is None else score
-        self.tails[n] = 0.0 if tail is None else tail
-        self.jobs[n] = job
-        self.views[n] = view
-        self.slot_of[job_id] = n
-        self.n = n + 1
-        self.version += 1
-        if deadline is not None:
-            self.dl_slots.append(n)
-
-    def remove(self, job_id: str) -> None:
-        slot = self.slot_of.pop(job_id, None)
-        if slot is not None:
-            self.seqs[slot] = -1
-            self.jobs[slot] = None
-            self.views[slot] = None
-            self.version += 1
-
-    def _compact_or_grow(self) -> None:
-        n = self.n
-        live = np.flatnonzero(self.seqs[:n] >= 0)  # ascending: keeps order
-        k = int(live.size)
-        cap = len(self.jobs)
-        new_cap = cap if k * 2 <= cap else cap * 2
-        self.seqs = self._packed(self.seqs, live, new_cap, fill=-1)
-        self.samples = self._packed(self.samples, live, new_cap)
-        self.deadlines = self._packed(self.deadlines, live, new_cap)
-        self.arrivals = self._packed(self.arrivals, live, new_cap)
-        self.scores = self._packed(self.scores, live, new_cap)
-        self.tails = self._packed(self.tails, live, new_cap)
-        pad: List[object] = [None] * (new_cap - k)
-        self.jobs = [self.jobs[i] for i in live.tolist()] + pad
-        self.views = [self.views[i] for i in live.tolist()] + pad
-        self.slot_of = {self.jobs[slot].job_id: slot for slot in range(k)}
-        if self.dl_slots:
-            remap = np.full(n, -1, dtype=np.int64)
-            remap[live] = np.arange(k, dtype=np.int64)
-            moved = remap[np.asarray(self.dl_slots, dtype=np.int64)]
-            self.dl_slots = moved[moved >= 0].tolist()
-        self._dl_cache = None
-        self.n = k
-
-    @staticmethod
-    def _packed(column, live, new_cap, *, fill=0):
-        fresh = np.full(new_cap, fill, dtype=column.dtype)
-        fresh[: live.size] = column[live]
-        return fresh
-
-
 class CandidateIndex:
     """Incrementally-maintained waiting-job candidates for one queue.
 
@@ -245,11 +138,18 @@ class CandidateIndex:
     ``view_provider``/``samples_provider`` supply the queue-specific job
     view and remaining-work lookup (the backlog's provider consults parked
     evicted records, mirroring ``GlobalScheduler._backlog_view``).
+
+    The store's columns are indexed by *slot*.  Slots are assigned in
+    insertion order and never reordered; ``_slot_of`` maps job id to slot
+    and, being insertion-ordered and purged on removal, lists the live
+    slots in ascending order.
     """
+
+    _INITIAL = 16
 
     def __init__(
         self,
-        table,  # FillJobScheduler: hosts class tables + exec feasibility sets
+        table,  # FillJobScheduler: hosts the class tables and executor arrays
         policy,
         *,
         view_provider: Callable[[object], JobView],
@@ -262,20 +162,12 @@ class CandidateIndex:
         self._view_provider = view_provider
         self._samples_provider = samples_provider
         self._state_provider = state_provider
-        self._classes: Dict[tuple, _ClassColumns] = {}
-        self._heaps: Dict[tuple, List[tuple]] = {}
-        self._nd_heaps: Dict[tuple, List[tuple]] = {}
-        self._class_of: Dict[str, tuple] = {}
-        self._class_arrays: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        self._scan_memo: Dict[tuple, tuple] = {}
         self._seq = itertools.count()
-        # Deadline-driven scans score a no-deadline candidate as a
-        # now-independent constant (0, or the scan2 static tail), so those
-        # candidates keep a lazily-invalidated score heap of their own and
-        # the vectorized scan gathers only the deadline-carrying slots.
-        self._split_nodl = self.mode == "scan2" or (
-            self.mode == "scan1" and self.program in ("edf", "slack")
-        )
+        self._heaps: Dict[int, List[tuple]] = {}
+        # The inlined primitive of a scan program, and a scan2
+        # composition's weight on it.
+        self._kind = self.program
+        self._w1 = None
         # The shipped SJF shapes score straight off the class timing
         # arrays, skipping JobView construction on the add path entirely.
         self._static_sjf = self.mode == "static" and (
@@ -283,9 +175,21 @@ class CandidateIndex:
         )
         self._scan2_sjf_w2 = None
         if self.mode == "scan2":
-            _w1, _kind1, w2, static_part = self.program
+            self._w1, self._kind, w2, static_part = self.program
             if getattr(static_part, "scan_kind", None) == "sjf":
                 self._scan2_sjf_w2 = w2
+        cap = self._INITIAL
+        self._cls = np.zeros(cap, dtype=np.int64)
+        self._seqs = np.zeros(cap, dtype=np.int64)
+        self._samples = np.zeros(cap, dtype=np.float64)
+        self._deadlines = np.zeros(cap, dtype=np.float64)
+        self._arrivals = np.zeros(cap, dtype=np.float64)
+        self._scores = np.zeros(cap, dtype=np.float64)
+        self._tails = np.zeros(cap, dtype=np.float64)
+        self._jobs: List[object] = [None] * cap
+        self._views: List[object] = [None] * cap
+        self._slot_of: Dict[str, int] = {}
+        self._n = 0  # high-water slot (live + dead)
 
     # -- maintenance -------------------------------------------------------------
 
@@ -297,87 +201,83 @@ class CandidateIndex:
         first), so the score is computed against what a later dispatch
         would actually run.
         """
-        key = self.table.ensure_class(job.model_name, job.job_type)
-        if not self.table.class_feasible(key):
+        cid = self.table.ensure_class(job.model_name, job.job_type)
+        if not self.table.class_feasible(cid):
             return  # never selectable on this scheduler's executors
         seq = next(self._seq)
         samples = self._samples_provider(job)
-        score = tail = view = None
+        score = tail = 0.0
+        view = None
         if self.mode == "static":
             if self._static_sjf:
-                score = self._sjf_score(key, samples)
+                score = self._sjf_score(cid, samples)
             else:
                 score = self.policy(self._view_provider(job), _STATIC_STATE, -1)
+            if score != score:
+                raise nan_score_error(self.policy, job.job_id)
         elif self.mode == "scan2":
             if self._scan2_sjf_w2 is not None:
-                tail = self._scan2_sjf_w2 * self._sjf_score(key, samples)
+                tail = self._scan2_sjf_w2 * self._sjf_score(cid, samples)
             else:
                 _w1, _kind1, w2, static_part = self.program
                 tail = w2 * static_part(self._view_provider(job), _STATIC_STATE, -1)
+            if tail != tail:
+                raise nan_score_error(self.policy, job.job_id)
         elif self.mode == "generic":
             # Only the generic program hands views to the policy itself;
             # every other program scores off the class timing tables.
             view = self._view_provider(job)
-        if self._split_nodl and job.deadline is None:
-            # The candidate's score is the same at every clock: the policy's
-            # expression with the deadline term zeroed, computed here once
-            # (same operations, same order -- bit-identical).
-            if self.mode == "scan2":
-                w1 = self.program[0]
-                score = (w1 * 0.0) + tail
-            else:
-                score = 0.0
-        cols = self._classes.get(key)
-        if cols is None:
-            cols = self._classes[key] = _ClassColumns()
-        cols.add(
-            job.job_id, seq, job, samples, job.deadline, job.arrival_time,
-            score, tail, view,
-        )
-        self._class_of[job.job_id] = key
+        n = self._n
+        if n == len(self._jobs):
+            self._compact_or_grow()
+            n = self._n
+        self._cls[n] = cid
+        self._seqs[n] = seq
+        self._samples[n] = samples
+        self._deadlines[n] = np.inf if job.deadline is None else job.deadline
+        self._arrivals[n] = job.arrival_time
+        self._scores[n] = score
+        self._tails[n] = tail
+        self._jobs[n] = job
+        self._views[n] = view
+        self._slot_of[job.job_id] = n
+        self._n = n + 1
         if self.mode == "static":
-            heapq.heappush(
-                self._heaps.setdefault(key, []), (-score, seq, job.job_id)
-            )
-        elif self._split_nodl and job.deadline is None:
-            heapq.heappush(
-                self._nd_heaps.setdefault(key, []), (-score, seq, job.job_id)
-            )
+            heapq.heappush(self._heaps.setdefault(cid, []), (-score, seq, job.job_id))
 
     def remove(self, job_id: str) -> None:
         """Drop a job that left the queue (heap entries expire lazily)."""
-        key = self._class_of.pop(job_id, None)
-        if key is not None:
-            self._classes[key].remove(job_id)
+        slot = self._slot_of.pop(job_id, None)
+        if slot is not None:
+            self._arrivals[slot] = np.inf
+            self._jobs[slot] = None
+            self._views[slot] = None
 
     def __contains__(self, job_id: str) -> bool:
-        return job_id in self._class_of
+        return job_id in self._slot_of
 
     def __len__(self) -> int:
-        return len(self._class_of)
+        return len(self._slot_of)
 
-    def _class_timing_arrays(self, key) -> Tuple[np.ndarray, np.ndarray]:
-        """Feasible-executor ``(samples_per_cycle, cycle_period)`` columns.
+    def _compact_or_grow(self) -> None:
+        """Make room for one append: drop dead slots, or double the columns."""
+        live = np.fromiter(self._slot_of.values(), dtype=np.int64, count=len(self._slot_of))
+        k = int(live.size)
+        cap = len(self._jobs)
+        new_cap = cap if k * 2 <= cap else cap * 2
+        for name in ("_cls", "_seqs", "_samples", "_deadlines", "_arrivals", "_scores", "_tails"):
+            column = getattr(self, name)
+            fresh = np.zeros(new_cap, dtype=column.dtype)
+            fresh[:k] = column[live]
+            setattr(self, name, fresh)
+        order = live.tolist()
+        pad: List[object] = [None] * (new_cap - k)
+        self._jobs = [self._jobs[i] for i in order] + pad
+        self._views = [self._views[i] for i in order] + pad
+        self._slot_of = {self._jobs[slot].job_id: slot for slot in range(k)}
+        self._n = k
 
-        Class tables are immutable for the scheduler's lifetime (executor
-        cycles never change; down states do not alter predicted times), so
-        the arrays are built once per class.
-        """
-        arrays = self._class_arrays.get(key)
-        if arrays is None:
-            pairs = self.table.class_exec_times(key)
-            count = len(pairs)
-            spc = np.fromiter(
-                (pair[0] for pair in pairs.values()), dtype=np.float64, count=count
-            )
-            period = np.fromiter(
-                (pair[1] for pair in pairs.values()), dtype=np.float64, count=count
-            )
-            arrays = (spc, period)
-            self._class_arrays[key] = arrays
-        return arrays
-
-    def _sjf_score(self, key, samples: float) -> float:
+    def _sjf_score(self, cid: int, samples: float) -> float:
         """``sjf_policy`` off the class table, bit-identical to the view path.
 
         ``JobView.min_proc_time`` is the minimum over feasible executors of
@@ -385,7 +285,7 @@ class CandidateIndex:
         performs the identical IEEE-754 operations and ``min`` is
         order-independent, so the score matches float-for-float.
         """
-        spc, period = self._class_timing_arrays(key)
+        spc, period = self.table.class_timing_arrays(cid)
         min_proc = float(((samples / spc) * period).min())
         return 1.0 / (min_proc + _EPS)
 
@@ -394,251 +294,98 @@ class CandidateIndex:
     def best_for_executor(self, executor_index: int, now: float):
         """The best waiting job runnable on this executor, with its score.
 
-        Returns ``(None, -inf)`` when no feasible candidate waits --
-        detected in O(feasible classes), without touching any job.
+        Returns ``(None, -inf)`` when no arrived candidate of a class the
+        executor can run waits, or when the best score is ``-inf``.
         """
-        classes = self.table.exec_classes.get(executor_index)
-        best_score = -float("inf")
-        best_seq = 0
-        best_job = None
-        if not classes:
-            return None, best_score
-        for key in classes:
-            cols = self._classes.get(key)
-            if not cols:
-                continue
-            if self.mode == "static":
-                found = self._best_static(key, cols, now)
-            else:
-                # _scan_class pulls the (memoised) scheduler view lazily,
-                # only for the programs that actually consult state.
-                found = self._scan_class(key, cols, executor_index, now, None)
-            if found is None:
-                continue
-            score, seq, job = found
-            if best_job is None or score > best_score or (
-                score == best_score and seq < best_seq
-            ):
-                best_score, best_seq, best_job = score, seq, job
-        return best_job, best_score
-
-    # -- static (heap) path -------------------------------------------------------
-
-    def _best_static(self, key, cols, now):
-        heap = self._heaps.get(key)
-        slot_of = cols.slot_of
-        seqs = cols.seqs
-        while heap:
-            _negscore, seq, job_id = heap[0]
-            slot = slot_of.get(job_id)
-            if slot is None or seqs[slot] != seq:
-                heapq.heappop(heap)  # removed or re-queued since pushed
-                continue
-            if cols.arrivals[slot] > now:
-                # A future-arrival job sits at the top (only possible when
-                # the scheduler is driven directly, never from the event
-                # loop, where submission happens at arrival time): fall
-                # back to a linear scan honouring the arrival filter.
-                return self._scan_static_linear(cols, now)
-            return (float(cols.scores[slot]), seq, cols.jobs[slot])
-        return None
-
-    @staticmethod
-    def _scan_static_linear(cols, now):
-        jobs = cols.jobs
-        scores = cols.scores
-        seqs = cols.seqs
-        best = None
-        for slot in cols.slot_of.values():
-            if jobs[slot].arrival_time > now:
-                continue
-            score = float(scores[slot])
-            if best is None or score > best[0]:
-                best = (score, int(seqs[slot]), jobs[slot])
-        return best
-
-    # -- scan paths ---------------------------------------------------------------
-
-    def _scan_class(self, key, cols, executor_index, now, state):
-        """Best candidate of one class on one executor, exactly scored.
-
-        Candidates evaluate in insertion order and the first
-        strictly-greater score wins, mirroring the brute-force sweep's
-        tie-breaking; the vectorized path's masked ``argmax`` (first
-        occurrence of the maximum over insertion-ordered columns) is the
-        same rule.
-
-        The shipped scan shapes depend on the executor only through the
-        class timing pair ``(spc, period)`` (plus ``max_rem_time`` for
-        makespan), so the result is memoised per class on
-        ``(now, columns version, pair[, max_rem])``: within one dispatch
-        sweep every executor sharing the pair reuses one scan.
-        """
+        if not self._slot_of:
+            return None, _NEG_INF
+        if self.mode == "static":
+            return self._peek_heaps(executor_index, now)
         if self.mode == "generic":
-            return self._scan_class_generic(cols, executor_index, now, state)
-        pair = self.table.class_exec_times(key)[executor_index]
-        if self.mode == "scan1" and self.program == "makespan":
-            if state is None:
-                state = self._state_provider(now)
-            cache_key = (now, cols.version, pair, state.max_rem_time)
-        else:
-            cache_key = (now, cols.version, pair)
-        memo = self._scan_memo.get(key)
-        if memo is not None and memo[0] == cache_key:
-            return memo[1]
-        if self._split_nodl:
-            found = self._scan_split(key, cols, now, pair)
-        else:
-            found = self._scan_class_vector(cols, now, state, pair)
-        self._scan_memo[key] = (cache_key, found)
-        return found
+            return self._walk(executor_index, now)
+        return self._pass(executor_index, now)
 
-    def _scan_split(self, key, cols, now, pair):
-        """Deadline scan over the gathered deadline slots + no-deadline heap.
+    def _mask(self, executor_index: int, now: float):
+        """Arrived, live slots of classes the executor can run, plus the
+        slots' class ids and the executor's class timing arrays."""
+        n = self._n
+        cls = self._cls[:n]
+        feasible, spc, period = self.table.exec_class_arrays(executor_index)
+        return feasible[cls] & (self._arrivals[:n] <= now), cls, spc, period
 
-        The class's best is the better of the two partition bests: higher
-        score wins, the lower insertion sequence breaks ties -- exactly
-        the first-strictly-greater rule over the full insertion order.
+    def _peek_heaps(self, executor_index: int, now: float):
+        """Best heap top over the executor's feasible classes.
+
+        Heap entries are ``(-score, seq, job_id)``, so the smallest top is
+        the highest score with the lowest sequence among ties.
         """
-        best_nd = self._best_nodl(key, cols, now)
-        best_dl = None
-        dl = cols.dl_index()
-        if dl.size:
-            seqs = cols.seqs[dl]
-            arrivals = cols.arrivals[dl]
-            valid = (seqs >= 0) & (arrivals <= now)
-            if valid.any():
-                deadlines = cols.deadlines[dl]
-                spc, period = pair
-                if self.mode == "scan2":
-                    w1, kind1, _w2, _p2 = self.program
-                    if kind1 == "slack":
-                        slack = (deadlines - now) - (cols.samples[dl] / spc) * period
-                    else:
-                        slack = deadlines - now
-                    s1 = 1.0 / (np.maximum(slack, 0.0) + _EPS)
-                    scores = (w1 * s1) + cols.tails[dl]
-                else:
-                    if self.program == "slack":
-                        slack = (deadlines - now) - (cols.samples[dl] / spc) * period
-                    else:
-                        slack = deadlines - now
-                    scores = 1.0 / (np.maximum(slack, 0.0) + _EPS)
-                masked = np.where(valid, scores, -np.inf)
-                pick = int(masked.argmax())
-                if not valid[pick]:
-                    pick = int(np.flatnonzero(valid)[0])
-                best_dl = (
-                    float(masked[pick]),
-                    int(seqs[pick]),
-                    cols.jobs[int(dl[pick])],
-                )
-        if best_dl is None:
-            return best_nd
-        if best_nd is None:
-            return best_dl
-        if best_nd[0] > best_dl[0] or (
-            best_nd[0] == best_dl[0] and best_nd[1] < best_dl[1]
-        ):
-            return best_nd
-        return best_dl
-
-    def _best_nodl(self, key, cols, now):
-        """Best no-deadline candidate via its lazily-invalidated heap."""
-        heap = self._nd_heaps.get(key)
-        if not heap:
-            return None
-        slot_of = cols.slot_of
-        seqs = cols.seqs
-        while heap:
-            _negscore, seq, job_id = heap[0]
-            slot = slot_of.get(job_id)
-            if slot is None or seqs[slot] != seq:
-                heapq.heappop(heap)  # removed or re-queued since pushed
-                continue
-            if cols.arrivals[slot] > now:
-                return self._scan_nodl_linear(cols, now)
-            return (float(cols.scores[slot]), seq, cols.jobs[slot])
-        return None
-
-    @staticmethod
-    def _scan_nodl_linear(cols, now):
-        jobs = cols.jobs
-        scores = cols.scores
-        seqs = cols.seqs
+        slot_of = self._slot_of
+        seqs = self._seqs
         best = None
-        for slot in cols.slot_of.values():
-            job = jobs[slot]
-            if job.deadline is not None or job.arrival_time > now:
-                continue
-            score = float(scores[slot])
-            if best is None or score > best[0]:
-                best = (score, int(seqs[slot]), job)
-        return best
+        for cid in self.table.exec_classes[executor_index]:
+            heap = self._heaps.get(cid)
+            while heap:
+                top = heap[0]
+                slot = slot_of.get(top[2])
+                if slot is None or seqs[slot] != top[1]:
+                    heapq.heappop(heap)  # removed or re-queued since pushed
+                    continue
+                if self._arrivals[slot] > now:
+                    # A future-arrival job sits at the top (only possible
+                    # when the scheduler is driven directly, never from the
+                    # event loop, where submission happens at arrival time):
+                    # the masked pass honours the arrival filter.
+                    return self._pass(executor_index, now)
+                if best is None or top < best:
+                    best = top
+                break
+        if best is None or best[0] == np.inf:
+            return None, _NEG_INF
+        slot = slot_of[best[2]]
+        return self._jobs[slot], float(self._scores[slot])
 
-    def _scan_class_vector(self, cols, now, state, pair):
-        """One array pass scoring every candidate of the class at once."""
-        n = cols.n
-        seqs = cols.seqs[:n]
-        arrivals = cols.arrivals[:n]
-        valid = (seqs >= 0) & (arrivals <= now)
-        if not valid.any():
-            return None
-        if self.mode == "scan2":
-            w1, kind1, _w2, _p2 = self.program
-            spc, period = pair
-            deadlines = cols.deadlines[:n]
-            if kind1 == "slack":
-                slack = (deadlines - now) - (cols.samples[:n] / spc) * period
-            else:
-                slack = deadlines - now
-            s1 = 1.0 / (np.maximum(slack, 0.0) + _EPS)
-            s1 = np.where(np.isnan(deadlines), 0.0, s1)
-            scores = (w1 * s1) + cols.tails[:n]
-        else:
-            kind = self.program
-            if kind == "fifo":
-                scores = now - arrivals
-            elif kind in ("edf", "slack"):
-                spc, period = pair
-                deadlines = cols.deadlines[:n]
-                if kind == "slack":
-                    slack = (deadlines - now) - (cols.samples[:n] / spc) * period
-                else:
-                    slack = deadlines - now
-                scores = 1.0 / (np.maximum(slack, 0.0) + _EPS)
-                scores = np.where(np.isnan(deadlines), 0.0, scores)
-            else:  # makespan
-                spc, period = pair
-                proc = (cols.samples[:n] / spc) * period
-                scores = 1.0 / (np.maximum(proc, state.max_rem_time) + _EPS)
-        masked = np.where(valid, scores, -np.inf)
-        slot = int(masked.argmax())
-        if not valid[slot]:
-            # Every valid score is -inf (possible only with an exotic
-            # static tail): keep the first valid entry, as the
-            # per-candidate loops do.
-            slot = int(np.flatnonzero(valid)[0])
-        return (float(masked[slot]), int(seqs[slot]), cols.jobs[slot])
+    def _pass(self, executor_index: int, now: float):
+        """One masked array pass scoring every waiting candidate at once."""
+        valid, cls, spc, period = self._mask(executor_index, now)
+        n = self._n
+        if self.mode == "static":
+            scores = self._scores[:n]
+        elif self._kind == "fifo":
+            scores = now - self._arrivals[:n]
+        elif self._kind == "makespan":
+            proc = (self._samples[:n] / spc[cls]) * period[cls]
+            max_rem = self._state_provider(now).max_rem_time
+            scores = 1.0 / (np.maximum(proc, max_rem) + _EPS)
+        else:  # edf or slack, alone or as the head of a scan2 composition
+            slack = self._deadlines[:n] - now
+            if self._kind == "slack":
+                slack = slack - (self._samples[:n] / spc[cls]) * period[cls]
+            scores = 1.0 / (np.maximum(slack, 0.0) + _EPS)
+            if self.mode == "scan2":
+                scores = (self._w1 * scores) + self._tails[:n]
+        masked = np.where(valid, scores, _NEG_INF)
+        slot = int(masked.argmax())  # first occurrence: lowest sequence
+        score = float(masked[slot])
+        if score == _NEG_INF:
+            return None, _NEG_INF
+        if score != score:  # argmax stops at the first NaN
+            raise nan_score_error(self.policy, self._jobs[slot].job_id)
+        return self._jobs[slot], score
 
-    def _scan_class_generic(self, cols, executor_index, now, state):
-        """The policy itself, called per candidate on the cached views,
-        exactly as the brute-force sweep would."""
-        if state is None:
-            state = self._state_provider(now)
+    def _walk(self, executor_index: int, now: float):
+        """The policy itself, called per candidate on the cached views in
+        insertion order, exactly as the brute-force sweep would."""
+        valid = self._mask(executor_index, now)[0]
+        state = self._state_provider(now)
         policy = self.policy
-        jobs = cols.jobs
-        views = cols.views
-        seqs = cols.seqs
-        best = best_seq = None
+        jobs = self._jobs
+        views = self._views
         best_job = None
-        for slot in cols.slot_of.values():
-            job = jobs[slot]
-            if job.arrival_time > now:
-                continue
+        best = _NEG_INF
+        for slot in np.flatnonzero(valid).tolist():
             score = policy(views[slot], state, executor_index)
-            if best is None or score > best:
-                best, best_seq, best_job = score, int(seqs[slot]), job
-        if best_job is None:
-            return None
-        return (best, best_seq, best_job)
+            if score != score:
+                raise nan_score_error(policy, jobs[slot].job_id)
+            if score > best:
+                best, best_job = score, jobs[slot]
+        return best_job, best

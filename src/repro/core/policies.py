@@ -65,8 +65,17 @@ class SchedulerView:
         return max(self.rem_times.values(), default=0.0)
 
 
-#: A scheduling policy: higher score wins.
+#: A scheduling policy: higher score wins, and ties go to the job queued
+#: first.  ``-inf`` means "never place this job on this executor": when
+#: every waiting job scores ``-inf``, the executor stays idle.  A NaN score
+#: is an error: dispatch raises ``ValueError`` naming the policy and the job.
 SchedulingPolicy = Callable[[JobView, SchedulerView, int], float]
+
+
+def nan_score_error(policy: SchedulingPolicy, job_id: str) -> ValueError:
+    """The error raised when ``policy`` scores job ``job_id`` NaN."""
+    name = getattr(policy, "__qualname__", None) or repr(policy)
+    return ValueError(f"policy {name} scored job {job_id!r} NaN; scores must be numbers or -inf")
 
 
 def fifo_policy(job: JobView, state: SchedulerView, executor_index: int) -> float:

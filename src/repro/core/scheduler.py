@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.core.candidates import CandidateIndex
 from repro.core.executor import FillExecutionEstimate, FillJobExecutor
@@ -210,12 +212,17 @@ class FillJobScheduler:
         self._views: Dict[str, JobView] = {}
         # Class tables: jobs sharing (model_name, job_type) share estimates
         # on every executor, so feasibility and seconds-per-sample are
-        # per-*class* state, computed once.  ``exec_classes`` inverts the
-        # table into per-executor feasibility sets for the dispatch index.
-        self._class_times: Dict[tuple, List[tuple]] = {}
-        self._class_exec: Dict[tuple, Dict[int, tuple]] = {}
-        self._class_fits: Dict[tuple, bool] = {}
-        self.exec_classes: Dict[int, set] = {idx: set() for idx in self._executor_order}
+        # per-*class* state, computed once and kept in lists indexed by
+        # class id (assigned in first-seen order).  ``exec_classes``
+        # inverts the table into per-executor feasible class ids, and
+        # ``_exec_arrays`` into per-executor arrays over all class ids,
+        # both for the candidate indexes.
+        self._class_ids: Dict[tuple, int] = {}
+        self._class_times: List[List[tuple]] = []
+        self._class_fits: List[bool] = []
+        self._class_arrays: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.exec_classes: Dict[int, List[int]] = {idx: [] for idx in self._executor_order}
+        self._exec_arrays: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # Memoised policy-facing occupancy view: rebuilt only when the
         # clock moved or any executor's busy_until changed since.
         self._state_version = 0
@@ -260,41 +267,64 @@ class FillJobScheduler:
 
     # -- job classes --------------------------------------------------------------
 
-    def ensure_class(self, model_name: str, job_type: JobType) -> tuple:
-        """Memoise the per-executor timing table of one job class.
+    def ensure_class(self, model_name: str, job_type: JobType) -> int:
+        """Memoise the per-executor timing table of one job class; return its id.
 
         A *class* is a ``(model_name, job_type)`` pair: all its jobs share
         one estimate per executor, so feasibility and the
         ``(samples_per_cycle, cycle_period)`` timing pair are class-wide.
         Infeasible executors are marked with ``samples_per_cycle = -1``.
+        Class ids count up from 0 in first-seen order.
         """
         key = (model_name, job_type)
-        if key in self._class_times:
-            return key
+        cid = self._class_ids.get(key)
+        if cid is not None:
+            return cid
+        cid = len(self._class_times)
         model = self.model_resolver(model_name)
         times: List[tuple] = []
-        exec_map: Dict[int, tuple] = {}
         for idx in self._executor_order:
             estimate = self._estimate(idx, model, job_type)
             if estimate is None or estimate.samples_per_cycle <= 0:
                 times.append((idx, -1.0, 0.0))
             else:
-                pair = (estimate.samples_per_cycle, estimate.cycle_period)
-                times.append((idx,) + pair)
-                exec_map[idx] = pair
-                self.exec_classes[idx].add(key)
-        self._class_times[key] = times
-        self._class_exec[key] = exec_map
-        self._class_fits[key] = bool(exec_map)
-        return key
+                times.append((idx, estimate.samples_per_cycle, estimate.cycle_period))
+                self.exec_classes[idx].append(cid)
+        feasible = [(spc, period) for _idx, spc, period in times if spc > 0]
+        self._class_ids[key] = cid
+        self._class_times.append(times)
+        self._class_fits.append(bool(feasible))
+        self._class_arrays.append(
+            (
+                np.array([spc for spc, _period in feasible], dtype=np.float64),
+                np.array([period for _spc, period in feasible], dtype=np.float64),
+            )
+        )
+        return cid
 
-    def class_feasible(self, key: tuple) -> bool:
+    def class_feasible(self, cid: int) -> bool:
         """Whether the (ensured) class fits at least one executor."""
-        return self._class_fits[key]
+        return self._class_fits[cid]
 
-    def class_exec_times(self, key: tuple) -> Dict[int, tuple]:
-        """Feasible executors of the class, with their timing pairs."""
-        return self._class_exec[key]
+    def class_timing_arrays(self, cid: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The class's ``(samples_per_cycle, cycle_period)`` on its feasible executors."""
+        return self._class_arrays[cid]
+
+    def exec_class_arrays(self, executor_index: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(feasible, samples_per_cycle, cycle_period)`` of one executor, indexed by class id.
+
+        Class tables never change for the scheduler's lifetime (executor
+        cycles are fixed; down states do not alter predicted times), so the
+        arrays are rebuilt only when a new class appears.
+        """
+        arrays = self._exec_arrays.get(executor_index)
+        if arrays is None or arrays[0].size != len(self._class_times):
+            pos = self._order_pos[executor_index]
+            spc = np.array([times[pos][1] for times in self._class_times], dtype=np.float64)
+            period = np.array([times[pos][2] for times in self._class_times], dtype=np.float64)
+            arrays = (spc > 0, spc, period)
+            self._exec_arrays[executor_index] = arrays
+        return arrays
 
     def fits_any(self, job: FillJob) -> bool:
         """Whether at least one executor can ever run the job (one class-table lookup)."""
@@ -318,11 +348,11 @@ class FillJobScheduler:
         # Same arithmetic as FillExecutionEstimate.processing_time, sourced
         # from the class table instead of per-job estimate lookups
         # (bit-identical; the equivalence tests prove it).
-        key = self.ensure_class(job.model_name, job.job_type)
-        if not samples > 0 and self._class_fits[key]:
+        cid = self.ensure_class(job.model_name, job.job_type)
+        if not samples > 0 and self._class_fits[cid]:
             check_positive(samples, "num_samples")
         times: Dict[int, float] = {}
-        for idx, spc, period in self._class_times[key]:
+        for idx, spc, period in self._class_times[cid]:
             times[idx] = float("inf") if spc <= 0 else (samples / spc) * period
         if num_samples is None:
             self._full_times[job.job_id] = times
@@ -542,12 +572,13 @@ class FillJobScheduler:
     ) -> "tuple[Optional[FillJob], float]":
         """The best queued job for this device and its policy score.
 
-        Returns ``(None, -inf)`` when no queued job fits the device.  Used
-        directly by the global scheduler, which compares this score against
-        the global backlog's best.  The answer comes from the incremental
-        candidate index (O(log n) for static-score policies, a
-        feasible-classes-only scan otherwise) instead of re-scoring the
-        whole queue.
+        Returns ``(None, -inf)`` when no queued job fits the device or the
+        best score is ``-inf``.  Used directly by the global scheduler,
+        which compares this score against the global backlog's best.  The
+        answer comes from the incremental candidate index -- a heap peek
+        per feasible job class for static-score policies, otherwise one
+        masked array pass over every queued job -- instead of calling the
+        policy on the whole queue.
         """
         return self._index.best_for_executor(executor_index, now)
 

@@ -23,7 +23,7 @@ from repro.api.experiment import Experiment
 from repro.core.executor import FillExecutionEstimate, FillJobExecutor
 from repro.core.global_scheduler import Assignment, GlobalScheduler
 from repro.core.plan import PlanError, plan_fill_job
-from repro.core.policies import JobView, SchedulerView, SchedulingPolicy
+from repro.core.policies import JobView, SchedulerView, SchedulingPolicy, nan_score_error
 from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.base import ModelSpec
 from repro.models.configs import ExecutionConfig, JobType, candidate_configs
@@ -82,7 +82,8 @@ def best_scored(
 
     Skips jobs the executor cannot run, scores the rest with ``policy``
     and keeps the first strictly-greater score, so ties go to the job
-    earliest in ``jobs``.  Returns ``(None, -inf)`` when nothing scores.
+    earliest in ``jobs``.  Returns ``(None, -inf)`` when nothing scores
+    above ``-inf``; raises ``ValueError`` on a NaN score.
     """
     best_job: Optional[FillJob] = None
     best_score = -float("inf")
@@ -91,6 +92,8 @@ def best_scored(
         if view.proc_times.get(executor_index, float("inf")) == float("inf"):
             continue
         score = policy(view, state, executor_index)
+        if score != score:
+            raise nan_score_error(policy, job.job_id)
         if score > best_score:
             best_score = score
             best_job = job

@@ -14,7 +14,8 @@ Policies cover all index programs: ``sjf`` (static heap), ``fifo``/
 ``edf+sjf`` (composed scans with a precomputed static tail) and an
 unregistered custom policy (generic fallback calling the policy per
 candidate).  Churn starts from an empty queue, so every scan is also
-checked on classes of one to a few candidates.
+checked on classes of one to a few candidates, and some jobs are
+submitted before they arrive, so the arrival filter is checked too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from repro.core.executor import FillJobExecutor
 from repro.core.global_scheduler import GlobalScheduler
 from repro.core.policies import (
     POLICIES,
+    ComposedPolicy,
     SchedulerView,
+    edf_policy,
     fifo_policy,
     makespan_policy,
     sjf_policy,
@@ -39,7 +42,11 @@ from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
 from repro.utils.units import GIB
-from repro.verify.reference import best_scored
+from repro.verify.reference import (
+    ReferenceGlobalScheduler,
+    ReferenceScheduler,
+    best_scored,
+)
 
 #: Heterogeneous cycles: the tight-memory one rejects the larger models,
 #: so per-executor feasibility genuinely differs between job classes.
@@ -78,6 +85,11 @@ MODELS = ["bert-base", "bert-large", "efficientnet"]
 
 
 def make_job(rng, i, now):
+    """A job submitted at ``now``; about 30% arrive up to 60 s later, so
+    every program's arrival filter is exercised."""
+    arrival = now
+    if rng.random() < 0.3:
+        arrival = now + rng.uniform(0.0, 60.0)
     deadline = None
     if rng.random() < 0.4:
         deadline = now + rng.uniform(50.0, 5_000.0)
@@ -86,7 +98,7 @@ def make_job(rng, i, now):
         model_name=rng.choice(MODELS),
         job_type=JobType.BATCH_INFERENCE,
         num_samples=rng.uniform(50.0, 5_000.0),
-        arrival_time=now,
+        arrival_time=arrival,
         deadline=deadline,
     )
 
@@ -166,7 +178,7 @@ class TestLocalIndexUnderChurn:
                 )
 
 
-@pytest.mark.parametrize("policy_name", ["sjf", "slack+sjf", "fifo", "custom"])
+@pytest.mark.parametrize("policy_name", sorted(POLICY_CASES))
 class TestGlobalIndexUnderChurn:
     def test_matches_brute_force_rescore(self, policy_name):
         policy = POLICY_CASES[policy_name]
@@ -289,3 +301,60 @@ class TestInvalidationExplicitly:
         assert finite  # and those times price the remaining samples only
         full_view_time = gs.tenants["y"].processing_times(job)[0]
         assert view.proc_times[0] == pytest.approx(full_view_time / 2.0, rel=1e-6)
+
+
+def constant_policy(value):
+    """The three index program shapes of a policy scoring every job ``value``."""
+
+    def plain(job, state, executor_index):
+        return value
+
+    def static(job, state, executor_index):
+        return value
+
+    static.static_score = True
+    return {
+        "generic": plain,
+        "static": static,
+        "scan2": ComposedPolicy(((1.0, edf_policy), (1.0, static))),
+    }
+
+
+def roomy_global(policy, scheduler_cls=FillJobScheduler, global_cls=GlobalScheduler):
+    roomy = BubbleCycle.from_durations([1.5, 1.5], 4.5 * GIB, period=4.0)
+    executors = {0: FillJobExecutor(roomy), 1: FillJobExecutor(roomy)}
+    gs = global_cls({"t": scheduler_cls(executors, policy=policy)}, policy=policy)
+    for i in range(3):
+        gs.submit(
+            FillJob(
+                job_id=f"j{i}",
+                model_name="bert-base",
+                job_type=JobType.BATCH_INFERENCE,
+                num_samples=1_000.0,
+            )
+        )
+    return gs
+
+
+@pytest.mark.parametrize("shape", ["generic", "static", "scan2"])
+class TestScoreContract:
+    """``-inf`` means "never place"; a NaN score raises (see SchedulingPolicy)."""
+
+    def test_minus_inf_places_nothing(self, shape):
+        policy = constant_policy(-float("inf"))[shape]
+        assert roomy_global(policy).dispatch_idle(0.0) == []
+        reference = roomy_global(policy, ReferenceScheduler, ReferenceGlobalScheduler)
+        assert reference.dispatch_idle(0.0) == []
+        sched = FillJobScheduler(make_executors(), policy=policy)
+        sched.submit(FillJob("j0", "bert-base", JobType.BATCH_INFERENCE, 1_000.0))
+        assert sched.select_job_scored(0, 0.0) == (None, -float("inf"))
+
+    def test_nan_raises_naming_policy_and_job(self, shape):
+        policy = constant_policy(float("nan"))[shape]
+        message = rf"{'ComposedPolicy' if shape == 'scan2' else 'constant_policy'}.*'j0' NaN"
+        with pytest.raises(ValueError, match=message):
+            roomy_global(policy).dispatch_idle(0.0)
+        sched = FillJobScheduler(make_executors())
+        job = FillJob("j0", "bert-base", JobType.BATCH_INFERENCE, 1_000.0)
+        with pytest.raises(ValueError, match=message):
+            best_scored(policy, [job], sched.job_view, SchedulerView(now=0.0), 0)
