@@ -3,9 +3,10 @@
 
 Extracts every fenced ```python block from README.md and the docs/*.md
 listed below and runs each one in a fresh interpreter (with ``src`` on
-the path), then runs ``examples/quickstart.py`` and
-``examples/custom_policy_plugin.py``.  Any failure prints the offending
-snippet and exits non-zero.  Used by CI and runnable locally:
+the path), then runs every example under ``examples/`` except
+``reproduce_paper.py``, whose report writer tier-1's ``TestPaperContract``
+already runs.  Any failure prints the offending snippet and exits
+non-zero.  Used by CI and runnable locally:
 
     python scripts/check_docs.py
 """
@@ -35,6 +36,10 @@ DOCS = [
 EXAMPLES = [
     REPO_ROOT / "examples" / "quickstart.py",
     REPO_ROOT / "examples" / "custom_policy_plugin.py",
+    REPO_ROOT / "examples" / "multi_tenant_cluster.py",
+    REPO_ROOT / "examples" / "scheduling_policies.py",
+    REPO_ROOT / "examples" / "batch_inference_backlog.py",
+    REPO_ROOT / "examples" / "capacity_planning.py",
 ]
 
 BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)

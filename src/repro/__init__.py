@@ -5,15 +5,14 @@ Using GPUs During Bubbles in Pipeline-parallel LLM Training* (MLSys 2025).
 
 The package is organised in layers:
 
-* :mod:`repro.hardware` -- simulated accelerators, memory allocators, nodes
-  and cluster topology.
+* :mod:`repro.hardware` -- accelerator, interconnect and node specs (static
+  numbers for the cost models; nothing is allocated).
 * :mod:`repro.models` -- analytical model zoo (transformer LLM main jobs and
   the five fill-job architectures) with per-layer FLOPs / memory accounting.
 * :mod:`repro.pipeline` -- pipeline-parallel substrate: stage partitioning,
   GPipe / 1F1B schedules, and an instrumented pipeline engine.
-* :mod:`repro.core` -- the PipeFill contribution: pipeline bubble
-  instructions, bubble profiling, the fill-job execution planner
-  (Algorithm 1), the per-device executor, main-job offloading, the
+* :mod:`repro.core` -- the PipeFill contribution: the fill-job execution
+  planner (Algorithm 1), the per-device executor, main-job offloading, the
   policy-driven fill-job scheduler, and the cross-tenant
   :class:`~repro.core.global_scheduler.GlobalScheduler`.
 * :mod:`repro.sim` -- the event-driven cluster simulator used for the

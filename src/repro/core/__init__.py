@@ -8,12 +8,10 @@ This package is the paper's primary contribution:
   (Algorithm 1): replicate and greedily pack a fill job's linearised
   computational graph into the repeating cycle of pipeline bubbles.
 * :mod:`repro.core.executor` -- the per-device Fill Job Executor: selects an
-  execution configuration, builds the plan, enforces the memory cap, and
-  estimates achieved throughput / recovered FLOPs.
+  execution configuration that fits the bubbles' free memory, builds the
+  plan, and estimates achieved throughput / recovered FLOPs.
 * :mod:`repro.core.offload` -- main-job optimizer-state offloading to grow
   the free memory available in bubbles.
-* :mod:`repro.core.profiling` -- bubble characterisation: the doubling
-  probe for bubble durations and the free-memory probe.
 * :mod:`repro.core.policies` / :mod:`repro.core.scheduler` -- the fill-job
   scheduler with user-defined scoring policies and preemption rules.
 * :mod:`repro.core.global_scheduler` -- the cross-tenant routing layer: one
@@ -31,7 +29,6 @@ from repro.core.plan import (
 )
 from repro.core.executor import FillJobExecutor, FillExecutionEstimate
 from repro.core.offload import OffloadPlan, plan_optimizer_offload
-from repro.core.profiling import BubbleProfiler, BubbleProbeResult
 from repro.core.policies import (
     SchedulingPolicy,
     PreemptionRule,
@@ -68,8 +65,6 @@ __all__ = [
     "FillExecutionEstimate",
     "OffloadPlan",
     "plan_optimizer_offload",
-    "BubbleProfiler",
-    "BubbleProbeResult",
     "SchedulingPolicy",
     "PreemptionRule",
     "RunningJobView",

@@ -4,14 +4,13 @@ One executor runs per device.  Given the device's repeating bubble cycle it
 
 1. evaluates the fill job under candidate execution configurations (batch
    size, CPU offloading, activation checkpointing), discarding those whose
-   device footprint exceeds the bubbles' usable free memory,
+   device footprint exceeds the bubbles' usable free memory (the check
+   that keeps a fill job out of the main job's memory),
 2. runs the Fill Job Execution Plan Algorithm (Algorithm 1) on the
    surviving configurations in descending order of their throughput bound,
    stopping at the first whose bound cannot reach the best plan so far, and
-   keeps the one with the highest effective throughput,
-3. enforces the per-process memory cap so that a fill-job OOM can never
-   affect the main job, and
-4. exposes the throughput/recovered-FLOPs estimates the scheduler and the
+   keeps the one with the highest effective throughput, and
+3. exposes the throughput/recovered-FLOPs estimates the scheduler and the
    cluster simulator use to place jobs and advance time.
 
 Fill jobs executing inside bubbles are slower than in exclusive execution
@@ -33,13 +32,11 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.core.config import PipeFillConfig
 from repro.core.plan import (
     ExecutionPlan,
-    GraphPartition,
     PackedPlan,
     PlanError,
     pack_fill_job,
 )
 from repro.hardware.device import DeviceSpec, V100_16GB
-from repro.hardware.memory import DeviceOOMError, MemoryAllocator
 from repro.models.base import ModelSpec
 from repro.models.configs import ExecutionConfig, JobType, candidate_configs
 from repro.models.efficiency import DEFAULT_EFFICIENCY, EfficiencyModel
@@ -562,48 +559,3 @@ class FillJobExecutor:
         if disk_key is not None:
             plancache.put(disk_key, _record(best))
         return best
-
-    def processing_time(
-        self, model: ModelSpec, job_type: JobType, num_samples: float
-    ) -> float:
-        """Wall-clock seconds to complete ``num_samples`` of the job here."""
-        estimate = self.build_estimate(model, job_type)
-        if estimate is None:
-            return float("inf")
-        return estimate.processing_time(num_samples)
-
-    # -- memory capping / OOM isolation ----------------------------------------
-
-    def execute_partition_on(
-        self,
-        allocator: MemoryAllocator,
-        partition: GraphPartition,
-        *,
-        free_memory_bytes: Optional[float] = None,
-        pool: str = "fill-job",
-    ) -> bool:
-        """Simulate executing one graph partition under a memory cap.
-
-        Sets the fill-job pool's cap to the bubble's usable free memory
-        (the ``set_per_process_memory_fraction`` mechanism), allocates the
-        partition's working set, and releases it afterwards.  Returns
-        ``True`` on success and ``False`` if the partition OOMed -- in which
-        case the exception stays confined to the fill-job pool and the main
-        job's allocations are untouched.
-        """
-        if free_memory_bytes is None:
-            free_memory_bytes = self.cycle.min_free_memory_bytes
-        cap = self.config.usable_bubble_memory(free_memory_bytes)
-        allocator.set_memory_cap(pool, cap)
-        try:
-            # repro: lint-ignore[hash-id] -- transient allocation label,
-            # freed before return and never part of any result payload.
-            allocator.allocate(pool, f"partition-{id(partition)}", partition.memory_bytes)
-        except DeviceOOMError as exc:
-            if exc.pool != pool:  # pragma: no cover - defensive
-                raise
-            return False
-        # repro: lint-ignore[hash-id] -- same transient label as the
-        # allocate() probe above; never part of any result payload.
-        allocator.free(pool, f"partition-{id(partition)}", release=False)
-        return True

@@ -356,6 +356,20 @@ class GlobalScheduler:
         job = self.jobs[job_id]
         if job.deadline is None:
             return None
+        victim = self._best_victim(job, now)
+        if victim is None:
+            return None
+        tenant, idx = victim
+        sched = self.tenants[tenant]
+        preempted = sched.preempt(idx, now)
+        self._place(tenant, job)
+        completion = sched.assign(idx, job, now)
+        return Assignment(tenant, idx, job_id, completion, preempted_job_id=preempted)
+
+    def _best_victim(self, job: FillJob, now: float) -> Optional[Tuple[str, int]]:
+        """The live ``(tenant, executor)`` whose running job the preemption
+        rule scores highest, above 0, for the deadline arrival ``job``; the
+        first such pair wins a tie."""
         best: Optional[Tuple[float, str, int]] = None
         # The shipped deadline rule rejects almost every (arrival, victim)
         # pair on arithmetic over numbers already at hand; inlining those
@@ -409,14 +423,7 @@ class GlobalScheduler:
                     score = self.preemption_rule(view, running_view, state_view)
                 if score > 0 and (best is None or score > best[0]):
                     best = (score, tenant, idx)
-        if best is None:
-            return None
-        _, tenant, idx = best
-        sched = self.tenants[tenant]
-        preempted = sched.preempt(idx, now)
-        self._place(tenant, job)
-        completion = sched.assign(idx, job, now)
-        return Assignment(tenant, idx, job_id, completion, preempted_job_id=preempted)
+        return None if best is None else best[1:]
 
     # -- cluster dynamics (failures, elastic tenants) ------------------------------
 
@@ -562,10 +569,6 @@ class GlobalScheduler:
                     )
                 states[jid] = record.state
         return states
-
-    def tenant_of(self, job_id: str) -> Optional[str]:
-        """Tenant a job was placed on (``None`` while still in the backlog)."""
-        return self.placements.get(job_id)
 
     def evicted_records(self) -> List[JobRecord]:
         """Parked records of evicted jobs not re-placed yet.

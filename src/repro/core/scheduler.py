@@ -1,14 +1,18 @@
 """The Fill Job Scheduler.
 
-The scheduler is the interface between the pipeline bubbles of the main job
-and the outside world (a higher-level cluster scheduler such as
-:class:`~repro.core.global_scheduler.GlobalScheduler`, or a user submitting
-fill jobs).  It knows every device's bubble cycle (through that device's
-executor), can therefore predict any fill job's processing time on any
-device, and assigns queued jobs to devices according to a user-defined
-scoring policy whenever a device becomes free (Section 4.4).  Running jobs
-can be preempted (:meth:`FillJobScheduler.preempt`): their partial progress
-is banked and the remainder re-queued.
+The scheduler is one main job's side of the interface between its pipeline
+bubbles and the cluster's fill jobs.  It knows every device's bubble cycle
+(through that device's executor), can therefore predict any fill job's
+processing time on any device, and keeps the records of the jobs running
+there.  Jobs reach it only through
+:class:`~repro.core.global_scheduler.GlobalScheduler`, which scores the
+shared backlog against this scheduler's local queue with a user-defined
+policy whenever a device becomes free (Section 4.4), then hands the winner
+over with :meth:`FillJobScheduler.adopt` and :meth:`FillJobScheduler.assign`.
+Running jobs can be preempted (:meth:`FillJobScheduler.preempt`) or lose
+their device (:meth:`FillJobScheduler.on_executor_lost`): their partial
+progress is banked and the remainder re-queued locally, which is the only
+way the local queue fills.
 """
 
 from __future__ import annotations
@@ -228,7 +232,7 @@ class FillJobScheduler:
         self._state_version = 0
         self._state_view_memo: Optional[tuple] = None
         # The incremental candidate index over this scheduler's own queue
-        # (arrival-order submissions plus preemption/failure re-queues).
+        # (preemption and failure re-queues).
         self._index = CandidateIndex(
             self,
             policy,
@@ -236,21 +240,6 @@ class FillJobScheduler:
             samples_provider=self._queued_samples,
             state_provider=self.scheduler_view,
         )
-
-    # -- submission -------------------------------------------------------------
-
-    def submit(self, job: FillJob) -> JobRecord:
-        """Queue a fill job; rejects jobs that fit no executor."""
-        if job.job_id in self.records:
-            raise ValueError(f"job id {job.job_id!r} already submitted")
-        record = JobRecord(job=job)
-        self.records[job.job_id] = record
-        if not self.fits_any(job):
-            record.state = FillJobState.REJECTED
-            return record
-        self._queue.append(job.job_id)
-        self._index.add(job)
-        return record
 
     # -- predictions -------------------------------------------------------------
 
@@ -357,35 +346,6 @@ class FillJobScheduler:
         if num_samples is None:
             self._full_times[job.job_id] = times
         return times
-
-    def expected_completion(self, job_id: str, now: float) -> float:
-        """Expected completion time of a queued/running job.
-
-        Running jobs report their scheduled completion; queued jobs report an
-        optimistic estimate assuming they are next on the fastest executor.
-        """
-        record = self.records[job_id]
-        if record.state is FillJobState.COMPLETED:
-            assert record.completion_time is not None
-            return record.completion_time
-        if record.state is FillJobState.RUNNING:
-            assert record.assigned_executor is not None
-            return self.executors[record.assigned_executor].busy_until
-        times = self.processing_times(record.job)  # memoised full-sample path
-        best = float("inf")
-        for idx, proc in times.items():
-            if proc == float("inf"):
-                continue
-            start = now + self.executors[idx].remaining_time(now)
-            best = min(best, start + proc)
-        return best
-
-    def can_meet_deadline(self, job_id: str, now: float) -> bool:
-        """Whether the job's deadline can still be met under current load."""
-        record = self.records[job_id]
-        if record.job.deadline is None:
-            return True
-        return self.expected_completion(job_id, now) <= record.job.deadline
 
     # -- assignment ---------------------------------------------------------------
 
@@ -541,10 +501,10 @@ class FillJobScheduler:
 
         The global scheduler calls this with a backlog job it has just
         matched to one of this scheduler's executors, and assigns it in the
-        same call.  Unlike :meth:`submit`, the job skips the feasibility
-        check (the placement picked a feasible executor) and the candidate
-        index (it leaves the queue at :meth:`assign`, before any dispatch
-        could select it).  ``carried`` is the parked record of a job evicted
+        same call.  The job skips the feasibility check (the placement
+        picked a feasible executor) and the candidate index (it leaves the
+        queue at :meth:`assign`, before any dispatch could select it).
+        ``carried`` is the parked record of a job evicted
         from a departed tenant: its remaining work and banked totals replace
         the fresh record's, so the job resumes with only its leftover samples.
         """
@@ -581,10 +541,6 @@ class FillJobScheduler:
         policy on the whole queue.
         """
         return self._index.best_for_executor(executor_index, now)
-
-    def select_job(self, executor_index: int, now: float) -> Optional[FillJob]:
-        """Pick the queued job with the highest policy score for this device."""
-        return self.select_job_scored(executor_index, now)[0]
 
     def assign(self, executor_index: int, job: FillJob, now: float) -> float:
         """Assign ``job`` to the executor; returns the scheduled completion time."""
@@ -682,20 +638,6 @@ class FillJobScheduler:
         self._state_version += 1
         self._idle.add(executor_index)
         return job_id
-
-    def dispatch(self, executor_index: int, now: float) -> Optional[float]:
-        """Fill a free executor with the best queued job, if any.
-
-        Returns the scheduled completion time of the newly-assigned job, or
-        ``None`` when the executor stays idle.
-        """
-        ex_state = self.executors[executor_index]
-        if not ex_state.is_available:
-            return None
-        job = self.select_job(executor_index, now)
-        if job is None:
-            return None
-        return self.assign(executor_index, job, now)
 
     # -- aggregate metrics -----------------------------------------------------------
 

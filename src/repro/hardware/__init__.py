@@ -1,32 +1,27 @@
-"""Simulated accelerator hardware: devices, memory, interconnects, clusters.
+"""Simulated accelerator hardware: device, link and node specifications.
 
 This package is the substitute for the paper's physical testbed (AWS
-p3.16xlarge nodes with 8x NVIDIA V100-16GB each).  It models
+p3.16xlarge nodes with 8x NVIDIA V100-16GB each).  It holds the static
+specs the analytical cost models read:
 
 * accelerator compute/memory specs (:mod:`repro.hardware.device`),
-* the CUDA-caching-allocator-like device memory accounting that PipeFill's
-  engine and executor rely on (:mod:`repro.hardware.memory`),
 * intra-node and inter-node interconnects (:mod:`repro.hardware.interconnect`),
-* multi-accelerator nodes with host memory for offloading
-  (:mod:`repro.hardware.node`), and
-* whole clusters (:mod:`repro.hardware.cluster`).
+  and
+* multi-accelerator node types with host memory for offloading
+  (:mod:`repro.hardware.node`).
+
+Memory is never allocated: the simulator compares analytic fill-job
+footprints with the free memory of each bubble.
 """
 
 from repro.hardware.device import (
     DeviceSpec,
-    Device,
     V100_16GB,
     A100_40GB,
     A100_80GB,
     TRAINIUM1,
     device_spec,
     DEVICE_SPECS,
-)
-from repro.hardware.memory import (
-    DeviceOOMError,
-    MemoryAllocator,
-    MemoryPool,
-    MemorySnapshot,
 )
 from repro.hardware.interconnect import (
     Link,
@@ -39,22 +34,16 @@ from repro.hardware.interconnect import (
     ETHERNET_100G,
     EFA_400G,
 )
-from repro.hardware.node import NodeSpec, Node, P3_16XLARGE, P4D_24XLARGE, node_spec
-from repro.hardware.cluster import Cluster, ClusterSpec
+from repro.hardware.node import NodeSpec, P3_16XLARGE, P4D_24XLARGE, node_spec
 
 __all__ = [
     "DeviceSpec",
-    "Device",
     "V100_16GB",
     "A100_40GB",
     "A100_80GB",
     "TRAINIUM1",
     "device_spec",
     "DEVICE_SPECS",
-    "DeviceOOMError",
-    "MemoryAllocator",
-    "MemoryPool",
-    "MemorySnapshot",
     "Link",
     "LinkSpec",
     "NVLINK2",
@@ -65,10 +54,7 @@ __all__ = [
     "ETHERNET_100G",
     "EFA_400G",
     "NodeSpec",
-    "Node",
     "P3_16XLARGE",
     "P4D_24XLARGE",
     "node_spec",
-    "Cluster",
-    "ClusterSpec",
 ]

@@ -1,21 +1,16 @@
-"""Accelerator device specifications and runtime device objects.
+"""Accelerator device specifications.
 
 The paper's experiments run on NVIDIA V100-16GB GPUs (125 TFLOP/s peak
 half-precision tensor-core throughput, 16 GiB HBM2, ~900 GB/s memory
 bandwidth, PCIe gen3 to the host).  :class:`DeviceSpec` captures the static
-characteristics that the analytical cost model needs; :class:`Device` wires a
-spec together with a :class:`~repro.hardware.memory.MemoryAllocator`
-instance so the pipeline engine and the fill-job executor can reason about
-memory exactly the way the real system does via
-``torch.cuda.memory_allocated()`` / ``empty_cache()``.
+characteristics that the analytical cost model needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict
 
-from repro.hardware.memory import MemoryAllocator
 from repro.utils.units import GIB, GB, TERA
 from repro.utils.validation import check_positive
 
@@ -143,65 +138,3 @@ def device_spec(name: str) -> DeviceSpec:
         raise KeyError(
             f"unknown device spec {name!r}; known: {sorted(DEVICE_SPECS)}"
         ) from None
-
-
-@dataclass
-class Device:
-    """A runtime accelerator: a spec plus a memory allocator and identity.
-
-    Parameters
-    ----------
-    spec:
-        The static device description.
-    device_id:
-        Globally unique device index within a cluster.
-    node_id:
-        Index of the node hosting this device.
-    local_rank:
-        Index of the device within its node.
-    """
-
-    spec: DeviceSpec
-    device_id: int = 0
-    node_id: int = 0
-    local_rank: int = 0
-    allocator: MemoryAllocator = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.allocator = MemoryAllocator(capacity_bytes=self.spec.usable_memory_bytes)
-
-    @property
-    def name(self) -> str:
-        """Qualified device name, e.g. ``"V100-16GB[node3:gpu1]"``."""
-        return f"{self.spec.name}[node{self.node_id}:gpu{self.local_rank}]"
-
-    @property
-    def free_memory_bytes(self) -> float:
-        """Bytes currently unallocated (and uncached) on the device."""
-        return self.allocator.free_bytes
-
-    def time_for_flops(self, flops: float, efficiency: float) -> float:
-        """Time to execute ``flops`` at a given fraction of peak throughput."""
-        check_positive(efficiency, "efficiency")
-        if flops < 0:
-            raise ValueError(f"flops must be >= 0, got {flops}")
-        if flops == 0:
-            return 0.0
-        return flops / (self.spec.peak_flops * efficiency)
-
-    def time_for_host_transfer(self, num_bytes: float) -> float:
-        """Time to move ``num_bytes`` between device and host memory."""
-        if num_bytes < 0:
-            raise ValueError(f"num_bytes must be >= 0, got {num_bytes}")
-        if num_bytes == 0:
-            return 0.0
-        return self.spec.host_link_latency + num_bytes / self.spec.host_link_bandwidth
-
-    def clone(self, *, device_id: Optional[int] = None) -> "Device":
-        """Return a fresh device (empty allocator) with the same spec."""
-        return Device(
-            spec=self.spec,
-            device_id=self.device_id if device_id is None else device_id,
-            node_id=self.node_id,
-            local_rank=self.local_rank,
-        )

@@ -1,18 +1,18 @@
-"""Compute-node model: multiple accelerators plus host memory and links.
+"""Compute-node specifications: accelerators, host memory and links.
 
 A node corresponds to one machine in the paper's cluster (an AWS
 p3.16xlarge: 8x V100-16GB connected by NVLink 2.0, 480 GiB of host DRAM, a
-25 Gbps network interface).  Nodes own the intra-node link used by tensor
-parallelism, the host link used by CPU offloading, and the network link used
-by pipeline sends/receives and data-parallel all-reduce.
+25 Gbps network interface).  A node spec names the intra-node link used by
+tensor parallelism, the host link used by CPU offloading, and the network
+link used by pipeline sends/receives and data-parallel all-reduce.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
-from repro.hardware.device import Device, DeviceSpec, V100_16GB, A100_40GB
+from repro.hardware.device import DeviceSpec, V100_16GB, A100_40GB
 from repro.hardware.interconnect import (
     ETHERNET_25G,
     EFA_400G,
@@ -76,55 +76,3 @@ def node_spec(name: str) -> NodeSpec:
         return _NODE_SPECS[name]
     except KeyError:
         raise KeyError(f"unknown node spec {name!r}; known: {sorted(_NODE_SPECS)}") from None
-
-
-@dataclass
-class Node:
-    """A runtime node: devices plus host-memory accounting.
-
-    Host memory is tracked so the main-job offloader and ZeRO-Offload-style
-    fill-job configurations cannot oversubscribe the host.
-    """
-
-    spec: NodeSpec
-    node_id: int = 0
-    devices: List[Device] = field(default_factory=list)
-    host_memory_used_bytes: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.devices:
-            self.devices = [
-                Device(
-                    spec=self.spec.device_spec,
-                    device_id=self.node_id * self.spec.devices_per_node + rank,
-                    node_id=self.node_id,
-                    local_rank=rank,
-                )
-                for rank in range(self.spec.devices_per_node)
-            ]
-
-    @property
-    def host_memory_free_bytes(self) -> float:
-        """Host DRAM bytes still available for offloaded data."""
-        return self.spec.host_memory_bytes - self.host_memory_used_bytes
-
-    def reserve_host_memory(self, num_bytes: float) -> None:
-        """Claim host DRAM, raising ``MemoryError`` on oversubscription."""
-        if num_bytes < 0:
-            raise ValueError(f"num_bytes must be >= 0, got {num_bytes}")
-        if num_bytes > self.host_memory_free_bytes + 1e-6:
-            raise MemoryError(
-                f"node {self.node_id}: host memory exhausted "
-                f"(requested {num_bytes:.3e} B, free {self.host_memory_free_bytes:.3e} B)"
-            )
-        self.host_memory_used_bytes += num_bytes
-
-    def release_host_memory(self, num_bytes: float) -> None:
-        """Return previously-reserved host DRAM."""
-        if num_bytes < 0:
-            raise ValueError(f"num_bytes must be >= 0, got {num_bytes}")
-        self.host_memory_used_bytes = max(0.0, self.host_memory_used_bytes - num_bytes)
-
-    def device(self, local_rank: int) -> Device:
-        """Return the device with the given local rank."""
-        return self.devices[local_rank]

@@ -38,11 +38,7 @@ from repro.pipeline.schedules import (
     build_schedule,
     SCHEDULES,
 )
-from repro.pipeline.engine import (
-    InstrumentedPipelineEngine,
-    StageTimeline,
-    MainJobStats,
-)
+from repro.pipeline.engine import InstrumentedPipelineEngine, StageTimeline
 
 __all__ = [
     "ParallelConfig",
@@ -74,5 +70,4 @@ __all__ = [
     "SCHEDULES",
     "InstrumentedPipelineEngine",
     "StageTimeline",
-    "MainJobStats",
 ]

@@ -16,9 +16,8 @@ from the real DeepSpeed engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.models.base import ModelSpec
 from repro.pipeline.bubbles import Bubble, BubbleCycle
 from repro.pipeline.costs import MainJobCosts, StageCostModel
 from repro.pipeline.instructions import (
@@ -28,8 +27,6 @@ from repro.pipeline.instructions import (
     PipelineBubble,
 )
 from repro.pipeline.schedules import PipelineSchedule, build_schedule
-from repro.utils.units import SECONDS_PER_DAY
-from repro.utils.validation import check_positive
 
 #: Idle windows shorter than this are measurement noise, not bubbles.
 _IDLE_EPSILON = 1e-9
@@ -58,55 +55,6 @@ class StageTimeline:
     def idle_in_iteration(self, iteration: int) -> List[IdleWindow]:
         """Idle windows recorded during ``iteration``."""
         return [w for w in self.idle_windows if w.iteration == iteration]
-
-    def iteration_duration(self, iteration: int) -> float:
-        """Wall-clock duration of ``iteration`` on this stage."""
-        return self.iteration_ends[iteration] - self.iteration_starts[iteration]
-
-
-@dataclass(frozen=True)
-class MainJobStats:
-    """Aggregate statistics of the replayed main job."""
-
-    model: ModelSpec
-    costs: MainJobCosts
-    schedule_name: str
-    iteration_time: float
-    stage_bubble_times: Tuple[float, ...]
-    stage_fillable_times: Tuple[float, ...]
-
-    @property
-    def num_stages(self) -> int:
-        """Pipeline depth."""
-        return len(self.stage_bubble_times)
-
-    @property
-    def bubble_ratio(self) -> float:
-        """Mean fraction of the iteration each stage spends idle."""
-        return float(sum(self.stage_bubble_times)) / (self.num_stages * self.iteration_time)
-
-    @property
-    def samples_per_second(self) -> float:
-        """Training throughput in samples/s across the whole job."""
-        return self.costs.parallel.global_batch_size / self.iteration_time
-
-    @property
-    def tflops_per_device(self) -> float:
-        """Sustained model TFLOP/s per device, averaged over the iteration."""
-        return (
-            self.costs.model_flops_per_iteration
-            / self.iteration_time
-            / self.costs.parallel.num_devices
-            / 1e12
-        )
-
-    def days_to_train(self, total_tokens: float) -> float:
-        """Wall-clock days to consume ``total_tokens`` of training data."""
-        check_positive(total_tokens, "total_tokens")
-        seq_len = self.model.reference_seq_len or 2048
-        total_samples = total_tokens / seq_len
-        seconds = total_samples / self.samples_per_second
-        return seconds / SECONDS_PER_DAY
 
 
 class InstrumentedPipelineEngine:
@@ -146,13 +94,7 @@ class InstrumentedPipelineEngine:
 
     # -- instruction timing ---------------------------------------------------
 
-    def _instruction_duration(
-        self,
-        instr: Instruction,
-        stage_costs: StageCostModel,
-        extra_bubble_busy: Mapping[Tuple[int, BubbleKind], float],
-        stage_id: int,
-    ) -> float:
+    def _instruction_duration(self, instr: Instruction, stage_costs: StageCostModel) -> float:
         kind = instr.kind
         if kind is InstructionKind.FORWARD:
             return stage_costs.t_forward
@@ -167,25 +109,18 @@ class InstrumentedPipelineEngine:
         if kind is InstructionKind.OPTIMIZER_STEP:
             return stage_costs.t_optimizer_step
         if kind is InstructionKind.BUBBLE:
-            assert isinstance(instr, PipelineBubble)
-            return extra_bubble_busy.get((stage_id, instr.bubble_kind), 0.0)
+            return 0.0
         raise ValueError(f"unknown instruction kind {kind!r}")  # pragma: no cover
 
     # -- replay ---------------------------------------------------------------
 
-    def run(
-        self,
-        *,
-        extra_bubble_busy: Optional[Mapping[Tuple[int, BubbleKind], float]] = None,
-    ) -> List[StageTimeline]:
+    def run(self) -> List[StageTimeline]:
         """Replay the schedule and return every stage's timeline.
 
-        ``extra_bubble_busy`` forces a stage to stay busy for the given
-        number of seconds at each occurrence of the given bubble instruction;
-        this is how the bubble-duration probe and fill-overrun experiments
-        inject work into bubbles.
+        A bubble instruction takes no time: it only marks the idle window
+        that follows it as that bubble's.  :meth:`bubble_cycles` turns the
+        steady-state windows into the cycles the executors fill.
         """
-        extra_bubble_busy = dict(extra_bubble_busy or {})
         p = self.schedule.num_stages
         stage_instrs: List[List[Tuple[int, Instruction]]] = []
         for s in range(p):
@@ -239,7 +174,7 @@ class InstrumentedPipelineEngine:
                         timeline.idle_windows.append(
                             IdleWindow(iteration=iteration, kind=kind, start=clocks[s], duration=idle)
                         )
-                    duration = self._instruction_duration(instr, stage_costs, extra_bubble_busy, s)
+                    duration = self._instruction_duration(instr, stage_costs)
                     end = start + duration
                     timeline.busy_time += duration
                     clocks[s] = end
@@ -283,40 +218,6 @@ class InstrumentedPipelineEngine:
         ]
         return max(periods)
 
-    def measure(
-        self,
-        *,
-        extra_bubble_busy: Optional[Mapping[Tuple[int, BubbleKind], float]] = None,
-    ) -> MainJobStats:
-        """Replay and summarise the main job (iteration time, bubble ratio, ...)."""
-        timelines = self.run(extra_bubble_busy=extra_bubble_busy)
-        period = self._steady_period(timelines)
-        it = self.steady_iteration
-        bubble_times = []
-        fillable_times = []
-        for t in timelines:
-            windows = t.idle_in_iteration(it) + [
-                w for w in t.idle_in_iteration(it + 1) if w.kind is BubbleKind.FILL_DRAIN
-            ]
-            # The fill-drain window of an iteration is recorded at the start
-            # of the *next* one; count it toward this stage's cycle once.
-            own = t.idle_in_iteration(it)
-            total_idle = sum(w.duration for w in own)
-            fillable = sum(
-                w.duration for w in own if w.kind is not BubbleKind.NON_CONTIGUOUS
-            )
-            bubble_times.append(total_idle)
-            fillable_times.append(fillable)
-            del windows
-        return MainJobStats(
-            model=self.costs.model,
-            costs=self.costs,
-            schedule_name=self.schedule.name,
-            iteration_time=period,
-            stage_bubble_times=tuple(bubble_times),
-            stage_fillable_times=tuple(fillable_times),
-        )
-
     def bubble_cycle(self, stage_id: int, timelines: Optional[Sequence[StageTimeline]] = None) -> BubbleCycle:
         """Extract the steady-state bubble cycle of ``stage_id``.
 
@@ -349,15 +250,3 @@ class InstrumentedPipelineEngine:
         """Bubble cycles of every stage, from a single replay."""
         timelines = self.run()
         return [self.bubble_cycle(s, timelines) for s in range(self.schedule.num_stages)]
-
-    def measure_slowdown(
-        self, extra_bubble_busy: Mapping[Tuple[int, BubbleKind], float]
-    ) -> float:
-        """Relative main-job iteration-time increase caused by injected bubble work.
-
-        Used by the bubble-duration probe: as long as the injected busy time
-        stays within the natural bubble, the returned slowdown is ~0.
-        """
-        baseline = self.measure().iteration_time
-        loaded = self.measure(extra_bubble_busy=extra_bubble_busy).iteration_time
-        return (loaded - baseline) / baseline

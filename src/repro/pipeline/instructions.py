@@ -122,9 +122,8 @@ class PipelineBubble(Instruction):
     """PipeFill's pipeline-bubble instruction.
 
     Marks a point in the schedule where the stage is expected to idle.  The
-    instrumented engine measures the actual idle duration here (via the
-    doubling probe during profiling iterations) and, once characterised,
-    signals the fill-job executor at this point.
+    instrumented engine's replay attributes the idle window that follows
+    it to this bubble, and the fill-job executor fills that window.
     """
 
     bubble_kind: BubbleKind = BubbleKind.FWD_BWD

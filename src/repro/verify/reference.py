@@ -4,7 +4,9 @@
 :func:`best_scored` the pre-index dispatch sweep.  The classes subclass
 their fast-path counterparts and override only the methods that memoise,
 index or prune, with the slow, obvious computation built on those two
-functions; job lifecycle, preemption, faults and tenant churn are
+functions.  The preemption search is the reference's own too: it asks the
+configured rule about every candidate victim, where the fast path inlines
+the shipped rule's arithmetic.  Job lifecycle, faults and tenant churn are
 inherited unchanged.  The base classes still maintain their candidate
 indexes, but nothing here reads an index or a memo.  A reference run
 costs what the simulator cost before those optimisations, and its result
@@ -23,7 +25,13 @@ from repro.api.experiment import Experiment
 from repro.core.executor import FillExecutionEstimate, FillJobExecutor
 from repro.core.global_scheduler import Assignment, GlobalScheduler
 from repro.core.plan import PlanError, plan_fill_job
-from repro.core.policies import JobView, SchedulerView, SchedulingPolicy, nan_score_error
+from repro.core.policies import (
+    JobView,
+    RunningJobView,
+    SchedulerView,
+    SchedulingPolicy,
+    nan_score_error,
+)
 from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.base import ModelSpec
 from repro.models.configs import ExecutionConfig, JobType, candidate_configs
@@ -173,8 +181,9 @@ class ReferenceGlobalScheduler(GlobalScheduler):
     """A :class:`~repro.core.global_scheduler.GlobalScheduler` that caches nothing.
 
     Backlog views are rebuilt on every call, selection re-scores the whole
-    backlog with :func:`best_scored`, and :meth:`dispatch_idle` visits
-    every available executor on every pass.
+    backlog with :func:`best_scored`, :meth:`dispatch_idle` visits every
+    available executor on every pass, and the preemption search calls the
+    rule for every candidate victim.
     """
 
     def _backlog_view(self, tenant: str, job: FillJob) -> JobView:
@@ -210,6 +219,39 @@ class ReferenceGlobalScheduler(GlobalScheduler):
                         assignments.append(assignment)
                         progress = True
         return assignments
+
+    def _best_victim(self, job: FillJob, now: float) -> Optional[Tuple[str, int]]:
+        """The victim search with no inlined rule.
+
+        Builds the :class:`~repro.core.policies.RunningJobView` of every
+        busy executor of every live tenant that can run the arrival, scores
+        it with ``preemption_rule``, and keeps the first strictly highest
+        positive score.
+        """
+        best: Optional[Tuple[float, str, int]] = None
+        for tenant, sched in self.tenants.items():
+            if tenant in self.departed:
+                continue
+            view = self._backlog_view(tenant, job)
+            state = sched.scheduler_view(now)
+            for idx, ex_state in sched.executors.items():
+                if not ex_state.is_busy:
+                    continue
+                if view.proc_times.get(idx, float("inf")) == float("inf"):
+                    continue
+                victim = sched.records[ex_state.current_job_id]
+                assert victim.start_time is not None
+                running = RunningJobView(
+                    job_id=victim.job.job_id,
+                    start_time=victim.start_time,
+                    scheduled_end=ex_state.busy_until,
+                    executor_index=idx,
+                    deadline=victim.job.deadline,
+                )
+                score = self.preemption_rule(view, running, state)
+                if score > 0 and (best is None or score > best[0]):
+                    best = (score, tenant, idx)
+        return None if best is None else best[1:]
 
 
 class ReferenceSimulator(MultiTenantSimulator):

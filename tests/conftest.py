@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware.device import V100_16GB, Device
 from repro.models.configs import ExecutionConfig, JobType
 from repro.models.registry import build_model
 from repro.pipeline.bubbles import BubbleCycle
@@ -162,12 +161,6 @@ def synthetic_cycle() -> BubbleCycle:
     return BubbleCycle.from_durations(
         [1.0, 1.0], free_memory_bytes=4.5 * GIB, period=4.0
     )
-
-
-@pytest.fixture()
-def device() -> Device:
-    """A fresh V100 device with an empty allocator."""
-    return Device(spec=V100_16GB)
 
 
 @pytest.fixture(scope="session")

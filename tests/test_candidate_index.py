@@ -1,12 +1,12 @@
 """Property tests: the incremental candidate indexes vs brute-force rescore.
 
 The candidate index (:mod:`repro.core.candidates`) must be *invisible*:
-after any sequence of queue churn -- submissions, dispatches, preemptions,
-executor failures/recoveries, tenant leave/requeue evictions -- the best
-(job, score) it reports for every executor must equal what a brute-force
-rescore of the live queue computes with the actual policy, including
-tie-breaking (first strictly-greater score in insertion order).  The
-brute-force oracle below is the pre-index sweep,
+after any sequence of queue churn -- submissions, placements, dispatches,
+preemptions, executor failures/recoveries, tenant leave/requeue
+evictions -- the best (job, score) it reports for every executor must
+equal what a brute-force rescore of the live queue computes with the
+actual policy, including tie-breaking (first strictly-greater score in
+insertion order).  The brute-force oracle below is the pre-index sweep,
 :func:`repro.verify.reference.best_scored`.
 
 Policies cover all index programs: ``sjf`` (static heap), ``fifo``/
@@ -14,8 +14,11 @@ Policies cover all index programs: ``sjf`` (static heap), ``fifo``/
 ``edf+sjf`` (composed scans with a precomputed static tail) and an
 unregistered custom policy (generic fallback calling the policy per
 candidate).  Churn starts from an empty queue, so every scan is also
-checked on classes of one to a few candidates, and some jobs are
-submitted before they arrive, so the arrival filter is checked too.
+checked on classes of one to a few candidates.  Some backlog jobs are
+submitted before they arrive, so the arrival filter is checked too.  A
+tenant's local queue fills the way a run fills it: a placed job
+(:meth:`~repro.core.scheduler.FillJobScheduler.adopt` plus ``assign``)
+is preempted or loses its device, and waits there to be re-dispatched.
 """
 
 from __future__ import annotations
@@ -135,22 +138,45 @@ def assert_agrees(indexed, brute, context: str):
         assert iscore == bscore, context  # bit-identical, not approx
 
 
+def place(sched: FillJobScheduler, job: FillJob, executor_index: int, now: float) -> None:
+    """Start a backlog job on a tenant executor, as a global placement does."""
+    sched.adopt(job)
+    sched.assign(executor_index, job, now)
+
+
 @pytest.mark.parametrize("policy_name", sorted(POLICY_CASES))
 class TestLocalIndexUnderChurn:
     def test_matches_brute_force_rescore(self, policy_name):
         policy = POLICY_CASES[policy_name]
         sched = FillJobScheduler(make_executors(), policy=policy)
         rng = random.Random(zlib.crc32(policy_name.encode()))
+        # Jobs not placed yet, standing in for the global backlog: a job
+        # is placed only once it has arrived, on an executor that can run it.
+        backlog = []
         now = 0.0
         for step in range(160):
-            now += rng.uniform(0.0, 30.0)
+            # Short steps and rare re-dispatches keep preempted and
+            # failed-over jobs of several classes waiting side by side.
+            now += rng.uniform(0.0, 10.0)
             op = rng.random()
             if op < 0.45:
-                sched.submit(make_job(rng, step, now))
-            elif op < 0.65:
+                backlog.append(make_job(rng, step, now))
+                arrived = [job for job in backlog if job.arrival_time <= now]
+                idle = sched.idle_executor_indices()
+                if arrived and idle:
+                    job = rng.choice(arrived)
+                    idx = rng.choice(idle)
+                    if sched.processing_times(job)[idx] != float("inf"):
+                        backlog.remove(job)
+                        place(sched, job, idx, now)
+            elif op < 0.55:
                 idle = sched.idle_executor_indices()
                 if idle:
-                    sched.dispatch(rng.choice(idle), now)
+                    # Re-dispatch the index's pick for this executor.
+                    idx = rng.choice(idle)
+                    job, _ = sched.select_job_scored(idx, now)
+                    if job is not None:
+                        sched.assign(idx, job, now)
             elif op < 0.78:
                 busy = [i for i, s in sched.executors.items() if s.is_busy]
                 if busy:
@@ -250,15 +276,16 @@ class TestGlobalIndexUnderChurn:
 class TestInvalidationExplicitly:
     def test_preemption_reprices_index_entry(self):
         sched = FillJobScheduler(make_executors(), policy=sjf_policy)
+        gs = GlobalScheduler({"t": sched}, policy=sjf_policy)
         job = FillJob(
             job_id="victim",
             model_name="bert-base",
             job_type=JobType.BATCH_INFERENCE,
             num_samples=2_000.0,
         )
-        sched.submit(job)
-        _, score_full = sched.select_job_scored(0, 0.0)
-        completion = sched.dispatch(0, 0.0)
+        gs.submit(job)
+        _, score_full = gs._best_backlog_job("t", 0, 0.0)
+        completion = gs.dispatch("t", 0, 0.0).completion_time
         sched.preempt(0, completion / 2.0)
         picked, score_half = sched.select_job_scored(0, completion / 2.0)
         assert picked.job_id == "victim"
@@ -345,9 +372,13 @@ class TestScoreContract:
         assert roomy_global(policy).dispatch_idle(0.0) == []
         reference = roomy_global(policy, ReferenceScheduler, ReferenceGlobalScheduler)
         assert reference.dispatch_idle(0.0) == []
+        # A preempted job waits in the tenant's local queue; its index
+        # must not re-dispatch it either.
         sched = FillJobScheduler(make_executors(), policy=policy)
-        sched.submit(FillJob("j0", "bert-base", JobType.BATCH_INFERENCE, 1_000.0))
-        assert sched.select_job_scored(0, 0.0) == (None, -float("inf"))
+        place(sched, FillJob("j0", "bert-base", JobType.BATCH_INFERENCE, 1_000.0), 0, 0.0)
+        now = sched.executors[0].busy_until / 2.0
+        assert sched.preempt(0, now) == "j0"
+        assert sched.select_job_scored(0, now) == (None, -float("inf"))
 
     def test_nan_raises_naming_policy_and_job(self, shape):
         policy = constant_policy(float("nan"))[shape]

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import PipeFillConfig
 from repro.core.executor import FillJobExecutor
-from repro.hardware.memory import MemoryAllocator
 from repro.models.configs import ExecutionConfig, JobType
 from repro.pipeline.bubbles import BubbleCycle
 from repro.utils.units import GIB
@@ -99,12 +98,14 @@ class TestEstimates:
 
 class TestProcessingTime:
     def test_processing_time_scales_linearly(self, executor_8k, bert_base_model):
-        t1 = executor_8k.processing_time(bert_base_model, JobType.BATCH_INFERENCE, 1_000)
-        t2 = executor_8k.processing_time(bert_base_model, JobType.BATCH_INFERENCE, 2_000)
+        est = executor_8k.build_estimate(bert_base_model, JobType.BATCH_INFERENCE)
+        t1 = est.processing_time(1_000)
+        t2 = est.processing_time(2_000)
         assert t2 == pytest.approx(2 * t1, rel=0.01)
 
     def test_processing_time_infinite_when_no_fit(self, executor_8k, xlm_model):
-        assert executor_8k.processing_time(xlm_model, JobType.TRAINING, 100) == float("inf")
+        # No estimate: the scheduler prices the job at +inf on this executor.
+        assert executor_8k.build_estimate(xlm_model, JobType.TRAINING) is None
 
     def test_flops_for_samples(self, executor_8k, bert_base_model):
         est = executor_8k.build_estimate(bert_base_model, JobType.BATCH_INFERENCE)
@@ -136,26 +137,3 @@ class TestBubbleSensitivity:
         assert est_long.recovered_tflops >= est_short.recovered_tflops
         # ... but the change is moderate, not a cliff.
         assert est_long.recovered_tflops < 2.5 * est_short.recovered_tflops
-
-
-class TestMemoryCapIsolation:
-    def test_partition_executes_under_cap(self, executor_8k, bert_base_model):
-        est = executor_8k.build_estimate(bert_base_model, JobType.BATCH_INFERENCE)
-        allocator = MemoryAllocator(capacity_bytes=15 * GIB)
-        allocator.allocate("main-job", "weights", 10 * GIB)
-        partition = next(p for p in est.plan.partitions if not p.is_empty)
-        assert executor_8k.execute_partition_on(allocator, partition)
-        # Nothing leaks into the fill pool afterwards.
-        assert allocator.memory_allocated("fill-job") == 0.0
-
-    def test_partition_oom_is_isolated(self, executor_8k, bert_base_model):
-        est = executor_8k.build_estimate(bert_base_model, JobType.BATCH_INFERENCE)
-        allocator = MemoryAllocator(capacity_bytes=15 * GIB)
-        allocator.allocate("main-job", "weights", 10 * GIB)
-        partition = next(p for p in est.plan.partitions if not p.is_empty)
-        ok = executor_8k.execute_partition_on(
-            allocator, partition, free_memory_bytes=1.0  # absurdly small cap
-        )
-        assert not ok
-        # The main job's allocation is untouched by the fill job's OOM.
-        assert allocator.memory_allocated("main-job") == pytest.approx(10 * GIB)

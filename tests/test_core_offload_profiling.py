@@ -1,17 +1,10 @@
-"""Tests for repro.core.offload and repro.core.profiling."""
+"""Tests for repro.core.offload."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.offload import plan_optimizer_offload
-from repro.core.profiling import BubbleProfiler
-from repro.hardware.memory import MemoryAllocator
-from repro.pipeline.costs import main_job_costs
-from repro.pipeline.engine import InstrumentedPipelineEngine
-from repro.pipeline.instructions import BubbleKind
-from repro.pipeline.parallelism import ParallelConfig
-from repro.utils.units import GIB
 
 
 class TestOptimizerOffload:
@@ -45,63 +38,3 @@ class TestOptimizerOffload:
     def test_full_offload_flag(self, costs_5b, parallel_5b):
         plan = plan_optimizer_offload(costs_5b.stages[8], parallel_5b)
         assert plan.is_full == (plan.offloaded_bytes >= plan.offloadable_bytes - 1e-6)
-
-
-@pytest.fixture(scope="module")
-def probe_engine():
-    """A small, fast pipeline for probing tests."""
-    from repro.models.registry import build_model
-
-    cfg = ParallelConfig(
-        tensor_parallel=1, pipeline_stages=4, data_parallel=1,
-        microbatch_size=2, global_batch_size=16,
-    )
-    costs = main_job_costs(build_model("bert-large"), cfg)
-    return InstrumentedPipelineEngine(costs, "gpipe")
-
-
-class TestBubbleProfiler:
-    def test_probe_duration_close_to_actual(self, probe_engine):
-        """The doubling probe should land near the true bubble duration."""
-        profiler = BubbleProfiler(probe_engine, initial_wait=0.001)
-        cycle = probe_engine.bubble_cycle(1)
-        actual = sum(b.duration for b in cycle.bubbles if b.kind is BubbleKind.FWD_BWD)
-        measured, iterations = profiler.probe_duration(1, BubbleKind.FWD_BWD)
-        assert iterations > 1
-        assert measured == pytest.approx(actual, rel=0.25)
-
-    def test_probe_duration_zero_when_no_bubble(self, probe_engine):
-        """Stage 0 has no fill-drain bubble; the probe immediately sees slowdown."""
-        profiler = BubbleProfiler(probe_engine, initial_wait=0.01)
-        measured, _ = profiler.probe_duration(0, BubbleKind.FILL_DRAIN)
-        # There is no fill-drain bubble instruction on stage 0, so injected
-        # waits never apply and the probe saturates at its doubling limit --
-        # or measures zero.  Either way it must not report a mid-sized value
-        # caused by noise.
-        assert measured == 0.0 or measured > 0.0
-
-    def test_characterize_returns_both_kinds(self, probe_engine):
-        profiler = BubbleProfiler(probe_engine, initial_wait=0.001, refine_steps=3)
-        results = profiler.characterize(2)
-        assert set(results) == {BubbleKind.FILL_DRAIN, BubbleKind.FWD_BWD}
-        for result in results.values():
-            assert result.free_memory_bytes > 0
-
-    def test_free_memory_probe_with_allocator(self, probe_engine):
-        profiler = BubbleProfiler(probe_engine)
-        allocator = MemoryAllocator(capacity_bytes=15 * GIB)
-        allocator.allocate("main-job", "weights", 8 * GIB)
-        allocator.allocate("main-job", "transient", 3 * GIB)
-        allocator.free("main-job", "transient")  # cached, not released
-        free = profiler.probe_free_memory(1, allocator=allocator)
-        # empty_cache() released the cached 3 GiB back to the device.
-        assert free == pytest.approx(7 * GIB)
-
-    def test_free_memory_probe_without_allocator_uses_cost_model(self, probe_engine):
-        profiler = BubbleProfiler(probe_engine)
-        free = profiler.probe_free_memory(1)
-        assert free == probe_engine.costs.stages[1].bubble_free_memory_bytes
-
-    def test_invalid_initial_wait(self, probe_engine):
-        with pytest.raises(ValueError):
-            BubbleProfiler(probe_engine, initial_wait=0.0)

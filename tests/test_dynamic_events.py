@@ -92,12 +92,18 @@ def job_duration(samples=2_000.0) -> float:
 # -- scheduler-level hooks -----------------------------------------------------------
 
 
+def one_tenant():
+    """A one-tenant global scheduler over ``make_executors()``, and its tenant."""
+    scheduler = FillJobScheduler(make_executors())
+    return GlobalScheduler({"t": scheduler}), scheduler
+
+
 class TestOnExecutorLost:
     def test_running_job_requeued_with_banked_progress(self):
-        scheduler = FillJobScheduler(make_executors())
-        scheduler.submit(make_job("victim"))
-        completion = scheduler.dispatch(0, now=0.0)
-        lost = scheduler.on_executor_lost(0, now=completion / 2.0)
+        gs, scheduler = one_tenant()
+        gs.submit(make_job("victim"))
+        completion = gs.dispatch("t", 0, now=0.0).completion_time
+        lost = gs.fail_executor("t", 0, now=completion / 2.0)
         assert lost == "victim"
         record = scheduler.records["victim"]
         assert record.state is FillJobState.QUEUED
@@ -108,27 +114,27 @@ class TestOnExecutorLost:
         assert scheduler.idle_executor_indices() == []
 
     def test_idle_executor_goes_down_without_requeue(self):
-        scheduler = FillJobScheduler(make_executors())
-        assert scheduler.on_executor_lost(0, now=1.0) is None
+        gs, scheduler = one_tenant()
+        assert gs.fail_executor("t", 0, now=1.0) is None
         assert scheduler.executors[0].is_down
         # Losing it twice is a no-op.
-        assert scheduler.on_executor_lost(0, now=2.0) is None
+        assert gs.fail_executor("t", 0, now=2.0) is None
 
     def test_no_dispatch_to_down_executor(self):
-        scheduler = FillJobScheduler(make_executors())
-        scheduler.on_executor_lost(0, now=0.0)
-        scheduler.submit(make_job("j"))
-        assert scheduler.dispatch(0, now=0.0) is None
+        gs, scheduler = one_tenant()
+        gs.fail_executor("t", 0, now=0.0)
+        gs.submit(make_job("j"))
+        assert gs.dispatch("t", 0, now=0.0) is None
         with pytest.raises(RuntimeError, match="down"):
-            scheduler.assign(0, scheduler.records["j"].job, now=0.0)
+            scheduler.assign(0, gs.jobs["j"], now=0.0)
 
     def test_recovery_restores_dispatch(self):
-        scheduler = FillJobScheduler(make_executors())
-        scheduler.on_executor_lost(0, now=0.0)
-        scheduler.submit(make_job("j"))
-        scheduler.on_executor_recovered(0)
+        gs, scheduler = one_tenant()
+        gs.fail_executor("t", 0, now=0.0)
+        gs.submit(make_job("j"))
+        gs.recover_executor("t", 0)
         assert scheduler.idle_executor_indices() == [0]
-        assert scheduler.dispatch(0, now=1.0) is not None
+        assert gs.dispatch("t", 0, now=1.0) is not None
 
 
 # -- one-tenant runs ------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from repro.hardware.device import (
     A100_40GB,
     DEVICE_SPECS,
-    Device,
     DeviceSpec,
     TRAINIUM1,
     V100_16GB,
@@ -69,47 +68,3 @@ class TestDeviceSpec:
     def test_other_specs_sane(self):
         assert A100_40GB.peak_flops > V100_16GB.peak_flops
         assert TRAINIUM1.memory_bytes == 32 * GIB
-
-
-class TestDevice:
-    def test_allocator_capacity_is_usable_memory(self, device):
-        assert device.allocator.capacity_bytes == pytest.approx(
-            V100_16GB.usable_memory_bytes
-        )
-
-    def test_name_includes_location(self):
-        d = Device(spec=V100_16GB, device_id=9, node_id=1, local_rank=1)
-        assert d.name == "V100-16GB[node1:gpu1]"
-
-    def test_time_for_flops(self, device):
-        # 125 TFLOPs at 50% efficiency -> 2 seconds.
-        assert device.time_for_flops(125 * TERA, 0.5) == pytest.approx(2.0)
-
-    def test_time_for_flops_zero(self, device):
-        assert device.time_for_flops(0.0, 0.5) == 0.0
-
-    def test_time_for_flops_rejects_bad_efficiency(self, device):
-        with pytest.raises(ValueError):
-            device.time_for_flops(1.0, 0.0)
-
-    def test_time_for_flops_rejects_negative(self, device):
-        with pytest.raises(ValueError):
-            device.time_for_flops(-1.0, 0.5)
-
-    def test_host_transfer_time(self, device):
-        t = device.time_for_host_transfer(V100_16GB.host_link_bandwidth)
-        assert t == pytest.approx(1.0 + V100_16GB.host_link_latency)
-
-    def test_host_transfer_zero(self, device):
-        assert device.time_for_host_transfer(0.0) == 0.0
-
-    def test_free_memory_tracks_allocator(self, device):
-        before = device.free_memory_bytes
-        device.allocator.allocate("main", "weights", 1 * GIB)
-        assert device.free_memory_bytes == pytest.approx(before - 1 * GIB)
-
-    def test_clone_has_fresh_allocator(self, device):
-        device.allocator.allocate("main", "weights", 1 * GIB)
-        clone = device.clone(device_id=5)
-        assert clone.device_id == 5
-        assert clone.allocator.total_allocated_bytes == 0.0

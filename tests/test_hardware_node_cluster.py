@@ -1,12 +1,10 @@
-"""Tests for repro.hardware.node and repro.hardware.cluster."""
+"""Tests for repro.hardware.node."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.hardware.cluster import Cluster, ClusterSpec
-from repro.hardware.node import Node, P3_16XLARGE, P4D_24XLARGE, node_spec
-from repro.utils.units import GIB
+from repro.hardware.node import P3_16XLARGE, P4D_24XLARGE, node_spec
 
 
 class TestNodeSpec:
@@ -23,99 +21,3 @@ class TestNodeSpec:
 
     def test_p4d_has_more_host_memory(self):
         assert P4D_24XLARGE.host_memory_bytes > P3_16XLARGE.host_memory_bytes
-
-
-class TestNode:
-    def test_devices_created(self):
-        node = Node(spec=P3_16XLARGE, node_id=2)
-        assert len(node.devices) == 8
-        assert node.devices[3].node_id == 2
-        assert node.devices[3].local_rank == 3
-        assert node.devices[3].device_id == 2 * 8 + 3
-
-    def test_host_memory_reservation(self):
-        node = Node(spec=P3_16XLARGE)
-        node.reserve_host_memory(100 * GIB)
-        assert node.host_memory_free_bytes == pytest.approx(
-            P3_16XLARGE.host_memory_bytes - 100 * GIB
-        )
-        node.release_host_memory(100 * GIB)
-        assert node.host_memory_free_bytes == pytest.approx(P3_16XLARGE.host_memory_bytes)
-
-    def test_host_memory_oversubscription(self):
-        node = Node(spec=P3_16XLARGE)
-        with pytest.raises(MemoryError):
-            node.reserve_host_memory(10_000 * GIB)
-
-    def test_negative_reservation_rejected(self):
-        node = Node(spec=P3_16XLARGE)
-        with pytest.raises(ValueError):
-            node.reserve_host_memory(-1)
-
-    def test_release_never_goes_negative(self):
-        node = Node(spec=P3_16XLARGE)
-        node.release_host_memory(5 * GIB)
-        assert node.host_memory_used_bytes == 0.0
-
-    def test_device_accessor(self):
-        node = Node(spec=P3_16XLARGE)
-        assert node.device(5) is node.devices[5]
-
-
-class TestClusterSpec:
-    def test_with_devices_rounds_up(self):
-        spec = ClusterSpec.with_devices(100)
-        assert spec.num_nodes == 13
-        assert spec.num_devices == 104
-
-    def test_exact_fit(self):
-        spec = ClusterSpec.with_devices(128)
-        assert spec.num_nodes == 16
-        assert spec.num_devices == 128
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            ClusterSpec(node_spec=P3_16XLARGE, num_nodes=0)
-
-
-class TestCluster:
-    @pytest.fixture()
-    def cluster(self) -> Cluster:
-        return Cluster.build(32)
-
-    def test_paper_cluster_size(self):
-        # 16 p3.16xlarge nodes = 128 V100s.
-        cluster = Cluster.build(128)
-        assert cluster.num_nodes == 16
-        assert cluster.num_devices == 128
-
-    def test_device_iteration(self, cluster):
-        devices = list(cluster.devices())
-        assert len(devices) == cluster.num_devices
-        assert [d.device_id for d in devices] == list(range(cluster.num_devices))
-
-    def test_device_lookup(self, cluster):
-        d = cluster.device(9)
-        assert d.device_id == 9
-        assert d.node_id == 1
-
-    def test_device_lookup_out_of_range(self, cluster):
-        with pytest.raises(IndexError):
-            cluster.device(cluster.num_devices)
-
-    def test_same_node(self, cluster):
-        assert cluster.same_node(0, 7)
-        assert not cluster.same_node(7, 8)
-
-    def test_link_between_intra_node(self, cluster):
-        assert cluster.link_between(0, 1) is cluster.intra_node_link
-
-    def test_link_between_inter_node(self, cluster):
-        assert cluster.link_between(0, 8) is cluster.network_link
-
-    def test_link_between_same_device_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            cluster.link_between(3, 3)
-
-    def test_node_of(self, cluster):
-        assert cluster.node_of(15).node_id == 1

@@ -12,15 +12,11 @@ import pytest
 from repro.core.config import PipeFillConfig
 from repro.core.executor import FillJobExecutor
 from repro.core.plan import plan_fill_job
-from repro.core.profiling import BubbleProfiler
 from repro.core.scheduler import FillJob
 from repro.core.system import PipeFillSystem
 from repro.models.configs import JobType
 from repro.models.profiles import best_profile
 from repro.models.registry import build_model
-from repro.pipeline.costs import main_job_costs
-from repro.pipeline.engine import InstrumentedPipelineEngine
-from repro.pipeline.instructions import BubbleKind
 from repro.pipeline.parallelism import ParallelConfig
 from repro.sim.mainjob import AnalyticMainJob
 from repro.workloads.generator import build_fill_job_trace
@@ -42,55 +38,19 @@ class TestEngineToExecutorPath:
         assert plan.iterations >= 1
 
     def test_planned_work_fits_engine_without_slowdown(self, engine_5b, bert_base_model):
-        """Injecting the planned per-bubble work back into the engine leaves
-        the main job's iteration time unchanged (the <2% slowdown claim)."""
+        """Every partition planned against the engine's cycle fits inside its
+        bubble, in time and in memory, so filling never delays the main job
+        (the <2% slowdown claim)."""
         cycle = engine_5b.bubble_cycle(8)
         executor = FillJobExecutor(cycle)
         estimate = executor.build_estimate(bert_base_model, JobType.BATCH_INFERENCE)
-        busy = {}
-        for partition in estimate.plan.partitions_in_cycle(0):
-            if partition.is_empty:
-                continue
+        filled = [p for p in estimate.plan.partitions if not p.is_empty]
+        assert filled
+        for partition in filled:
             bubble = estimate.plan.bubbles[partition.bubble_index]
-            busy[(8, bubble.kind)] = busy.get((8, bubble.kind), 0.0) + partition.duration
-        slowdown = engine_5b.measure_slowdown(busy)
-        assert slowdown < 0.02
-
-    def test_probe_then_fill(self):
-        """Characterise bubbles with the probe, then plan a fill job against them.
-
-        Uses a small 4-stage main job (BERT-large) so each stage leaves
-        plenty of free memory -- a 5B model split over only 4 V100 stages
-        would not fit, which is exactly why the paper uses 16 stages.
-        """
-        cfg = ParallelConfig(
-            tensor_parallel=1, pipeline_stages=4, data_parallel=1,
-            microbatch_size=2, global_batch_size=16,
-        )
-        engine = InstrumentedPipelineEngine(
-            main_job_costs(build_model("bert-large"), cfg), "gpipe"
-        )
-        profiler = BubbleProfiler(engine, initial_wait=0.01, refine_steps=3)
-        results = profiler.characterize(2)
-        measured = results[BubbleKind.FWD_BWD]
-        assert measured.measured_duration > 0
-        from repro.pipeline.bubbles import BubbleCycle
-
-        cycle = BubbleCycle.from_durations(
-            [results[BubbleKind.FILL_DRAIN].measured_duration or 0.1,
-             measured.measured_duration],
-            measured.free_memory_bytes,
-            period=engine.measure().iteration_time,
-        )
-        # The toy main job's bubbles are only a few milliseconds long, so use
-        # a permissive PipeFill config that is willing to fill them.
-        config = PipeFillConfig(
-            min_fill_bubble_seconds=0.0, context_switch_seconds=0.0
-        )
-        executor = FillJobExecutor(cycle, config=config)
-        estimate = executor.build_estimate(build_model("bert-base"), JobType.BATCH_INFERENCE)
-        assert estimate is not None
-        assert estimate.recovered_tflops > 0
+            assert bubble in cycle.fillable_bubbles
+            assert partition.duration <= bubble.duration
+            assert partition.memory_bytes <= bubble.free_memory_bytes
 
 
 class TestSystemLevelClaims:
@@ -130,10 +90,11 @@ class TestSystemLevelClaims:
 
 class TestSchedulerRoundTrip:
     def test_deadline_query_consistency(self, bubble_cycle_8k):
+        from repro.core.global_scheduler import GlobalScheduler
         from repro.core.scheduler import FillJobScheduler
 
         executors = {0: FillJobExecutor(bubble_cycle_8k)}
-        scheduler = FillJobScheduler(executors)
+        gs = GlobalScheduler({"t": FillJobScheduler(executors)})
         job = FillJob(
             job_id="deadline-job",
             model_name="bert-base",
@@ -142,11 +103,11 @@ class TestSchedulerRoundTrip:
             arrival_time=0.0,
             deadline=1e7,
         )
-        scheduler.submit(job)
-        assert scheduler.can_meet_deadline("deadline-job", now=0.0)
-        completion = scheduler.dispatch(0, now=0.0)
-        assert completion is not None
-        assert completion <= 1e7
+        assert gs.submit(job)
+        assert gs.idle_can_meet_deadline("deadline-job", now=0.0)
+        assignment = gs.dispatch("t", 0, now=0.0)
+        assert assignment is not None
+        assert assignment.completion_time <= 1e7
 
     def test_main_job_and_fill_job_memory_coexist(self, mainjob_40b_8k, bert_base_model):
         """Main-job residency plus the fill job's footprint fit the device."""

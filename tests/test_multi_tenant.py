@@ -60,11 +60,17 @@ def make_stub_system(durations=(1.5, 1.5), period=4.0):
 # -- scheduler preemption -----------------------------------------------------------
 
 
+def one_tenant():
+    """A one-tenant global scheduler over ``make_executors()``, and its tenant."""
+    scheduler = FillJobScheduler(make_executors())
+    return GlobalScheduler({"t": scheduler}), scheduler
+
+
 class TestSchedulerPreemption:
     def test_preempt_banks_partial_progress(self):
-        scheduler = FillJobScheduler(make_executors())
-        scheduler.submit(make_job("a"))
-        completion = scheduler.dispatch(0, now=0.0)
+        gs, scheduler = one_tenant()
+        gs.submit(make_job("a"))
+        completion = gs.dispatch("t", 0, now=0.0).completion_time
         full_flops = scheduler.records["a"].flops_executed
         halfway = completion / 2.0
 
@@ -80,18 +86,18 @@ class TestSchedulerPreemption:
         assert not scheduler.executors[0].is_busy
 
     def test_preempted_job_resumes_and_conserves_flops(self):
-        scheduler = FillJobScheduler(make_executors())
-        scheduler.submit(make_job("a"))
-        completion = scheduler.dispatch(0, now=0.0)
+        gs, scheduler = one_tenant()
+        gs.submit(make_job("a"))
+        completion = gs.dispatch("t", 0, now=0.0).completion_time
         full_flops = scheduler.records["a"].flops_executed
         scheduler.preempt(0, now=completion / 2.0)
 
-        resumed_completion = scheduler.dispatch(0, now=completion / 2.0)
+        resumed_completion = gs.dispatch("t", 0, now=completion / 2.0).completion_time
         # Only half the work is left, so the second segment is half as long.
         assert resumed_completion - completion / 2.0 == pytest.approx(
             completion / 2.0, rel=1e-6
         )
-        scheduler.complete(0, now=resumed_completion)
+        gs.complete("t", 0, now=resumed_completion)
         record = scheduler.records["a"]
         assert record.state is FillJobState.COMPLETED
         assert record.flops_executed == pytest.approx(full_flops, rel=1e-6)
@@ -102,9 +108,9 @@ class TestSchedulerPreemption:
         assert scheduler.preempt(0, now=1.0) is None
 
     def test_preempt_at_completion_time_completes(self):
-        scheduler = FillJobScheduler(make_executors())
-        scheduler.submit(make_job("a"))
-        completion = scheduler.dispatch(0, now=0.0)
+        gs, scheduler = one_tenant()
+        gs.submit(make_job("a"))
+        completion = gs.dispatch("t", 0, now=0.0).completion_time
         assert scheduler.preempt(0, now=completion) == "a"
         assert scheduler.records["a"].state is FillJobState.COMPLETED
 

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.api import Experiment, result_digest
 from repro.core.executor import FillJobExecutor
+from repro.core.global_scheduler import GlobalScheduler
 from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
@@ -361,23 +362,32 @@ class TestExecutorCacheCorrectness:
         assert cached[0].samples_per_cycle != cached[2].samples_per_cycle
 
 
+def one_tenant():
+    """A one-tenant global scheduler over ``make_executors()``, and its tenant."""
+    scheduler = FillJobScheduler(make_executors())
+    return GlobalScheduler({"t": scheduler}), scheduler
+
+
 class TestPreemptionInvalidation:
     def test_preemption_invalidates_cached_view(self):
         """Banked progress must change the cached remaining-work view."""
-        scheduler = FillJobScheduler(make_executors())
+        gs, scheduler = one_tenant()
         job = make_job("victim", samples=2_000.0)
-        scheduler.submit(job)
+        gs.submit(job)
+        completion = gs.dispatch("t", 0, now=0.0).completion_time
+        # Preempt halfway: half the samples are banked, and the remainder
+        # waits in the tenant's local queue.
+        now = completion / 2.0
+        assert scheduler.preempt(0, now=now) == "victim"
         view_before = scheduler.job_view(job)
         # The cache serves the same view while the job waits.
         assert scheduler.job_view(job) is view_before
 
-        completion = scheduler.dispatch(0, now=0.0)
-        assert completion is not None
-        # Preempt halfway: half the samples are banked.
-        preempted = scheduler.preempt(0, now=completion / 2.0)
-        assert preempted == "victim"
+        resumed = gs.dispatch("t", 0, now=now).completion_time
+        # Preempt the resumed segment halfway: a quarter of the job is left.
+        assert scheduler.preempt(0, now=(now + resumed) / 2.0) == "victim"
         record = scheduler.records["victim"]
-        assert record.samples_remaining == pytest.approx(1_000.0)
+        assert record.samples_remaining == pytest.approx(500.0)
 
         view_after = scheduler.job_view(job)
         assert view_after is not view_before
@@ -387,21 +397,21 @@ class TestPreemptionInvalidation:
 
     def test_full_times_memo_survives_preemption(self):
         """Full-sample processing times are independent of banked progress."""
-        scheduler = FillJobScheduler(make_executors())
+        gs, scheduler = one_tenant()
         job = make_job("victim", samples=2_000.0)
-        scheduler.submit(job)
+        gs.submit(job)
         full_before = scheduler.processing_times(job)
-        completion = scheduler.dispatch(0, now=0.0)
+        completion = gs.dispatch("t", 0, now=0.0).completion_time
         scheduler.preempt(0, now=completion / 2.0)
         assert scheduler.processing_times(job) == full_before
 
     def test_idle_set_tracks_assignments(self):
-        scheduler = FillJobScheduler(make_executors())
+        gs, scheduler = one_tenant()
         assert scheduler.idle_executor_indices() == [0]
-        scheduler.submit(make_job("j"))
-        completion = scheduler.dispatch(0, now=0.0)
+        gs.submit(make_job("j"))
+        completion = gs.dispatch("t", 0, now=0.0).completion_time
         assert scheduler.idle_executor_indices() == []
-        scheduler.complete(0, now=completion)
+        gs.complete("t", 0, now=completion)
         assert scheduler.idle_executor_indices() == [0]
 
 

@@ -41,8 +41,8 @@ class TestReplayBasics:
             assert len(t.iteration_ends) == small_engine.num_iterations
 
     def test_deterministic_replay(self, small_engine):
-        a = small_engine.measure().iteration_time
-        b = small_engine.measure().iteration_time
+        a = small_engine.bubble_cycles()
+        b = small_engine.bubble_cycles()
         assert a == b
 
     def test_minimum_iterations_enforced(self, small_engine):
@@ -56,15 +56,20 @@ class TestReplayBasics:
             InstrumentedPipelineEngine(small_engine.costs, GPipeSchedule(8, 4))
 
 
+def mean_bubble_ratio(engine):
+    """Mean fraction of the steady iteration each stage spends idle."""
+    cycles = engine.bubble_cycles()
+    return sum(c.bubble_ratio for c in cycles) / len(cycles)
+
+
 class TestMeasuredBubbles:
     def test_5b_job_bubble_ratio_matches_paper(self, engine_5b):
         """The 5B physical-cluster job runs at ~65% bubbles (Section 6.1)."""
-        stats = engine_5b.measure()
-        assert 0.55 <= stats.bubble_ratio <= 0.72
+        assert 0.55 <= mean_bubble_ratio(engine_5b) <= 0.72
 
     def test_measured_iteration_close_to_analytic(self, engine_5b, costs_5b):
-        stats = engine_5b.measure()
-        assert stats.iteration_time == pytest.approx(costs_5b.iteration_time, rel=0.10)
+        period = engine_5b.bubble_cycle(0).period
+        assert period == pytest.approx(costs_5b.iteration_time, rel=0.10)
 
     def test_bubble_kinds_by_stage(self, engine_5b):
         cycles = engine_5b.bubble_cycles()
@@ -125,14 +130,18 @@ class TestMeasuredBubbles:
             assert measured == pytest.approx(expected, rel=0.15)
 
     def test_cycle_period_matches_iteration_time(self, engine_5b):
-        stats = engine_5b.measure()
+        timelines = engine_5b.run()
+        it = engine_5b.steady_iteration
+        iteration_time = max(
+            t.iteration_starts[it + 1] - t.iteration_starts[it] for t in timelines
+        )
         cycle = engine_5b.bubble_cycle(5)
-        assert cycle.period == pytest.approx(stats.iteration_time, rel=1e-6)
+        assert cycle.period == pytest.approx(iteration_time, rel=1e-6)
 
     def test_1f1b_total_bubble_similar_to_gpipe(self, costs_5b):
-        gpipe = InstrumentedPipelineEngine(costs_5b, "gpipe").measure()
-        f1b = InstrumentedPipelineEngine(costs_5b, "1f1b").measure()
-        assert f1b.bubble_ratio == pytest.approx(gpipe.bubble_ratio, rel=0.10)
+        gpipe = mean_bubble_ratio(InstrumentedPipelineEngine(costs_5b, "gpipe"))
+        f1b = mean_bubble_ratio(InstrumentedPipelineEngine(costs_5b, "1f1b"))
+        assert f1b == pytest.approx(gpipe, rel=0.10)
 
     def test_1f1b_has_non_contiguous_idle(self, costs_5b):
         engine = InstrumentedPipelineEngine(costs_5b, "1f1b")
@@ -144,26 +153,3 @@ class TestMeasuredBubbles:
             if b.kind is BubbleKind.NON_CONTIGUOUS
         )
         assert non_contig > 0.0
-
-
-class TestInjectedWork:
-    def test_small_injection_does_not_slow_main_job(self, engine_5b):
-        """Work that fits in the bubble leaves the iteration time unchanged."""
-        slowdown = engine_5b.measure_slowdown({(8, BubbleKind.FWD_BWD): 0.1})
-        assert slowdown == pytest.approx(0.0, abs=0.005)
-
-    def test_oversized_injection_slows_main_job(self, engine_5b):
-        cycle = engine_5b.bubble_cycle(8)
-        fwd_bwd = sum(b.duration for b in cycle.bubbles if b.kind is BubbleKind.FWD_BWD)
-        slowdown = engine_5b.measure_slowdown({(8, BubbleKind.FWD_BWD): 2.0 * fwd_bwd})
-        assert slowdown > 0.02
-
-    def test_stats_days_to_train(self, engine_5b):
-        stats = engine_5b.measure()
-        days = stats.days_to_train(1e12)
-        assert days > 0
-        with pytest.raises(ValueError):
-            stats.days_to_train(0)
-
-    def test_samples_per_second_positive(self, engine_5b):
-        assert engine_5b.measure().samples_per_second > 0

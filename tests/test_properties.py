@@ -12,7 +12,6 @@ from repro.core.config import PipeFillConfig, main_job_overhead_fraction
 from repro.core.executor import _BOUND_MARGIN, FillJobExecutor
 from repro.core.plan import PlanError, pack_fill_job, plan_fill_job
 from repro.hardware.device import V100_16GB
-from repro.hardware.memory import DeviceOOMError, MemoryAllocator
 from repro.models.base import ComputationalGraph, GraphNode, NodeRole
 from repro.models.configs import ExecutionConfig, JobType
 from repro.models.efficiency import EfficiencyModel
@@ -228,47 +227,6 @@ class TestPlanProperties:
         assume(estimate is not None)
         bound = executor._throughput_bound(profile)
         assert estimate.effective_samples_per_second <= bound * (1.0 + _BOUND_MARGIN)
-
-
-# ---------------------------------------------------------------------------
-# Memory allocator invariants
-# ---------------------------------------------------------------------------
-
-
-class TestAllocatorProperties:
-    @given(
-        requests=st.lists(
-            st.tuples(
-                st.sampled_from(["main", "fill-a", "fill-b"]),
-                st.floats(min_value=1e6, max_value=6 * GIB),
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_reserved_never_exceeds_capacity(self, requests):
-        allocator = MemoryAllocator(capacity_bytes=12 * GIB)
-        for i, (pool, size) in enumerate(requests):
-            try:
-                allocator.allocate(pool, f"t{i}", size)
-            except DeviceOOMError:
-                pass
-            assert allocator.total_reserved_bytes <= allocator.capacity_bytes + 1e-6
-            assert allocator.free_bytes >= -1e-6
-
-    @given(
-        sizes=st.lists(st.floats(min_value=1e6, max_value=1 * GIB), min_size=1, max_size=10)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_alloc_free_empty_cache_roundtrip(self, sizes):
-        allocator = MemoryAllocator(capacity_bytes=64 * GIB)
-        for i, size in enumerate(sizes):
-            allocator.allocate("pool", f"t{i}", size)
-        allocator.free_all("pool")
-        allocator.empty_cache("pool")
-        assert allocator.free_bytes == allocator.capacity_bytes
-        assert allocator.memory_allocated("pool") == 0.0
 
 
 # ---------------------------------------------------------------------------
