@@ -354,8 +354,7 @@ class Experiment:
         """Simulate the scenario end-to-end.
 
         ``observers`` wires streaming lifecycle callbacks into the run
-        (see :class:`repro.api.RunObserver`); without observers the
-        simulation takes the kernel's plain, branch-free loop.
+        (see :class:`repro.api.RunObserver`).
         """
         spec = self.validate()
         simulator = self._build_simulator(spec)
@@ -408,10 +407,8 @@ class Experiment:
         journal_dir: Optional[Union[str, Path]] = None,
         resume: Optional[Union[str, bool]] = None,
         chaos: Optional[ChaosPlan] = None,
-        shards: int = 1,
+        shards: Optional[int] = None,
         shard_index: int = 0,
-        journal_flush_records: int = 1,
-        journal_flush_seconds: Optional[float] = None,
         log: Optional[Callable[[str], None]] = None,
     ) -> SweepResult:
         """Re-run the scenario across a parameter grid, supervised.
@@ -449,27 +446,24 @@ class Experiment:
         processes or machines (``repro sweep --shard i/N``): the full
         grid is still built and validated, but only the points whose
         content key hashes to ``shard_index`` (stable assignment, see
-        :func:`repro.dist.shard`) are executed.  The partial
-        :class:`SweepResult` keeps the FULL grid's ``sweep_id`` and
-        carries an additive ``shard`` payload block; a complete set of
-        partials recombines via ``repro merge``
-        (:func:`repro.dist.merge_sweep_payloads`) into the exact payload
-        the unsharded sweep produces.  Each shard journals independently
-        (journal id ``<sweep_id>-shard<i>of<N>``), so shards on one
-        machine never contend and each resumes on its own.
-
-        ``journal_flush_records``/``journal_flush_seconds`` batch the
-        journal's per-record fsyncs (every K records or T seconds,
-        whichever first; always on close) for sweeps whose points are
-        cheaper than an fsync -- see :class:`repro.exec.SweepJournal`.
-        The defaults keep fsync-per-record durability.
+        :func:`repro.dist.shard`) are executed.  Any given ``shards``,
+        1 included, returns a partial :class:`SweepResult` that keeps
+        the FULL grid's ``sweep_id`` and carries an additive ``shard``
+        payload block; a complete set of partials recombines via
+        ``repro merge`` (:func:`repro.dist.merge_sweep_payloads`) into
+        the exact payload the unsharded sweep produces.  Each shard of
+        N > 1 journals independently (journal id
+        ``<sweep_id>-shard<i>of<N>``), so shards on one machine never
+        contend and each resumes on its own; a 1-of-1 shard shares the
+        unsharded sweep's journal.
 
         ``chaos`` injects a :class:`repro.exec.ChaosPlan` fault into
         every attempt (testing); ``log`` receives one-line progress
         strings.
         """
         spec = self.validate()
-        shards = int(shards)
+        sharded = shards is not None
+        shards = 1 if shards is None else int(shards)
         shard_index = int(shard_index)
         if shards < 1:
             raise ScenarioError(f"shards must be >= 1, got {shards}")
@@ -550,12 +544,7 @@ class Experiment:
             elif resume:
                 resume_id = str(resume)
             if resume_id is not None:
-                journal = SweepJournal.for_sweep(
-                    journal_dir,
-                    resume_id,
-                    flush_every_records=journal_flush_records,
-                    flush_max_seconds=journal_flush_seconds,
-                )
+                journal = SweepJournal.for_sweep(journal_dir, resume_id)
                 if not journal.exists():
                     raise ScenarioError(
                         f"no sweep journal for {resume_id!r} under {journal_dir}"
@@ -577,12 +566,7 @@ class Experiment:
                     f"points already journaled"
                 )
             else:
-                journal = SweepJournal.for_sweep(
-                    journal_dir,
-                    journal_id,
-                    flush_every_records=journal_flush_records,
-                    flush_max_seconds=journal_flush_seconds,
-                )
+                journal = SweepJournal.for_sweep(journal_dir, journal_id)
                 # grid_keys/grid_values (and the shard assignment, when
                 # sharded) are additive header keys: they let ``repro
                 # merge`` reconstruct this shard's partial payload from
@@ -748,9 +732,9 @@ class Experiment:
             sweep_id=sweep_id,
             resumed_from=resumed_from,
             failures=tuple(failures),
-            shard_index=shard_index if shards > 1 else None,
-            shard_count=shards if shards > 1 else None,
-            grid_keys=tuple(grid_keys) if shards > 1 else None,
+            shard_index=shard_index if sharded else None,
+            shard_count=shards if sharded else None,
+            grid_keys=tuple(grid_keys) if sharded else None,
         )
 
     def profile(self) -> ProfileResult:

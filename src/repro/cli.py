@@ -287,9 +287,9 @@ def _chaos_plan(args: argparse.Namespace):
 
 
 def _parse_shard(text: Optional[str]) -> tuple:
-    """Parse ``--shard I/N`` into ``(shard_index, shards)``; (0, 1) when unset."""
+    """Parse ``--shard I/N`` into ``(shard_index, shards)``; (0, None) when unset."""
     if not text:
-        return 0, 1
+        return 0, None
     index_text, sep, count_text = text.partition("/")
     try:
         if not sep:
@@ -336,8 +336,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             chaos=_chaos_plan(args),
             shards=shards,
             shard_index=shard_index,
-            journal_flush_records=args.journal_flush_records,
-            journal_flush_seconds=args.journal_flush_seconds,
             log=lambda line: print(line, file=sys.stderr),
         )
     except SweepInterrupted as exc:
@@ -669,22 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only shard I of N (0-based, e.g. --shard 0/4): the grid "
         "is split by stable content keys, so N independent invocations "
         "cover it exactly once and 'repro merge' recombines their outputs",
-    )
-    sweep_p.add_argument(
-        "--journal-flush-records",
-        type=int,
-        default=1,
-        metavar="K",
-        help="fsync the sweep journal every K records instead of every "
-        "record (default: 1; always fsyncs on close)",
-    )
-    sweep_p.add_argument(
-        "--journal-flush-seconds",
-        type=float,
-        default=None,
-        metavar="T",
-        help="also fsync the journal once T seconds have passed since the "
-        "last fsync (default: records-only batching)",
     )
     sweep_p.add_argument(
         "--resume",

@@ -75,8 +75,8 @@ class GlobalScheduler:
         Optional rule enabling deadline-driven preemption; ``None``
         disables preemption entirely.
 
-    Backlog job views are memoised per (tenant, job), one candidate index
-    per tenant answers dispatch queries, and dispatch sweeps skip
+    One candidate index per tenant answers dispatch queries, deadline
+    checks read the tenants' class timing tables, and dispatch sweeps skip
     executors already proven workless.
     :class:`repro.verify.reference.ReferenceGlobalScheduler` re-scores
     everything from scratch instead; the equivalence tests compare the two.
@@ -115,11 +115,6 @@ class GlobalScheduler:
         #: on another tenant.
         self._evicted: Dict[str, JobRecord] = {}
         self._backlog = OrderedIdSet()
-        # A backlog job's view on a tenant never changes while it waits
-        # (proc times depend only on the executors' cycles and the full
-        # sample count), so it is computed once per (tenant, job) instead
-        # of once per idle executor per dispatch sweep.
-        self._view_cache: Dict[Tuple[str, str], JobView] = {}
         # One incremental candidate index per tenant over the shared
         # backlog (scores differ per tenant: processing times depend on
         # the tenant's bubble cycles).  Maintained on submit / placement /
@@ -186,38 +181,16 @@ class GlobalScheduler:
     # -- dispatch ---------------------------------------------------------------
 
     def _backlog_view(self, tenant: str, job: FillJob) -> JobView:
-        key = (tenant, job.job_id)
-        view = self._view_cache.get(key)
-        if view is None:
-            # A job evicted from a departed tenant carries banked progress;
-            # policies must score its *remaining* work, which is what a
-            # later assign() will actually run.  (Safe to cache: the
-            # parked record never changes while the job waits, and its
-            # views were dropped when the job last left the backlog.)
-            carried = self._evicted.get(job.job_id)
-            remaining = None if carried is None else carried.samples_remaining
-            view = JobView(
-                job_id=job.job_id,
-                arrival_time=job.arrival_time,
-                proc_times=self.tenants[tenant].processing_times(
-                    job, num_samples=remaining
-                ),
-                deadline=job.deadline,
-            )
-            self._view_cache[key] = view
-        return view
-
-    def _forget_backlog_views(self, job_id: str, *, keep_tenant: Optional[str] = None) -> None:
-        """Drop a placed job's cached backlog views.
-
-        The tenant the job was placed on keeps its full-sample times memo
-        (deadline checks still consult it); every other tenant will never
-        see the job again, so their memos are dropped too.
-        """
-        for tenant, sched in self.tenants.items():
-            self._view_cache.pop((tenant, job_id), None)
-            if tenant != keep_tenant:
-                sched.forget_job(job_id)
+        """A backlog job's view on one tenant, priced for the samples a
+        placement would run (an evicted job's remaining work)."""
+        return JobView(
+            job_id=job.job_id,
+            arrival_time=job.arrival_time,
+            proc_times=self.tenants[tenant].processing_times(
+                job, num_samples=self._backlog_samples(job)
+            ),
+            deadline=job.deadline,
+        )
 
     def _best_backlog_job(
         self, tenant: str, executor_index: int, now: float
@@ -273,7 +246,6 @@ class GlobalScheduler:
         """
         self._backlog.remove(job.job_id)
         self._index_remove(job.job_id)
-        self._forget_backlog_views(job.job_id, keep_tenant=tenant)
         self.placements[job.job_id] = tenant
         self.tenants[tenant].adopt(job, self._evicted.pop(job.job_id, None))
 
@@ -325,18 +297,20 @@ class GlobalScheduler:
         job = self.jobs[job_id]
         if job.deadline is None:
             return True
-        for tenant, sched in self.tenants.items():
+        samples = self._backlog_samples(job)
+        inf = float("inf")
+        for sched in self.tenants.values():
             # Only available devices can rescue the arrival, so consult
             # the idle set first and skip (cheaply) tenants running full.
             idle = sched.idle_executor_indices()
             if not idle:
                 continue
-            # The cached backlog view holds exactly the full-sample
-            # processing times this check needs.
-            times = self._backlog_view(tenant, job).proc_times
+            # ``processing_times``' expression, read off the class table.
+            row = sched.class_row(job)
             for idx in idle:
-                proc = times.get(idx, float("inf"))
-                if proc != float("inf") and now + proc <= job.deadline:
+                spc, period = row[idx]
+                proc = inf if spc <= 0 else (samples / spc) * period
+                if proc != inf and now + proc <= job.deadline:
                     return True
         return False
 
@@ -374,19 +348,23 @@ class GlobalScheduler:
         # The shipped deadline rule rejects almost every (arrival, victim)
         # pair on arithmetic over numbers already at hand; inlining those
         # zero-score exits (identical expressions, identical order) skips
-        # the RunningJobView construction and the rule call for them.
+        # the RunningJobView construction and the rule call for them.  The
+        # arrival's times come off the class table with
+        # ``processing_times``' expression; only a custom rule gets a view.
         fast_rule = self.preemption_rule is deadline_preemption_rule
+        samples = self._backlog_samples(job)
         inf = float("inf")
         for tenant, sched in self.tenants.items():
             if tenant in self.departed:
                 continue  # a leaving tenant takes no new work
             state_view = None if fast_rule else sched.scheduler_view(now)
-            view = self._backlog_view(tenant, job)
-            proc_times = view.proc_times
+            view = None if fast_rule else self._backlog_view(tenant, job)
+            row = sched.class_row(job)
             for idx, ex_state in sched.executors.items():
                 if not ex_state.is_busy:
                     continue
-                proc_here = proc_times.get(idx, inf)
+                spc, period = row[idx]
+                proc_here = inf if spc <= 0 else (samples / spc) * period
                 if proc_here == inf:
                     continue
                 if fast_rule:

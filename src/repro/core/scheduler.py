@@ -178,8 +178,8 @@ class FillJobScheduler:
         Maps a job's ``model_name`` to a :class:`ModelSpec`; defaults to the
         package model registry.
 
-    The scheduler memoises per-job processing times and policy views, and
-    its executors share their estimate caches process-wide.
+    The scheduler prices jobs off per-class timing tables, and its
+    executors share their estimate caches process-wide.
     :class:`repro.verify.reference.ReferenceScheduler` re-prices
     everything from scratch instead; the equivalence tests compare the two.
     """
@@ -208,12 +208,6 @@ class FillJobScheduler:
             idx: pos for pos, idx in enumerate(self._executor_order)
         }
         self._idle = set(self._executor_order)
-        # Per-job memos, valid only while the underlying inputs are fixed:
-        # full-sample processing times never change for a submitted job;
-        # policy views depend on ``samples_remaining`` and are invalidated
-        # whenever it changes (assignment, completion, preemption).
-        self._full_times: Dict[str, Dict[int, float]] = {}
-        self._views: Dict[str, JobView] = {}
         # Class tables: jobs sharing (model_name, job_type) share estimates
         # on every executor, so feasibility and seconds-per-sample are
         # per-*class* state, computed once and kept in lists indexed by
@@ -222,7 +216,7 @@ class FillJobScheduler:
         # ``_exec_arrays`` into per-executor arrays over all class ids,
         # both for the candidate indexes.
         self._class_ids: Dict[tuple, int] = {}
-        self._class_times: List[List[tuple]] = []
+        self._class_times: List[Dict[int, Tuple[float, float]]] = []
         self._class_fits: List[bool] = []
         self._class_arrays: List[Tuple[np.ndarray, np.ndarray]] = []
         self.exec_classes: Dict[int, List[int]] = {idx: [] for idx in self._executor_order}
@@ -263,7 +257,8 @@ class FillJobScheduler:
         one estimate per executor, so feasibility and the
         ``(samples_per_cycle, cycle_period)`` timing pair are class-wide.
         Infeasible executors are marked with ``samples_per_cycle = -1``.
-        Class ids count up from 0 in first-seen order.
+        Class ids count up from 0 in first-seen order.  :meth:`class_row`
+        hands out one class's table.
         """
         key = (model_name, job_type)
         cid = self._class_ids.get(key)
@@ -271,15 +266,15 @@ class FillJobScheduler:
             return cid
         cid = len(self._class_times)
         model = self.model_resolver(model_name)
-        times: List[tuple] = []
+        times: Dict[int, Tuple[float, float]] = {}
         for idx in self._executor_order:
             estimate = self._estimate(idx, model, job_type)
             if estimate is None or estimate.samples_per_cycle <= 0:
-                times.append((idx, -1.0, 0.0))
+                times[idx] = (-1.0, 0.0)
             else:
-                times.append((idx, estimate.samples_per_cycle, estimate.cycle_period))
+                times[idx] = (estimate.samples_per_cycle, estimate.cycle_period)
                 self.exec_classes[idx].append(cid)
-        feasible = [(spc, period) for _idx, spc, period in times if spc > 0]
+        feasible = [(spc, period) for spc, period in times.values() if spc > 0]
         self._class_ids[key] = cid
         self._class_times.append(times)
         self._class_fits.append(bool(feasible))
@@ -290,6 +285,12 @@ class FillJobScheduler:
             )
         )
         return cid
+
+    def class_row(self, job: FillJob) -> Dict[int, Tuple[float, float]]:
+        """The job class's ``(samples_per_cycle, cycle_period)`` per executor
+        index, in declaration order (``samples_per_cycle = -1`` where the
+        class cannot run)."""
+        return self._class_times[self.ensure_class(job.model_name, job.job_type)]
 
     def class_feasible(self, cid: int) -> bool:
         """Whether the (ensured) class fits at least one executor."""
@@ -308,9 +309,12 @@ class FillJobScheduler:
         """
         arrays = self._exec_arrays.get(executor_index)
         if arrays is None or arrays[0].size != len(self._class_times):
-            pos = self._order_pos[executor_index]
-            spc = np.array([times[pos][1] for times in self._class_times], dtype=np.float64)
-            period = np.array([times[pos][2] for times in self._class_times], dtype=np.float64)
+            spc = np.array(
+                [times[executor_index][0] for times in self._class_times], dtype=np.float64
+            )
+            period = np.array(
+                [times[executor_index][1] for times in self._class_times], dtype=np.float64
+            )
             arrays = (spc > 0, spc, period)
             self._exec_arrays[executor_index] = arrays
         return arrays
@@ -325,14 +329,8 @@ class FillJobScheduler:
         """Predicted processing time of ``job`` on every executor.
 
         ``num_samples`` overrides the sample count (used to price the
-        *remaining* work of a previously-preempted job).  Full-sample times
-        are memoised per job: they depend only on the executors' bubble
-        cycles, which are fixed for the lifetime of a run.
+        *remaining* work of a previously-preempted job).
         """
-        if num_samples is None:
-            cached = self._full_times.get(job.job_id)
-            if cached is not None:
-                return cached
         samples = job.num_samples if num_samples is None else num_samples
         # Same arithmetic as FillExecutionEstimate.processing_time, sourced
         # from the class table instead of per-job estimate lookups
@@ -340,51 +338,22 @@ class FillJobScheduler:
         cid = self.ensure_class(job.model_name, job.job_type)
         if not samples > 0 and self._class_fits[cid]:
             check_positive(samples, "num_samples")
-        times: Dict[int, float] = {}
-        for idx, spc, period in self._class_times[cid]:
-            times[idx] = float("inf") if spc <= 0 else (samples / spc) * period
-        if num_samples is None:
-            self._full_times[job.job_id] = times
-        return times
+        return {
+            idx: float("inf") if spc <= 0 else (samples / spc) * period
+            for idx, (spc, period) in self._class_times[cid].items()
+        }
 
     # -- assignment ---------------------------------------------------------------
 
     def job_view(self, job: FillJob) -> JobView:
-        """The policy-facing view of a (possibly partially-run) job.
-
-        Views are memoised per job while the job waits in the queue -- the
-        dispatch sweep asks for the same view once per idle executor -- and
-        invalidated whenever ``samples_remaining`` changes (assignment,
-        completion, preemption), so banked progress is always reflected.
-        """
-        view = self._views.get(job.job_id)
-        if view is not None:
-            return view
-        record = self.records.get(job.job_id)
-        remaining = None if record is None else record.samples_remaining
-        if remaining is not None and remaining == job.num_samples:
-            remaining = None  # identical times; lets the full-sample memo serve it
-        view = JobView(
+        """The policy-facing view of a queued job, priced for the samples
+        it has left (banked progress is never re-run)."""
+        return JobView(
             job_id=job.job_id,
             arrival_time=job.arrival_time,
-            proc_times=self.processing_times(job, num_samples=remaining),
+            proc_times=self.processing_times(job, num_samples=self._queued_samples(job)),
             deadline=job.deadline,
         )
-        self._views[job.job_id] = view
-        return view
-
-    def _forget_view(self, job_id: str) -> None:
-        self._views.pop(job_id, None)
-
-    def forget_job(self, job_id: str) -> None:
-        """Drop every memo held for a job this scheduler will not see again.
-
-        Called by the global scheduler when a shared-backlog job is placed
-        on a *different* tenant, so per-tenant memos do not accumulate one
-        entry per backlog job ever priced here.
-        """
-        self._views.pop(job_id, None)
-        self._full_times.pop(job_id, None)
 
     def _queued_samples(self, job: FillJob) -> float:
         """Samples a dispatch of the queued job would actually run."""
@@ -493,7 +462,6 @@ class FillJobScheduler:
         self._queue.remove(job_id)
         self._index.remove(job_id)
         del self.records[job_id]
-        self.forget_job(job_id)
         return record
 
     def adopt(self, job: FillJob, carried: Optional[JobRecord] = None) -> JobRecord:
@@ -559,7 +527,6 @@ class FillJobScheduler:
         completion = now + proc_time
         self._queue.remove(job.job_id)
         self._index.remove(job.job_id)
-        self._forget_view(job.job_id)
         record.state = FillJobState.RUNNING
         record.assigned_executor = executor_index
         record.start_time = now
@@ -589,8 +556,6 @@ class FillJobScheduler:
         ex_state.busy_until = now
         self._state_version += 1
         self._idle.add(executor_index)
-        self._forget_view(job_id)
-        self._full_times.pop(job_id, None)  # finished jobs are never re-priced
         return job_id
 
     def preempt(self, executor_index: int, now: float) -> Optional[str]:
@@ -627,10 +592,8 @@ class FillJobScheduler:
         record.assigned_executor = None
         record.start_time = None
         record.num_preemptions += 1
-        # Banked progress changed the job's remaining work; the cached view
-        # must be rebuilt (and the candidate index re-scored) so re-dispatch
-        # prices only the leftover samples.
-        self._forget_view(job_id)
+        # Banked progress changed the job's remaining work; re-indexing
+        # re-scores it so re-dispatch prices only the leftover samples.
         self._queue.append(job_id)
         self._index.add(record.job)
         ex_state.current_job_id = None

@@ -2,23 +2,12 @@
 
 One journal lives per sweep at ``<root>/<sweep_id>/journal.jsonl``
 (``root`` defaults to ``.repro-cache/sweeps/`` via the CLI).  Every
-record is a single JSON line; by default each is flushed and fsynced as
-it is written, so the journal survives the process being killed at any
-instant: the worst case is a torn final line, which
-:meth:`SweepJournal.read` skips (and counts) instead of failing.  There
-is no index to corrupt and the directory is safe to delete at any time
--- a missing journal just means a sweep starts from scratch.
-
-Sweeps whose points are much cheaper than an fsync (sharded fleets on
-network filesystems, many-point grids of tiny scenarios) can batch the
-fsyncs: ``SweepJournal(path, flush_every_records=K,
-flush_max_seconds=T)`` fsyncs after every K records *or* once T seconds
-have passed since the last fsync, whichever comes first, and always on
-:meth:`~SweepJournal.close`.  Batching trades the crash window from "the
-point in flight" to "at most the last K (or T seconds of) completed
-points" -- re-running a lost point is always safe, so this is a pure
-durability/throughput dial; the torn-line recovery guarantee is
-unchanged because lines are still written whole.
+record is a single JSON line, flushed and fsynced as it is written, so
+the journal survives the process being killed at any instant: the worst
+case is a torn final line, which :meth:`SweepJournal.read` skips (and
+counts) instead of failing.  There is no index to corrupt and the
+directory is safe to delete at any time -- a missing journal just means
+a sweep starts from scratch.
 
 Records
 -------
@@ -44,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -80,50 +68,16 @@ class JournalState:
 
 
 class SweepJournal:
-    """Writer/reader for one sweep's ``journal.jsonl``.
+    """Writer/reader for one sweep's ``journal.jsonl``."""
 
-    ``flush_every_records``/``flush_max_seconds`` batch the per-record
-    fsyncs (see the module docstring); the defaults keep the original
-    fsync-every-record durability.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        flush_every_records: int = 1,
-        flush_max_seconds: Optional[float] = None,
-    ) -> None:
-        if flush_every_records < 1:
-            raise ValueError(
-                f"flush_every_records must be >= 1, got {flush_every_records}"
-            )
-        if flush_max_seconds is not None and flush_max_seconds <= 0:
-            raise ValueError(
-                f"flush_max_seconds must be positive, got {flush_max_seconds}"
-            )
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.flush_every_records = int(flush_every_records)
-        self.flush_max_seconds = flush_max_seconds
         self._fh = None
-        self._unflushed = 0
-        self._last_flush = time.monotonic()
 
     @classmethod
-    def for_sweep(
-        cls,
-        root: Union[str, Path],
-        sweep_id: str,
-        *,
-        flush_every_records: int = 1,
-        flush_max_seconds: Optional[float] = None,
-    ) -> "SweepJournal":
+    def for_sweep(cls, root: Union[str, Path], sweep_id: str) -> "SweepJournal":
         """The journal under ``<root>/<sweep_id>/journal.jsonl``."""
-        return cls(
-            Path(root) / str(sweep_id) / JOURNAL_FILENAME,
-            flush_every_records=flush_every_records,
-            flush_max_seconds=flush_max_seconds,
-        )
+        return cls(Path(root) / str(sweep_id) / JOURNAL_FILENAME)
 
     def exists(self) -> bool:
         return self.path.exists()
@@ -134,14 +88,12 @@ class SweepJournal:
         """Begin a fresh journal (truncating any previous run's file)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "w", encoding="utf-8")
-        self._last_flush = time.monotonic()
         self._append({"record": "sweep", "schema": JOURNAL_SCHEMA, **header})
 
     def open_append(self) -> None:
         """Reopen an existing journal to append resume-run records."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
-        self._last_flush = time.monotonic()
 
     def record_completed(
         self,
@@ -190,28 +142,13 @@ class SweepJournal:
     def _append(self, record: Dict[str, Any]) -> None:
         assert self._fh is not None, "journal not opened (start/open_append)"
         self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-        # Default: flush + fsync per record, so a killed sweep loses at
-        # most the point in flight.  With batching, fsync when either
-        # the record budget or the time budget since the last fsync is
-        # spent (and unconditionally on close()).
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every_records or (
-            self.flush_max_seconds is not None
-            and time.monotonic() - self._last_flush >= self.flush_max_seconds
-        ):
-            self._sync()
-
-    def _sync(self) -> None:
-        assert self._fh is not None
+        # Flush + fsync per record, so a killed sweep loses at most the
+        # point in flight.
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self._unflushed = 0
-        self._last_flush = time.monotonic()
 
     def close(self) -> None:
         if self._fh is not None:
-            if self._unflushed:
-                self._sync()
             self._fh.close()
             self._fh = None
 

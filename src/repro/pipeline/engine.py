@@ -48,9 +48,7 @@ class StageTimeline:
 
     stage_id: int
     iteration_starts: List[float] = field(default_factory=list)
-    iteration_ends: List[float] = field(default_factory=list)
     idle_windows: List[IdleWindow] = field(default_factory=list)
-    busy_time: float = 0.0
 
     def idle_in_iteration(self, iteration: int) -> List[IdleWindow]:
         """Idle windows recorded during ``iteration``."""
@@ -176,11 +174,7 @@ class InstrumentedPipelineEngine:
                         )
                     duration = self._instruction_duration(instr, stage_costs)
                     end = start + duration
-                    timeline.busy_time += duration
                     clocks[s] = end
-                    while len(timeline.iteration_ends) <= iteration:
-                        timeline.iteration_ends.append(end)
-                    timeline.iteration_ends[iteration] = end
 
                     if instr.kind is InstructionKind.SEND_ACTIVATION:
                         send_act_done[(iteration, getattr(instr, "microbatch"), s)] = end

@@ -146,8 +146,7 @@ class SimKernel:
         already advanced to the event time) and must not mutate simulator
         state; it is how the streaming observer API
         (:mod:`repro.api.observers`) taps the run.  With no observer
-        installed, :meth:`run` takes a loop with no observer branch at
-        all, so the hook costs nothing unless used.
+        installed the loop skips the call.
         """
         self._event_observer = observer
 
@@ -204,32 +203,8 @@ class SimKernel:
         last event time and the last applied completion (never zero, so
         rate metrics stay well-defined).
         """
-        if self._event_observer is not None:
-            # The observed loop pays the extra call; the plain loop below
-            # stays branch-free so unobserved runs cost exactly what they
-            # did before the observer API existed.
-            for _ in self._iter_events(horizon_seconds):
-                pass
-            return self._resolve_horizon(horizon_seconds)
-
-        timings = self.timings_by_kind
-        while self.queue:
-            event = self.queue.pop()
-            if horizon_seconds is not None and event.time > horizon_seconds:
-                self.now = horizon_seconds
-                break
-            self.events_processed += 1
-            self.events_by_kind[event.kind] = self.events_by_kind.get(event.kind, 0) + 1
-            self.now = event.time
-            handler = self._handlers.get(event.kind)
-            if handler is None:
-                raise RuntimeError(
-                    f"no handler registered for event kind {event.kind.value!r}"
-                )
-            start = perf_counter()
-            handler(event)
-            timings[event.kind] = timings.get(event.kind, 0.0) + (perf_counter() - start)
-
+        for _ in self._iter_events(horizon_seconds):
+            pass
         return self._resolve_horizon(horizon_seconds)
 
     def iter_run(self, horizon_seconds: Optional[float] = None) -> Iterator[Event]:
@@ -244,7 +219,8 @@ class SimKernel:
         return self._resolve_horizon(horizon_seconds)
 
     def _iter_events(self, horizon_seconds: Optional[float]) -> Iterator[Event]:
-        """The instrumented event loop: observer before, yield after."""
+        """The event loop behind :meth:`run` and :meth:`iter_run`: observer
+        before each handler, yield after it."""
         timings = self.timings_by_kind
         observer = self._event_observer
         while self.queue:

@@ -378,9 +378,7 @@ class MultiTenantSimulator:
             any tenant carries an open-loop ``arrival_process``.
         observers:
             Optional :class:`~repro.sim.observers.RunObserver` instances
-            receiving streaming lifecycle callbacks.  Without observers
-            the run takes the kernel's plain loop -- the observer API
-            costs nothing unless used.
+            receiving streaming lifecycle callbacks.
         """
         setup = self._setup(extra_jobs, faults, horizon_seconds, observers)
         horizon = setup.kernel.run(horizon_seconds)
@@ -461,6 +459,10 @@ class MultiTenantSimulator:
             if tenant.leave_at is not None:
                 kernel.schedule(tenant.leave_at, EventKind.TENANT_LEAVE, tenant=name)
 
+        fanout = ObserverFanout(observers, kernel) if observers else None
+        if fanout is not None:
+            kernel.set_event_observer(fanout.on_event)
+
         def on_arrival(event: Event) -> None:
             assert event.job_id is not None
             now = kernel.now
@@ -479,7 +481,7 @@ class MultiTenantSimulator:
             # preemption victims.
             self._push_assignments(queue, global_sched.dispatch_idle(now))
 
-        def on_completion(event: Event) -> bool:
+        def on_completion(event: Event) -> None:
             assert event.tenant is not None and event.executor_index is not None
             sched = global_sched.tenants[event.tenant]
             state = sched.executors[event.executor_index]
@@ -487,17 +489,22 @@ class MultiTenantSimulator:
             # (different job, or the same job re-dispatched with a later
             # completion) since this event was scheduled.
             if kernel.is_stale_completion(state.current_job_id, state.busy_until, event):
-                return False
+                return
             global_sched.complete(event.tenant, event.executor_index, kernel.now)
             kernel.note_completion()
             self._push_assignments(queue, global_sched.dispatch_idle(kernel.now))
-            return True
+            if fanout is not None:
+                fanout.on_job_completed(
+                    event.job_id, event.tenant, event.executor_index, kernel.now
+                )
 
         def on_failure(event: Event) -> None:
             assert event.tenant is not None and event.executor_index is not None
             global_sched.fail_executor(event.tenant, event.executor_index, kernel.now)
             # The requeued job (if any) may resume on a healthy device.
             self._push_assignments(queue, global_sched.dispatch_idle(kernel.now))
+            if fanout is not None:
+                fanout.on_executor_lost(event.tenant, event.executor_index, kernel.now)
 
         def on_recovery(event: Event) -> None:
             assert event.tenant is not None and event.executor_index is not None
@@ -508,6 +515,8 @@ class MultiTenantSimulator:
             assert event.tenant is not None
             global_sched.activate_tenant(event.tenant)
             self._push_assignments(queue, global_sched.dispatch_idle(kernel.now))
+            if fanout is not None:
+                fanout.on_tenant_change(event.tenant, "join", kernel.now)
 
         def on_tenant_leave(event: Event) -> None:
             assert event.tenant is not None
@@ -515,54 +524,15 @@ class MultiTenantSimulator:
             global_sched.deactivate_tenant(event.tenant, kernel.now, requeue=requeue)
             # Evicted jobs re-entered the backlog; place them elsewhere now.
             self._push_assignments(queue, global_sched.dispatch_idle(kernel.now))
-
-        # Observer wiring happens at registration time: without observers
-        # the *unwrapped* closures are registered and the kernel takes its
-        # plain loop, so observed and unobserved runs differ only when the
-        # API is actually used.
-        fanout = None
-        if observers:
-            fanout = ObserverFanout(observers, kernel)
-            kernel.set_event_observer(fanout.on_event)
-
-            def observed_completion(event: Event, _notify=fanout) -> None:
-                if on_completion(event):
-                    _notify.on_job_completed(
-                        event.job_id, event.tenant, event.executor_index, kernel.now
-                    )
-
-            def observed_failure(event: Event, _notify=fanout) -> None:
-                on_failure(event)
-                _notify.on_executor_lost(
-                    event.tenant, event.executor_index, kernel.now
-                )
-
-            def observed_join(event: Event, _notify=fanout) -> None:
-                on_tenant_join(event)
-                _notify.on_tenant_change(event.tenant, "join", kernel.now)
-
-            def observed_leave(event: Event, _notify=fanout) -> None:
-                on_tenant_leave(event)
-                _notify.on_tenant_change(event.tenant, "leave", kernel.now)
+            if fanout is not None:
+                fanout.on_tenant_change(event.tenant, "leave", kernel.now)
 
         kernel.on(EventKind.JOB_ARRIVAL, on_arrival)
-        kernel.on(
-            EventKind.JOB_COMPLETION,
-            observed_completion if fanout is not None else on_completion,
-        )
-        kernel.on(
-            EventKind.EXECUTOR_FAILURE,
-            observed_failure if fanout is not None else on_failure,
-        )
+        kernel.on(EventKind.JOB_COMPLETION, on_completion)
+        kernel.on(EventKind.EXECUTOR_FAILURE, on_failure)
         kernel.on(EventKind.EXECUTOR_RECOVERY, on_recovery)
-        kernel.on(
-            EventKind.TENANT_JOIN,
-            observed_join if fanout is not None else on_tenant_join,
-        )
-        kernel.on(
-            EventKind.TENANT_LEAVE,
-            observed_leave if fanout is not None else on_tenant_leave,
-        )
+        kernel.on(EventKind.TENANT_JOIN, on_tenant_join)
+        kernel.on(EventKind.TENANT_LEAVE, on_tenant_leave)
         if fanout is not None:
             # Fired once the run is fully assembled: deep observers (e.g.
             # the invariant engine in ``repro.verify``) grab read-only

@@ -26,9 +26,8 @@ Callback ordering per processed event is part of the contract:
    ``on_executor_lost`` (failures), ``on_tenant_change`` (join/leave).
 
 Observers must treat every argument as read-only; mutating simulator
-state from a callback voids the bit-identical-results guarantee.  Runs
-without observers take a kernel loop with no observer branch at all, so
-the API costs nothing unless used.
+state from a callback voids the bit-identical-results guarantee.  A run
+without observers skips every callback site with one ``None`` test.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@
 :func:`best_scored` the pre-index dispatch sweep.  The classes subclass
 their fast-path counterparts and override only the methods that memoise,
 index or prune, with the slow, obvious computation built on those two
-functions.  The preemption search is the reference's own too: it asks the
-configured rule about every candidate victim, where the fast path inlines
-the shipped rule's arithmetic.  Job lifecycle, faults and tenant churn are
-inherited unchanged.  The base classes still maintain their candidate
+functions.  The deadline checks are the reference's own too: the
+arrival-time check prices the arrival through its job view, and the
+preemption search asks the configured rule about every candidate victim,
+where the fast path reads the class timing table and inlines the shipped
+rule's arithmetic.  Job lifecycle, faults and tenant churn are inherited
+unchanged.  The base classes still maintain their candidate
 indexes, but nothing here reads an index or a memo.  A reference run
 costs what the simulator cost before those optimisations, and its result
 digest must equal the fast path's
@@ -114,8 +116,9 @@ class ReferenceScheduler(FillJobScheduler):
     Estimates come from :func:`reference_estimate`, memoised per
     (executor, model name, job type) in this scheduler only, so a keying
     bug in the shared estimate caches cannot leak into the reference.
-    Views are rebuilt on every call, and selection re-scores the whole
-    queue with :func:`best_scored`.
+    Processing times are priced per executor from those estimates, not
+    from the class table, and selection re-scores the whole queue with
+    :func:`best_scored`.
     """
 
     def __init__(self, executors: Mapping[int, FillJobExecutor], **kwargs: Any) -> None:
@@ -151,14 +154,6 @@ class ReferenceScheduler(FillJobScheduler):
             )
         return times
 
-    def job_view(self, job: FillJob) -> JobView:
-        return JobView(
-            job_id=job.job_id,
-            arrival_time=job.arrival_time,
-            proc_times=self.processing_times(job, num_samples=self._queued_samples(job)),
-            deadline=job.deadline,
-        )
-
     def scheduler_view(self, now: float) -> SchedulerView:
         return SchedulerView(
             now=now,
@@ -180,21 +175,12 @@ class ReferenceScheduler(FillJobScheduler):
 class ReferenceGlobalScheduler(GlobalScheduler):
     """A :class:`~repro.core.global_scheduler.GlobalScheduler` that caches nothing.
 
-    Backlog views are rebuilt on every call, selection re-scores the whole
-    backlog with :func:`best_scored`, :meth:`dispatch_idle` visits every
-    available executor on every pass, and the preemption search calls the
-    rule for every candidate victim.
+    Selection re-scores the whole backlog with :func:`best_scored`,
+    :meth:`dispatch_idle` visits every available executor on every pass,
+    the arrival-time deadline check prices the arrival through its backlog
+    view, and the preemption search calls the rule for every candidate
+    victim.
     """
-
-    def _backlog_view(self, tenant: str, job: FillJob) -> JobView:
-        return JobView(
-            job_id=job.job_id,
-            arrival_time=job.arrival_time,
-            proc_times=self.tenants[tenant].processing_times(
-                job, num_samples=self._backlog_samples(job)
-            ),
-            deadline=job.deadline,
-        )
 
     def _best_backlog_job(
         self, tenant: str, executor_index: int, now: float
@@ -219,6 +205,23 @@ class ReferenceGlobalScheduler(GlobalScheduler):
                         assignments.append(assignment)
                         progress = True
         return assignments
+
+    def idle_can_meet_deadline(self, job_id: str, now: float) -> bool:
+        """The arrival-time check priced through the backlog view: some
+        available executor finishes the job by its deadline."""
+        job = self.jobs[job_id]
+        if job.deadline is None:
+            return True
+        for tenant, sched in self.tenants.items():
+            idle = [idx for idx, state in sched.executors.items() if state.is_available]
+            if not idle:
+                continue
+            times = self._backlog_view(tenant, job).proc_times
+            for idx in idle:
+                proc = times.get(idx, float("inf"))
+                if proc != float("inf") and now + proc <= job.deadline:
+                    return True
+        return False
 
     def _best_victim(self, job: FillJob, now: float) -> Optional[Tuple[str, int]]:
         """The victim search with no inlined rule.

@@ -429,6 +429,28 @@ class TestCliDist:
         validate_sweep_payload(merged)
         assert "shard" not in merged and len(merged["sweep"]) == 2
 
+    def test_single_shard_merges_to_the_unsharded_digest(
+        self, tmp_path, capsys, restore_plancache
+    ):
+        """``--shard 0/1`` is a one-shard partial that ``repro merge`` takes."""
+        from repro.cli import main
+
+        plancache.configure(tmp_path / "cache", enabled=True)
+        scenario = self._write_scenario(tmp_path)
+        out = tmp_path / "part.json"
+        grid = ["--parameter", "policy", "--values", "sjf,fifo", "--workers", "1"]
+        code = main(["sweep", str(scenario), *grid, "--shard", "0/1", "--json", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["shard"]["count"] == 1
+        capsys.readouterr()
+        assert main(["merge", str(out)]) == 0
+        unsharded = Experiment.from_yaml(scenario).sweep(
+            parameter="policy", values=["sjf", "fifo"], workers=1
+        )
+        assert capsys.readouterr().out.rstrip().endswith(
+            f"result digest {unsharded.digest()}"
+        )
+
     def test_merge_refuses_mismatched_grids(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -312,69 +312,14 @@ class TestSweepJournal:
 
 
 class TestBatchedJournalFlush:
-    """fsync batching (flush every K records / T seconds, always on close)."""
-
-    @staticmethod
-    def _completed(journal, key):
-        journal.record_completed(
-            key, parameter="p", value=1, attempts=1, payload={}
-        )
-
-    def test_records_buffer_until_the_batch_fills(self, tmp_path):
-        journal = SweepJournal.for_sweep(tmp_path, "s", flush_every_records=3)
-        journal.start({"grid_digest": "g"})  # header counts toward the batch
-        self._completed(journal, "k1")
-        # 2 of 3 unflushed: a concurrent reader sees nothing yet.
-        assert journal.path.read_bytes() == b""
-        self._completed(journal, "k2")
-        state = SweepJournal(journal.path).read()
-        assert set(state.completed) == {"k1", "k2"}
-        journal.close()
-
-    def test_close_always_flushes_the_tail(self, tmp_path):
-        journal = SweepJournal.for_sweep(tmp_path, "s", flush_every_records=100)
-        journal.start({"grid_digest": "g"})
-        self._completed(journal, "k1")
-        assert journal.path.read_bytes() == b""
-        journal.close()
-        state = SweepJournal(journal.path).read()
-        assert state.header is not None and "k1" in state.completed
-
-    def test_time_budget_forces_a_flush(self, tmp_path):
-        journal = SweepJournal.for_sweep(
-            tmp_path, "s", flush_every_records=100, flush_max_seconds=0.01
-        )
-        journal.start({"grid_digest": "g"})
-        time.sleep(0.02)
-        self._completed(journal, "k1")
-        state = SweepJournal(journal.path).read()
-        assert "k1" in state.completed
-        journal.close()
+    """Every record is flushed and fsynced as it is written."""
 
     def test_default_is_flush_per_record(self, tmp_path):
         journal = SweepJournal.for_sweep(tmp_path, "s")
         journal.start({"grid_digest": "g"})
-        self._completed(journal, "k1")
+        journal.record_completed("k1", parameter="p", value=1, attempts=1, payload={})
         assert "k1" in SweepJournal(journal.path).read().completed
         journal.close()
-
-    def test_torn_line_recovery_still_works_batched(self, tmp_path):
-        journal = SweepJournal.for_sweep(tmp_path, "s", flush_every_records=2)
-        journal.start({"grid_digest": "g"})
-        self._completed(journal, "k1")
-        self._completed(journal, "k2")
-        journal.close()
-        raw = journal.path.read_bytes()
-        journal.path.write_bytes(raw[: len(raw) - 11])
-        state = SweepJournal(journal.path).read()
-        assert "k1" in state.completed and "k2" not in state.completed
-        assert state.corrupt_lines == 1
-
-    def test_invalid_batching_arguments(self, tmp_path):
-        with pytest.raises(ValueError):
-            SweepJournal.for_sweep(tmp_path, "s", flush_every_records=0)
-        with pytest.raises(ValueError):
-            SweepJournal.for_sweep(tmp_path, "s", flush_max_seconds=0)
 
 
 class TestContentDigest:

@@ -1,26 +1,28 @@
 """Cache-correctness tests for the optimised scheduler hot path.
 
-The memoised fast path (shared executor estimate caches, per-job
-processing-time/view memos, candidate indexes, idle-executor sets and
-exhausted-sweep pruning) must be *invisible*: every shipped scenario must
-produce bit-identical results on the fast path and on
+The optimised fast path (shared executor estimate caches, class timing
+tables, candidate indexes, idle-executor sets and exhausted-sweep
+pruning) must be *invisible*: every shipped scenario must produce
+bit-identical results on the fast path and on
 :class:`repro.verify.reference.ReferenceExperiment`, the brute-force
-reference that rebuilds every job view and processing-time dict per call
-and sources estimates from scheduler-private per-executor memos instead
-of the shared caches -- the pre-optimisation semantics, so a shared-cache
-keying bug cannot leak into the reference run.
-``TestExecutorCacheCorrectness`` additionally compares shared-cache
-entries and explicit ``configs=`` searches against
-:func:`repro.verify.reference.reference_estimate`, and checks the
-throughput bound the best-first configuration search relies on.
+reference that prices every job view per executor and sources estimates
+from scheduler-private per-executor memos instead of the shared caches
+-- the pre-optimisation semantics, so a shared-cache keying bug cannot
+leak into the reference run.  ``TestExecutorCacheCorrectness``
+additionally compares shared-cache entries and explicit ``configs=``
+searches against :func:`repro.verify.reference.reference_estimate`, and
+checks the throughput bound the best-first configuration search relies
+on.  ``TestClassTableDeadlineCheck`` pins the class-table deadline
+checks against the reference's view-priced ones.
 
-Also covers the invalidation rule the caches depend on: preempting a job
-banks partial progress and shrinks ``samples_remaining``, so any cached
-policy view of that job must be rebuilt.
+Also covers the re-pricing rule: preempting a job banks partial progress
+and shrinks ``samples_remaining``, so the job's next view prices only
+the leftover samples.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -31,12 +33,18 @@ from hypothesis import strategies as st
 from repro.api import Experiment, result_digest
 from repro.core.executor import FillJobExecutor
 from repro.core.global_scheduler import GlobalScheduler
+from repro.core.policies import deadline_preemption_rule
 from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
 from repro.utils.ordered import OrderedIdSet
 from repro.utils.units import GIB
-from repro.verify.reference import ReferenceExperiment, reference_estimate
+from repro.verify.reference import (
+    ReferenceExperiment,
+    ReferenceGlobalScheduler,
+    ReferenceScheduler,
+    reference_estimate,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -370,7 +378,7 @@ def one_tenant():
 
 class TestPreemptionInvalidation:
     def test_preemption_invalidates_cached_view(self):
-        """Banked progress must change the cached remaining-work view."""
+        """Banked progress must change the remaining-work view."""
         gs, scheduler = one_tenant()
         job = make_job("victim", samples=2_000.0)
         gs.submit(job)
@@ -380,8 +388,6 @@ class TestPreemptionInvalidation:
         now = completion / 2.0
         assert scheduler.preempt(0, now=now) == "victim"
         view_before = scheduler.job_view(job)
-        # The cache serves the same view while the job waits.
-        assert scheduler.job_view(job) is view_before
 
         resumed = gs.dispatch("t", 0, now=now).completion_time
         # Preempt the resumed segment halfway: a quarter of the job is left.
@@ -390,7 +396,6 @@ class TestPreemptionInvalidation:
         assert record.samples_remaining == pytest.approx(500.0)
 
         view_after = scheduler.job_view(job)
-        assert view_after is not view_before
         assert view_after.proc_times[0] == pytest.approx(
             view_before.proc_times[0] / 2.0, rel=1e-6
         )
@@ -413,6 +418,113 @@ class TestPreemptionInvalidation:
         assert scheduler.idle_executor_indices() == []
         gs.complete("t", 0, now=completion)
         assert scheduler.idle_executor_indices() == [0]
+
+
+def _deadline_cluster():
+    """Two tenants over five different cycles.
+
+    bert-large training runs on every executor but ``("a", 0)``, whose
+    bubbles are too small for it, and takes a different time on each of
+    the others; bert-base inference (the filler class) runs everywhere.
+    """
+    cycle = BubbleCycle.from_durations
+    return {
+        "a": {
+            0: FillJobExecutor(cycle([0.5, 0.5], 1.0 * GIB, period=3.0)),
+            1: FillJobExecutor(cycle([1.5, 1.5], 4.5 * GIB, period=4.0)),
+            2: FillJobExecutor(cycle([1.0], 2.0 * GIB, period=2.0)),
+        },
+        "b": {
+            0: FillJobExecutor(cycle([0.9, 2.1], 3.0 * GIB, period=5.0)),
+            1: FillJobExecutor(cycle([2.0, 2.0], 8.0 * GIB, period=6.0)),
+        },
+    }
+
+
+def _urgent(deadline):
+    return FillJob(
+        job_id="urgent",
+        model_name="bert-large",
+        job_type=JobType.TRAINING,
+        num_samples=1_000.0,
+        arrival_time=1.0,
+        deadline=deadline,
+    )
+
+
+class TestClassTableDeadlineCheck:
+    """The fast path's class-table deadline checks agree with the
+    reference's view-priced ones on every idle set and deadline."""
+
+    @pytest.fixture()
+    def shared_reference_estimates(self, monkeypatch):
+        """Run each reference estimate search once per test, not once per
+        scheduler built (the searches are exhaustive and slow)."""
+        from repro.verify import reference as reference_module
+
+        memo = {}
+
+        def memoised(executor, model, job_type, configs=None):
+            key = (id(executor), model.name, job_type)
+            if key not in memo:
+                memo[key] = reference_estimate(executor, model, job_type, configs)
+            return memo[key]
+
+        monkeypatch.setattr(reference_module, "reference_estimate", memoised)
+
+    @staticmethod
+    def _decide(fast, cluster, busy, deadline, rule):
+        """``idle_can_meet_deadline`` and the ``try_preempt`` assignment
+        for the urgent arrival, with a long filler running on every
+        ``busy`` executor."""
+        sched_cls, global_cls = (
+            (FillJobScheduler, GlobalScheduler)
+            if fast
+            else (ReferenceScheduler, ReferenceGlobalScheduler)
+        )
+        gs = global_cls(
+            {name: sched_cls(executors) for name, executors in cluster.items()},
+            preemption_rule=rule,
+        )
+        for tenant, idx in busy:
+            filler = make_job(f"fill-{tenant}-{idx}", samples=50_000.0)
+            gs.submit(filler)
+            assert gs.dispatch(tenant, idx, now=0.0).job_id == filler.job_id
+        gs.submit(_urgent(deadline))
+        meets = gs.idle_can_meet_deadline("urgent", now=1.0)
+        return meets, gs.try_preempt("urgent", now=1.0)
+
+    @pytest.mark.parametrize("custom_rule", [False, True])
+    def test_fast_and_reference_agree(self, shared_reference_estimates, custom_rule):
+        cluster = _deadline_cluster()
+        slots = [(tenant, idx) for tenant in cluster for idx in cluster[tenant]]
+        times = sorted(
+            t
+            for executors in cluster.values()
+            for t in FillJobScheduler(executors).processing_times(_urgent(None)).values()
+            if t != float("inf")
+        )
+        assert len(times) == 4 and len(set(times)) == 4  # one infeasible slot
+        # Every executor's time, straddled: each deadline flips one slot.
+        deadlines = [1.0 + t * f for t in times for f in (0.99, 1.01)]
+        rule = (
+            (lambda view, running, state: deadline_preemption_rule(view, running, state))
+            if custom_rule
+            else deadline_preemption_rule
+        )
+        outcomes = []
+        for size in range(len(slots) + 1):
+            for idle in itertools.combinations(slots, size):
+                busy = [slot for slot in slots if slot not in idle]
+                for deadline in deadlines:
+                    fast = self._decide(True, cluster, busy, deadline, rule)
+                    ref = self._decide(False, cluster, busy, deadline, rule)
+                    assert fast == ref, (idle, deadline)
+                    outcomes.append(fast)
+        # The grid reaches both answers of the check and several victims.
+        assert {meets for meets, _ in outcomes} == {True, False}
+        victims = {(a.tenant, a.executor_index) for _, a in outcomes if a is not None}
+        assert len(victims) >= 3 and any(a is None for _, a in outcomes)
 
 
 class TestOrderedIdSet:

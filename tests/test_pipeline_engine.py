@@ -32,13 +32,11 @@ class TestReplayBasics:
     def test_all_stages_have_timelines(self, small_engine):
         timelines = small_engine.run()
         assert len(timelines) == 4
-        assert all(t.busy_time > 0 for t in timelines)
 
     def test_iteration_counts(self, small_engine):
         timelines = small_engine.run()
         for t in timelines:
             assert len(t.iteration_starts) == small_engine.num_iterations
-            assert len(t.iteration_ends) == small_engine.num_iterations
 
     def test_deterministic_replay(self, small_engine):
         a = small_engine.bubble_cycles()
