@@ -45,9 +45,9 @@ maintained as jobs enter and leave a queue:
   handlers without ever walking the heaps.  A top that has not arrived
   yet (only when the scheduler is driven directly) sends the query to the
   masked pass over the stored scores.  For the shipped SJF shape the
-  static score itself is computed straight off the class timing arrays
-  (``1 / (min over feasible executors of (samples/spc)*period + eps)``),
-  skipping the per-job view construction entirely.
+  static score itself is computed off the class's fastest time
+  (``1 / (FillJobScheduler.fastest_time(cid, samples) + eps)``), skipping
+  the per-job view construction entirely.
 
 * **The generic walk.**  Unknown policies are called per candidate on the
   cached views, walking the store once in insertion order over the same
@@ -280,14 +280,11 @@ class CandidateIndex:
     def _sjf_score(self, cid: int, samples: float) -> float:
         """``sjf_policy`` off the class table, bit-identical to the view path.
 
-        ``JobView.min_proc_time`` is the minimum over feasible executors of
-        ``(samples / spc) * period``; elementwise float64 array arithmetic
-        performs the identical IEEE-754 operations and ``min`` is
-        order-independent, so the score matches float-for-float.
+        ``JobView.min_proc_time`` is the minimum of the view's finite
+        processing times, which is exactly the class's ``fastest_time``,
+        so the score matches float-for-float.
         """
-        spc, period = self.table.class_timing_arrays(cid)
-        min_proc = float(((samples / spc) * period).min())
-        return 1.0 / (min_proc + _EPS)
+        return 1.0 / (self.table.fastest_time(cid, samples) + _EPS)
 
     # -- queries -----------------------------------------------------------------
 

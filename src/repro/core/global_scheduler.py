@@ -76,8 +76,9 @@ class GlobalScheduler:
         disables preemption entirely.
 
     One candidate index per tenant answers dispatch queries, deadline
-    checks read the tenants' class timing tables, and dispatch sweeps skip
-    executors already proven workless.
+    checks read the tenants' class timing tables and skip a tenant whose
+    fastest executor misses the deadline, and a dispatch sweep visits each
+    idle executor once.
     :class:`repro.verify.reference.ReferenceGlobalScheduler` re-scores
     everything from scratch instead; the equivalence tests compare the two.
     """
@@ -250,38 +251,28 @@ class GlobalScheduler:
         self.tenants[tenant].adopt(job, self._evicted.pop(job.job_id, None))
 
     def dispatch_idle(self, now: float) -> List[Assignment]:
-        """Dispatch onto every idle executor of every tenant until stable.
+        """Dispatch onto every idle executor of every tenant, once each.
 
-        Iterates only currently-idle executors, and marks executors that
-        found no runnable job as *exhausted* for the remainder of the
-        sweep: within one sweep jobs only ever leave the backlog and the
-        tenant queues, so a workless executor cannot gain work until the
-        next event.  Both prunings leave the assignment sequence (and hence
-        the simulation results) unchanged.
+        Within one sweep jobs only ever leave the backlog and the tenant
+        queues, and no executor frees up, so an executor that found no
+        runnable job cannot gain work until the next event: one pass over
+        the executors idle at the start of the sweep assigns everything a
+        repeated pass would.  A tenant whose assignment drained the last
+        waiting job skips its remaining idle executors.
         """
         assignments: List[Assignment] = []
-        exhausted: set = set()
-        progress = True
-        while progress:
-            progress = False
-            for tenant, sched in self.tenants.items():
-                if not self._backlog and not sched.has_queued_jobs():
+        for tenant, sched in self.tenants.items():
+            if not self._backlog and not sched.has_queued_jobs():
+                continue
+            for idx in sched.idle_executor_indices():
+                assignment = self.dispatch(tenant, idx, now)
+                if assignment is None:
                     continue
-                for idx in sched.idle_executor_indices():
-                    if (tenant, idx) in exhausted:
-                        continue
-                    assignment = self.dispatch(tenant, idx, now)
-                    if assignment is None:
-                        exhausted.add((tenant, idx))
-                        continue
-                    assignments.append(assignment)
-                    progress = True
-                    if not self._backlog and not sched.has_queued_jobs():
-                        # The assignment drained the last waiting job:
-                        # every remaining idle executor would scan to no
-                        # candidate, so skip them outright (jobs only
-                        # leave queues within a sweep).
-                        break
+                assignments.append(assignment)
+                if not self._backlog and not sched.has_queued_jobs():
+                    # The assignment drained the last waiting job: every
+                    # remaining idle executor would scan to no candidate.
+                    break
         return assignments
 
     # -- preemption -------------------------------------------------------------
@@ -293,6 +284,9 @@ class GlobalScheduler:
         whether plain dispatch suffices or preemption should be attempted
         first (an idle-but-slow executor can be worse than preempting a
         fast one).  Jobs without a deadline trivially return ``True``.
+        A tenant whose fastest executor for the job's class
+        (:meth:`~repro.core.scheduler.FillJobScheduler.fastest_time`)
+        misses the deadline is skipped without walking its idle set.
         """
         job = self.jobs[job_id]
         if job.deadline is None:
@@ -305,6 +299,9 @@ class GlobalScheduler:
             idle = sched.idle_executor_indices()
             if not idle:
                 continue
+            cid = sched.ensure_class(job.model_name, job.job_type)
+            if now + sched.fastest_time(cid, samples) > job.deadline:
+                continue  # no idle executor is faster than the fastest
             # ``processing_times``' expression, read off the class table.
             row = sched.class_row(job)
             for idx in idle:
@@ -318,7 +315,8 @@ class GlobalScheduler:
         """Try to start an urgent backlog job by preempting a running one.
 
         Evaluates the configured preemption rule for every (tenant,
-        executor) pair currently running a job the arrival could replace,
+        executor) pair currently running a job the arrival could replace
+        (see :meth:`_best_victim` for the pairs the shipped rule skips),
         preempts the highest-scoring victim, and assigns the arrival there.
         Returns the assignment (with ``preempted_job_id`` set), or ``None``
         when preemption is disabled or no victim qualifies.
@@ -343,7 +341,13 @@ class GlobalScheduler:
     def _best_victim(self, job: FillJob, now: float) -> Optional[Tuple[str, int]]:
         """The live ``(tenant, executor)`` whose running job the preemption
         rule scores highest, above 0, for the deadline arrival ``job``; the
-        first such pair wins a tie."""
+        first such pair wins a tie.
+
+        Under the shipped rule a tenant whose fastest executor for the
+        arrival's class misses the deadline is skipped whole: every busy
+        executor there would leave through one of the rule's zero-score
+        exits.  A custom rule sees every busy executor.
+        """
         best: Optional[Tuple[float, str, int]] = None
         # The shipped deadline rule rejects almost every (arrival, victim)
         # pair on arithmetic over numbers already at hand; inlining those
@@ -357,6 +361,12 @@ class GlobalScheduler:
         for tenant, sched in self.tenants.items():
             if tenant in self.departed:
                 continue  # a leaving tenant takes no new work
+            if fast_rule:
+                # now + wait + proc >= now + proc >= now + fastest: when
+                # the last misses, no pair passes the second exit below.
+                cid = sched.ensure_class(job.model_name, job.job_type)
+                if now + sched.fastest_time(cid, samples) > job.deadline:
+                    continue
             state_view = None if fast_rule else sched.scheduler_view(now)
             view = None if fast_rule else self._backlog_view(tenant, job)
             row = sched.class_row(job)

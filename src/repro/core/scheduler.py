@@ -211,14 +211,15 @@ class FillJobScheduler:
         # Class tables: jobs sharing (model_name, job_type) share estimates
         # on every executor, so feasibility and seconds-per-sample are
         # per-*class* state, computed once and kept in lists indexed by
-        # class id (assigned in first-seen order).  ``exec_classes``
-        # inverts the table into per-executor feasible class ids, and
-        # ``_exec_arrays`` into per-executor arrays over all class ids,
-        # both for the candidate indexes.
+        # class id (assigned in first-seen order).  ``_class_pairs`` keeps
+        # each class's distinct feasible timing pairs (empty where the
+        # class fits no executor).  ``exec_classes`` inverts the table into
+        # per-executor feasible class ids, and ``_exec_arrays`` into
+        # per-executor arrays over all class ids, both for the candidate
+        # indexes.
         self._class_ids: Dict[tuple, int] = {}
         self._class_times: List[Dict[int, Tuple[float, float]]] = []
-        self._class_fits: List[bool] = []
-        self._class_arrays: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._class_pairs: List[Tuple[Tuple[float, float], ...]] = []
         self.exec_classes: Dict[int, List[int]] = {idx: [] for idx in self._executor_order}
         self._exec_arrays: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # Memoised policy-facing occupancy view: rebuilt only when the
@@ -277,13 +278,7 @@ class FillJobScheduler:
         feasible = [(spc, period) for spc, period in times.values() if spc > 0]
         self._class_ids[key] = cid
         self._class_times.append(times)
-        self._class_fits.append(bool(feasible))
-        self._class_arrays.append(
-            (
-                np.array([spc for spc, _period in feasible], dtype=np.float64),
-                np.array([period for _spc, period in feasible], dtype=np.float64),
-            )
-        )
+        self._class_pairs.append(tuple(sorted(set(feasible))))
         return cid
 
     def class_row(self, job: FillJob) -> Dict[int, Tuple[float, float]]:
@@ -294,11 +289,21 @@ class FillJobScheduler:
 
     def class_feasible(self, cid: int) -> bool:
         """Whether the (ensured) class fits at least one executor."""
-        return self._class_fits[cid]
+        return bool(self._class_pairs[cid])
 
-    def class_timing_arrays(self, cid: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The class's ``(samples_per_cycle, cycle_period)`` on its feasible executors."""
-        return self._class_arrays[cid]
+    def fastest_time(self, cid: int, samples: float) -> float:
+        """The (ensured) class's shortest processing time for ``samples``
+        on any of this scheduler's executors (``inf`` where it fits none).
+
+        Bit-identical to ``min(processing_times(job,
+        num_samples=samples).values())``: the minimum runs
+        ``processing_times``' expression over the class's distinct
+        feasible timing pairs, and duplicate pairs price alike.
+        """
+        return min(
+            [(samples / spc) * period for spc, period in self._class_pairs[cid]],
+            default=float("inf"),
+        )
 
     def exec_class_arrays(self, executor_index: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(feasible, samples_per_cycle, cycle_period)`` of one executor, indexed by class id.
@@ -321,7 +326,7 @@ class FillJobScheduler:
 
     def fits_any(self, job: FillJob) -> bool:
         """Whether at least one executor can ever run the job (one class-table lookup)."""
-        return self._class_fits[self.ensure_class(job.model_name, job.job_type)]
+        return bool(self._class_pairs[self.ensure_class(job.model_name, job.job_type)])
 
     def processing_times(
         self, job: FillJob, *, num_samples: Optional[float] = None
@@ -336,7 +341,7 @@ class FillJobScheduler:
         # from the class table instead of per-job estimate lookups
         # (bit-identical; the equivalence tests prove it).
         cid = self.ensure_class(job.model_name, job.job_type)
-        if not samples > 0 and self._class_fits[cid]:
+        if not samples > 0 and self._class_pairs[cid]:
             check_positive(samples, "num_samples")
         return {
             idx: float("inf") if spc <= 0 else (samples / spc) * period

@@ -7,8 +7,9 @@ index or prune, with the slow, obvious computation built on those two
 functions.  The deadline checks are the reference's own too: the
 arrival-time check prices the arrival through its job view, and the
 preemption search asks the configured rule about every candidate victim,
-where the fast path reads the class timing table and inlines the shipped
-rule's arithmetic.  Job lifecycle, faults and tenant churn are inherited
+where the fast path reads the class timing table, skips a tenant whose
+fastest executor misses the deadline and inlines the shipped rule's
+arithmetic.  Job lifecycle, faults and tenant churn are inherited
 unchanged.  The base classes still maintain their candidate
 indexes, but nothing here reads an index or a memo.  A reference run
 costs what the simulator cost before those optimisations, and its result
@@ -176,10 +177,10 @@ class ReferenceGlobalScheduler(GlobalScheduler):
     """A :class:`~repro.core.global_scheduler.GlobalScheduler` that caches nothing.
 
     Selection re-scores the whole backlog with :func:`best_scored`,
-    :meth:`dispatch_idle` visits every available executor on every pass,
-    the arrival-time deadline check prices the arrival through its backlog
-    view, and the preemption search calls the rule for every candidate
-    victim.
+    :meth:`dispatch_idle` visits every available executor on every pass
+    until a pass assigns nothing, the arrival-time deadline check prices
+    the arrival through its backlog view on every idle executor, and the
+    preemption search calls the rule for every candidate victim.
     """
 
     def _best_backlog_job(

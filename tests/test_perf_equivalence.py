@@ -1,8 +1,9 @@
 """Cache-correctness tests for the optimised scheduler hot path.
 
 The optimised fast path (shared executor estimate caches, class timing
-tables, candidate indexes, idle-executor sets and exhausted-sweep
-pruning) must be *invisible*: every shipped scenario must produce
+tables, candidate indexes, idle-executor sets, the fastest-time exits
+of the deadline checks and the one-pass dispatch sweep) must be
+*invisible*: every shipped scenario must produce
 bit-identical results on the fast path and on
 :class:`repro.verify.reference.ReferenceExperiment`, the brute-force
 reference that prices every job view per executor and sources estimates
@@ -12,8 +13,11 @@ leak into the reference run.  ``TestExecutorCacheCorrectness``
 additionally compares shared-cache entries and explicit ``configs=``
 searches against :func:`repro.verify.reference.reference_estimate`, and
 checks the throughput bound the best-first configuration search relies
-on.  ``TestClassTableDeadlineCheck`` pins the class-table deadline
-checks against the reference's view-priced ones.
+on.  ``TestFastestTime`` pins each class's fastest time to the minimum
+of its processing times, ``TestClassTableDeadlineCheck`` pins the
+class-table deadline checks against the reference's view-priced ones,
+and ``TestOnePassDispatch`` pins the one-pass sweep against the
+reference's repeated passes.
 
 Also covers the re-pricing rule: preempting a job banks partial progress
 and shrinks ``samples_remaining``, so the job's next view prices only
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -33,10 +38,11 @@ from hypothesis import strategies as st
 from repro.api import Experiment, result_digest
 from repro.core.executor import FillJobExecutor
 from repro.core.global_scheduler import GlobalScheduler
-from repro.core.policies import deadline_preemption_rule
+from repro.core.policies import deadline_preemption_rule, sjf_policy
 from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.configs import JobType
 from repro.pipeline.bubbles import BubbleCycle
+from repro.sim.scenario import build_tenants
 from repro.utils.ordered import OrderedIdSet
 from repro.utils.units import GIB
 from repro.verify.reference import (
@@ -452,25 +458,77 @@ def _urgent(deadline):
     )
 
 
+@pytest.fixture()
+def shared_reference_estimates(monkeypatch):
+    """Run each reference estimate search once per test, not once per
+    scheduler built (the searches are exhaustive and slow)."""
+    from repro.verify import reference as reference_module
+
+    memo = {}
+
+    def memoised(executor, model, job_type, configs=None):
+        key = (id(executor), model.name, job_type)
+        if key not in memo:
+            memo[key] = reference_estimate(executor, model, job_type, configs)
+        return memo[key]
+
+    monkeypatch.setattr(reference_module, "reference_estimate", memoised)
+
+
+#: Integer, fractional and tiny sample counts (the last is the smallest
+#: subnormal, whose times underflow to 0).
+SAMPLE_COUNTS = (1, 1_000, 2_000.0, 333.3, 0.7, 1e-9, 5e-324)
+
+
+def _same_bits(fast, slow):
+    return float(fast).hex() == float(slow).hex()
+
+
+class TestFastestTime:
+    """``fastest_time`` is bit for bit the minimum of the class's
+    processing times, on every class and sample count."""
+
+    @staticmethod
+    def _check(scheduler, jobs, reference=None):
+        for job in jobs:
+            cid = scheduler.ensure_class(job.model_name, job.job_type)
+            for samples in SAMPLE_COUNTS:
+                fast = scheduler.fastest_time(cid, samples)
+                slow = min(scheduler.processing_times(job, num_samples=samples).values())
+                assert _same_bits(fast, slow), (job.model_name, job.job_type, samples)
+                if reference is not None:
+                    ref = min(reference.processing_times(job, num_samples=samples).values())
+                    assert _same_bits(fast, ref), (job.model_name, job.job_type, samples)
+
+    def test_deadline_cluster_matches_both_schedulers(self, shared_reference_estimates):
+        jobs = [_urgent(None), make_job("filler")]
+        for executors in _deadline_cluster().values():
+            self._check(
+                FillJobScheduler(executors), jobs, reference=ReferenceScheduler(executors)
+            )
+
+    def test_shipped_multi_tenant_scenario(self):
+        spec = Experiment.from_yaml(SCENARIO_DIR / "multi_tenant.yaml").validate()
+        tenants = build_tenants(spec)
+        by_class = {}
+        for tenant in tenants:
+            for job in tenant.jobs:
+                by_class.setdefault((job.model_name, job.job_type), job)
+        assert len(by_class) >= 4
+        for tenant in tenants:
+            self._check(FillJobScheduler(tenant.system.executors), by_class.values())
+
+    def test_a_class_that_fits_nowhere_is_infinitely_slow(self):
+        scheduler = FillJobScheduler({0: _deadline_cluster()["a"][0]})
+        job = _urgent(None)
+        cid = scheduler.ensure_class(job.model_name, job.job_type)
+        assert not scheduler.class_feasible(cid)
+        assert scheduler.fastest_time(cid, 1_000.0) == float("inf")
+
+
 class TestClassTableDeadlineCheck:
     """The fast path's class-table deadline checks agree with the
     reference's view-priced ones on every idle set and deadline."""
-
-    @pytest.fixture()
-    def shared_reference_estimates(self, monkeypatch):
-        """Run each reference estimate search once per test, not once per
-        scheduler built (the searches are exhaustive and slow)."""
-        from repro.verify import reference as reference_module
-
-        memo = {}
-
-        def memoised(executor, model, job_type, configs=None):
-            key = (id(executor), model.name, job_type)
-            if key not in memo:
-                memo[key] = reference_estimate(executor, model, job_type, configs)
-            return memo[key]
-
-        monkeypatch.setattr(reference_module, "reference_estimate", memoised)
 
     @staticmethod
     def _decide(fast, cluster, busy, deadline, rule):
@@ -505,8 +563,9 @@ class TestClassTableDeadlineCheck:
             if t != float("inf")
         )
         assert len(times) == 4 and len(set(times)) == 4  # one infeasible slot
-        # Every executor's time, straddled: each deadline flips one slot.
-        deadlines = [1.0 + t * f for t in times for f in (0.99, 1.01)]
+        # Every executor's time, straddled and hit exactly (now + t ==
+        # deadline meets it): each deadline flips one slot.
+        deadlines = [1.0 + t * f for t in times for f in (0.99, 1.0, 1.01)]
         rule = (
             (lambda view, running, state: deadline_preemption_rule(view, running, state))
             if custom_rule
@@ -525,6 +584,76 @@ class TestClassTableDeadlineCheck:
         assert {meets for meets, _ in outcomes} == {True, False}
         victims = {(a.tenant, a.executor_index) for _, a in outcomes if a is not None}
         assert len(victims) >= 3 and any(a is None for _, a in outcomes)
+
+
+def _veto_policy(view, state, executor_index):
+    """SJF that never places anything on executor 0 and vetoes a fixed
+    pseudo-random third of the other (job, executor) pairs."""
+    key = f"{view.job_id}/{executor_index}".encode()
+    if executor_index == 0 or zlib.crc32(key) % 3 == 0:
+        return -float("inf")
+    return sjf_policy(view, state, executor_index)
+
+
+class TestOnePassDispatch:
+    """One ``dispatch_idle`` pass assigns what the reference's repeated
+    passes assign, in the same order, on the two cases a second pass
+    could revisit: idle executors left workless by the policy, and idle
+    executors skipped once the last waiting job is placed."""
+
+    @staticmethod
+    def _pair(policy=sjf_policy):
+        """A fast and a reference global scheduler, each over its own
+        ``_deadline_cluster()``."""
+        fast = GlobalScheduler(
+            {n: FillJobScheduler(ex, policy=policy) for n, ex in _deadline_cluster().items()},
+            policy=policy,
+        )
+        ref = ReferenceGlobalScheduler(
+            {n: ReferenceScheduler(ex, policy=policy) for n, ex in _deadline_cluster().items()},
+            policy=policy,
+        )
+        return fast, ref
+
+    @staticmethod
+    def _idle(gs):
+        return {
+            (name, idx) for name, sched in gs.tenants.items()
+            for idx in sched.idle_executor_indices()
+        }
+
+    def test_vetoed_executors_stay_workless(self, shared_reference_estimates):
+        fast, ref = self._pair(_veto_policy)
+        for gs in (fast, ref):
+            for i in range(12):
+                gs.submit(make_job(f"j{i}", samples=500.0 + 100.0 * i))
+        assignments = fast.dispatch_idle(now=0.0)
+        assert assignments == ref.dispatch_idle(now=0.0)
+        # Jobs still wait, yet both executor 0s (and only they) stay idle.
+        assert len(assignments) == 3 and fast.backlog_jobs()
+        assert self._idle(fast) == self._idle(ref) == {("a", 0), ("b", 0)}
+        assert fast.dispatch_idle(now=0.0) == [] == ref.dispatch_idle(now=0.0)
+
+    def test_drained_backlog_leaves_idle_executors(self, shared_reference_estimates):
+        fast, ref = self._pair()
+        for gs in (fast, ref):
+            # A preempted job waits in tenant b's local queue ...
+            gs.submit(make_job("long", samples=50_000.0))
+            assert gs.dispatch("b", 0, now=0.0).job_id == "long"
+            assert gs.tenants["b"].preempt(0, now=1.0) == "long"
+            # ... and two arrivals in the backlog, fewer than a's three
+            # idle executors.
+            gs.submit(make_job("x", samples=800.0, arrival=1.0))
+            gs.submit(make_job("y", samples=900.0, arrival=1.0))
+        assignments = fast.dispatch_idle(now=1.0)
+        assert assignments == ref.dispatch_idle(now=1.0)
+        assert [(a.tenant, a.job_id) for a in assignments] == [
+            ("a", "x"), ("a", "y"), ("b", "long"),
+        ]
+        # Tenant a drained the backlog with an executor to spare, and b
+        # its local queue.
+        assert self._idle(fast) == self._idle(ref)
+        assert {tenant for tenant, _ in self._idle(fast)} == {"a", "b"}
 
 
 class TestOrderedIdSet:
