@@ -76,9 +76,9 @@ class GlobalScheduler:
         disables preemption entirely.
 
     One candidate index per tenant answers dispatch queries, deadline
-    checks read the tenants' class timing tables and skip a tenant whose
-    fastest executor misses the deadline, and a dispatch sweep visits each
-    idle executor once.
+    checks read the tenants' class timing tables, the preemption search
+    skips a tenant whose fastest executor misses the deadline, and a
+    dispatch sweep visits each idle executor once.
     :class:`repro.verify.reference.ReferenceGlobalScheduler` re-scores
     everything from scratch instead; the equivalence tests compare the two.
     """
@@ -284,9 +284,6 @@ class GlobalScheduler:
         whether plain dispatch suffices or preemption should be attempted
         first (an idle-but-slow executor can be worse than preempting a
         fast one).  Jobs without a deadline trivially return ``True``.
-        A tenant whose fastest executor for the job's class
-        (:meth:`~repro.core.scheduler.FillJobScheduler.fastest_time`)
-        misses the deadline is skipped without walking its idle set.
         """
         job = self.jobs[job_id]
         if job.deadline is None:
@@ -299,11 +296,8 @@ class GlobalScheduler:
             idle = sched.idle_executor_indices()
             if not idle:
                 continue
-            cid = sched.ensure_class(job.model_name, job.job_type)
-            if now + sched.fastest_time(cid, samples) > job.deadline:
-                continue  # no idle executor is faster than the fastest
             # ``processing_times``' expression, read off the class table.
-            row = sched.class_row(job)
+            row = sched.class_row(sched.ensure_class(job.model_name, job.job_type))
             for idx in idle:
                 spc, period = row[idx]
                 proc = inf if spc <= 0 else (samples / spc) * period
@@ -361,15 +355,14 @@ class GlobalScheduler:
         for tenant, sched in self.tenants.items():
             if tenant in self.departed:
                 continue  # a leaving tenant takes no new work
-            if fast_rule:
-                # now + wait + proc >= now + proc >= now + fastest: when
-                # the last misses, no pair passes the second exit below.
-                cid = sched.ensure_class(job.model_name, job.job_type)
-                if now + sched.fastest_time(cid, samples) > job.deadline:
-                    continue
+            cid = sched.ensure_class(job.model_name, job.job_type)
+            if fast_rule and now + sched.fastest_time(cid, samples) > job.deadline:
+                # now + wait + proc >= now + proc >= now + fastest: no
+                # busy executor here passes the second exit below.
+                continue
             state_view = None if fast_rule else sched.scheduler_view(now)
             view = None if fast_rule else self._backlog_view(tenant, job)
-            row = sched.class_row(job)
+            row = sched.class_row(cid)
             for idx, ex_state in sched.executors.items():
                 if not ex_state.is_busy:
                     continue

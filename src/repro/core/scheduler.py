@@ -281,11 +281,11 @@ class FillJobScheduler:
         self._class_pairs.append(tuple(sorted(set(feasible))))
         return cid
 
-    def class_row(self, job: FillJob) -> Dict[int, Tuple[float, float]]:
-        """The job class's ``(samples_per_cycle, cycle_period)`` per executor
-        index, in declaration order (``samples_per_cycle = -1`` where the
-        class cannot run)."""
-        return self._class_times[self.ensure_class(job.model_name, job.job_type)]
+    def class_row(self, cid: int) -> Dict[int, Tuple[float, float]]:
+        """The (ensured) class's ``(samples_per_cycle, cycle_period)`` per
+        executor index, in declaration order (``samples_per_cycle = -1``
+        where the class cannot run)."""
+        return self._class_times[cid]
 
     def class_feasible(self, cid: int) -> bool:
         """Whether the (ensured) class fits at least one executor."""

@@ -7,13 +7,13 @@ index or prune, with the slow, obvious computation built on those two
 functions.  The deadline checks are the reference's own too: the
 arrival-time check prices the arrival through its job view, and the
 preemption search asks the configured rule about every candidate victim,
-where the fast path reads the class timing table, skips a tenant whose
-fastest executor misses the deadline and inlines the shipped rule's
-arithmetic.  Job lifecycle, faults and tenant churn are inherited
-unchanged.  The base classes still maintain their candidate
-indexes, but nothing here reads an index or a memo.  A reference run
-costs what the simulator cost before those optimisations, and its result
-digest must equal the fast path's
+where the fast path reads the class timing table and its preemption
+search skips a tenant whose fastest executor misses the deadline and
+inlines the shipped rule's arithmetic.  Job lifecycle, faults and
+tenant churn are inherited unchanged.  The base classes still maintain
+their candidate indexes, but nothing here reads an index or a memo.  A
+reference run costs what the simulator cost before those optimisations,
+and its result digest must equal the fast path's
 (:func:`repro.verify.oracles.check_cache_oracle`)::
 
     ReferenceExperiment.from_yaml("scenarios/smoke.yaml").run()

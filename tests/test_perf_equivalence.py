@@ -1,8 +1,8 @@
 """Cache-correctness tests for the optimised scheduler hot path.
 
 The optimised fast path (shared executor estimate caches, class timing
-tables, candidate indexes, idle-executor sets, the fastest-time exits
-of the deadline checks and the one-pass dispatch sweep) must be
+tables, candidate indexes, idle-executor sets, the fastest-time exit
+of the preemption search and the one-pass dispatch sweep) must be
 *invisible*: every shipped scenario must produce
 bit-identical results on the fast path and on
 :class:`repro.verify.reference.ReferenceExperiment`, the brute-force
