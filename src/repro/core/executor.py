@@ -41,9 +41,10 @@ from repro.models.base import ModelSpec
 from repro.models.configs import ExecutionConfig, JobType, candidate_configs
 from repro.models.efficiency import DEFAULT_EFFICIENCY, EfficiencyModel
 from repro.models.profiles import (
+    ClassProfiles,
     ModelProfile,
-    best_profile,
     cached_profile,
+    class_profiles,
     clear_profile_cache,
 )
 from repro.pipeline.bubbles import BubbleCycle
@@ -65,7 +66,8 @@ from repro.utils.validation import check_positive
 # even ones sharing a registry name -- can never collide, while the
 # registry's one-canonical-spec-per-name behaviour still shares entries
 # across runs).  Profiles do not depend on the cycle; they live in the one
-# process-wide profile memo of :mod:`repro.models.profiles`.
+# process-wide profile memo of :mod:`repro.models.profiles`, one entry per job
+# class on a device, and a search reads its class's entry once.
 
 #: One cached estimate: the model it was computed for plus the result.
 _EstimateEntry = Tuple[ModelSpec, Optional["FillExecutionEstimate"]]
@@ -327,17 +329,6 @@ class FillJobExecutor:
 
     # -- estimation ------------------------------------------------------------
 
-    def _isolated_throughput(self, model: ModelSpec, job_type: JobType) -> float:
-        """Exclusive-device samples/s (0 when no configuration fits the device)."""
-        profile = best_profile(
-            model,
-            job_type,
-            memory_limit_bytes=self.device.usable_memory_bytes,
-            device=self.device,
-            efficiency_model=self.efficiency,
-        )
-        return 0.0 if profile is None else profile.throughput_samples_per_s
-
     def _throughput_bound(self, profile: ModelProfile) -> float:
         """Upper bound on the effective samples/s of any plan of ``profile``.
 
@@ -426,14 +417,22 @@ class FillJobExecutor:
         return estimate
 
     def _best_first_search(
-        self, model: ModelSpec, job_type: JobType, configs: Sequence[ExecutionConfig]
+        self,
+        model: ModelSpec,
+        job_type: JobType,
+        job_class: ClassProfiles,
+        profiles: Sequence[ModelProfile],
     ) -> Optional[FillExecutionEstimate]:
         """The fast search: Algorithm 1 in descending throughput-bound order.
 
-        Every configuration that fits in memory is ranked by its margined
-        bound ``UB * (1 + _BOUND_MARGIN)`` (:meth:`_throughput_bound`),
-        highest first and, at equal bounds, in ``configs`` order.  The best
-        is replaced on a greater value, or on an equal value at an earlier
+        ``profiles`` are the configurations to search: ``job_class``'s
+        own, unless ``build_estimate`` got an explicit list.  Every estimate
+        is measured against ``job_class``'s isolated best.
+
+        Every profile that fits in memory is ranked by its margined bound
+        ``UB * (1 + _BOUND_MARGIN)`` (:meth:`_throughput_bound`), highest
+        first and, at equal bounds, in ``profiles`` order.  The best is
+        replaced on a greater value, or on an equal value at an earlier
         position.  The search stops at the first configuration whose
         margined bound is below the best value, and skips one whose bound
         only equals it from a later position: no plan exceeds its margined
@@ -444,12 +443,13 @@ class FillJobExecutor:
         """
         usable_memory = self.usable_memory_bytes
         ranked = []
-        for index, exec_config in enumerate(configs):
-            profile = cached_profile(model, job_type, exec_config, self.device, self.efficiency)
+        for index, profile in enumerate(profiles):
             if profile.device_footprint_bytes <= usable_memory:
                 ranked.append((-self._throughput_bound(profile), index, profile))
         ranked.sort()  # indexes are unique, so profiles are never compared
-        isolated: Optional[float] = None
+        isolated = (
+            0.0 if job_class.isolated is None else job_class.isolated.throughput_samples_per_s
+        )
         best: Optional[FillExecutionEstimate] = None
         best_value = 0.0
         best_index = 0
@@ -460,8 +460,6 @@ class FillJobExecutor:
                     break
                 if reach == best_value and index > best_index:
                     continue
-            if isolated is None:
-                isolated = self._isolated_throughput(model, job_type)
             estimate = self._evaluate_config(model, job_type, profile, isolated)
             if estimate is None:
                 continue
@@ -528,7 +526,12 @@ class FillJobExecutor:
         plan cache is on); an explicit ``configs`` list always searches.
         """
         if configs is not None:
-            return self._best_first_search(model, job_type, configs)
+            job_class = class_profiles(model, job_type, self.device, self.efficiency)
+            profiles = [
+                cached_profile(model, job_type, config, self.device, self.efficiency)
+                for config in configs
+            ]
+            return self._best_first_search(model, job_type, job_class, profiles)
         # repro: lint-ignore[hash-id] -- identity-memo cache key; the entry
         # pins the spec and the key is never ordered or serialized.
         key = (id(model), job_type)
@@ -552,7 +555,8 @@ class FillJobExecutor:
                     self._estimate_cache.clear()
                 self._estimate_cache[key] = (model, value)
                 return value
-        best = self._best_first_search(model, job_type, candidate_configs(job_type))
+        job_class = class_profiles(model, job_type, self.device, self.efficiency)
+        best = self._best_first_search(model, job_type, job_class, job_class.profiles)
         if len(self._estimate_cache) >= _MAX_NAMESPACE_ENTRIES:
             self._estimate_cache.clear()
         self._estimate_cache[key] = (model, best)

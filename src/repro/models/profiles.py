@@ -11,15 +11,17 @@ The resulting :class:`ModelProfile` carries a linearised
 :class:`~repro.models.base.ComputationalGraph` (forward nodes, then backward
 nodes in reverse order, then an optimizer step for training jobs) that
 Algorithm 1 packs into pipeline bubbles.  Profiles are pure, so readers
-take them from one process-wide memo (:func:`cached_profile`); only the
-brute-force :func:`repro.verify.reference.reference_estimate` calls
+take them from one process-wide memo with one entry per job class on a
+device (:func:`class_profiles`): every default candidate's profile and the
+isolated best.  Only the brute-force
+:func:`repro.verify.reference.reference_estimate` calls
 :func:`profile_model` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware.device import DeviceSpec, V100_16GB
 from repro.models.base import (
@@ -287,23 +289,88 @@ def profile_model(
 #
 # A profile is a pure function of (model, job type, config, device, efficiency
 # model).  The executors' plan searches, their isolated-throughput reference
-# and every trace generator's GPU-hours -> samples conversion ask for the same
-# few hundred profiles, so one process-wide memo serves them all.  Job type,
-# config and device are frozen values keyed by value.  A model spec would be
-# expensive to hash (every layer) and an efficiency model holds dicts, so both
-# are keyed by identity, and every entry pins the two objects it was computed
-# for: while the entry lives neither id can be reused, so two *different*
-# specs -- even ones sharing a registry name -- never share a profile.
+# and every trace generator's GPU-hours -> samples conversion read a job
+# class's default candidates together, so the one process-wide memo holds one
+# entry per job class on a device: every default candidate's profile, in
+# ``candidate_configs`` order, and the isolated best.  A reader makes one
+# lookup where it would make 16-36 per-configuration ones.  Job type and
+# device are frozen values keyed by value.  A model spec would be expensive to
+# hash (every layer) and an efficiency model holds dicts, so both are keyed by
+# identity, and every entry pins the two objects it was computed for: while
+# the entry lives neither id can be reused, so two *different* specs -- even
+# ones sharing a registry name -- never share a profile.
 # ``repro.core.executor.clear_shared_caches()`` empties the memo.
 
-#: One memo entry: the pinned model and efficiency model, then the profile.
-_ProfileEntry = Tuple[ModelSpec, EfficiencyModel, ModelProfile]
 
-_PROFILES: Dict[tuple, _ProfileEntry] = {}
+@dataclass(frozen=True)
+class ClassProfiles:
+    """One job class's entry in the profile memo, for one device.
 
-#: Entry bound: a process profiling this many distinct inputs (many models,
-#: devices or spec objects) flushes the memo wholesale and refills it.
-_MAX_PROFILES = 4096
+    ``profiles`` holds every default candidate's profile, in
+    ``candidate_configs(job_type)`` order.  ``isolated`` is the first of the
+    highest-throughput ones that fit the whole device
+    (``device.usable_memory_bytes``), or ``None`` when none fits.
+    """
+
+    profiles: Tuple[ModelProfile, ...]
+    isolated: Optional[ModelProfile]
+
+
+#: One memo entry: the pinned model and efficiency model, then the class.
+_ClassEntry = Tuple[ModelSpec, EfficiencyModel, ClassProfiles]
+
+_CLASSES: Dict[tuple, _ClassEntry] = {}
+
+#: Each default candidate's position in its job type's candidate list.
+_CANDIDATE_INDEX = {
+    job_type: {config: i for i, config in enumerate(candidate_configs(job_type))}
+    for job_type in JobType
+}
+
+#: Class bound: a process profiling this many distinct classes (many models,
+#: devices or spec objects) flushes the memo wholesale and refills it.  The
+#: memo then holds at most 4,096 profiles (113 classes of 36 candidates).
+_MAX_CLASSES = 4096 // max(len(index) for index in _CANDIDATE_INDEX.values())
+
+
+def _fastest_fitting(
+    profiles: Iterable[ModelProfile], memory_limit_bytes: float
+) -> Optional[ModelProfile]:
+    """The first of the highest-throughput profiles that fit in
+    ``memory_limit_bytes`` (``None`` when none fits)."""
+    best: Optional[ModelProfile] = None
+    best_throughput = 0.0
+    for profile in profiles:
+        if not profile.fits_memory(memory_limit_bytes):
+            continue
+        throughput = profile.throughput_samples_per_s
+        if best is None or throughput > best_throughput:
+            best, best_throughput = profile, throughput
+    return best
+
+
+def class_profiles(
+    model: ModelSpec,
+    job_type: JobType,
+    device: DeviceSpec = V100_16GB,
+    efficiency_model: EfficiencyModel = DEFAULT_EFFICIENCY,
+) -> ClassProfiles:
+    """The job class's memo entry; the first call profiles every default candidate."""
+    # Identity-memo key: the entry pins both objects, and the key is never
+    # ordered, serialized or digested.
+    key = (id(model), job_type, device, id(efficiency_model))
+    entry = _CLASSES.get(key)
+    if entry is not None and entry[0] is model and entry[1] is efficiency_model:
+        return entry[2]
+    profiles = tuple(
+        profile_model(model, job_type, config, device, efficiency_model)
+        for config in candidate_configs(job_type)
+    )
+    result = ClassProfiles(profiles, _fastest_fitting(profiles, device.usable_memory_bytes))
+    if len(_CLASSES) >= _MAX_CLASSES:
+        _CLASSES.clear()
+    _CLASSES[key] = (model, efficiency_model, result)
+    return result
 
 
 def cached_profile(
@@ -313,23 +380,21 @@ def cached_profile(
     device: DeviceSpec = V100_16GB,
     efficiency_model: EfficiencyModel = DEFAULT_EFFICIENCY,
 ) -> ModelProfile:
-    """:func:`profile_model` read through the process-wide profile memo."""
-    # Identity-memo key: the entry pins both objects, and the key is never
-    # ordered, serialized or digested.
-    key = (id(model), job_type, config, device, id(efficiency_model))
-    entry = _PROFILES.get(key)
-    if entry is not None and entry[0] is model and entry[1] is efficiency_model:
-        return entry[2]
-    profile = profile_model(model, job_type, config, device, efficiency_model)
-    if len(_PROFILES) >= _MAX_PROFILES:
-        _PROFILES.clear()
-    _PROFILES[key] = (model, efficiency_model, profile)
-    return profile
+    """:func:`profile_model` read through the profile memo.
+
+    A default candidate's profile comes from its class entry
+    (:func:`class_profiles`); any other configuration is profiled afresh
+    and not memoised.
+    """
+    index = _CANDIDATE_INDEX[job_type].get(config)
+    if index is None:
+        return profile_model(model, job_type, config, device, efficiency_model)
+    return class_profiles(model, job_type, device, efficiency_model).profiles[index]
 
 
 def clear_profile_cache() -> None:
     """Empty the profile memo (``clear_shared_caches()`` calls this)."""
-    _PROFILES.clear()
+    _CLASSES.clear()
 
 
 def best_profile(
@@ -344,22 +409,20 @@ def best_profile(
     """Pick the configuration with the highest throughput that fits in memory.
 
     Returns ``None`` when no candidate configuration fits (the job cannot be
-    used as a fill job on this device / bubble).  Profiles are read through
-    the shared profile memo (:func:`cached_profile`).
+    used as a fill job on this device / bubble).  Of equal throughputs the
+    first configuration wins.  Profiles are read through the profile memo:
+    the default candidates' from their class entry (:func:`class_profiles`).
     """
     check_positive(memory_limit_bytes, "memory_limit_bytes")
+    profiles: Iterable[ModelProfile]
     if configs is None:
-        configs = candidate_configs(job_type)
-    best: Optional[ModelProfile] = None
-    best_throughput = 0.0
-    for config in configs:
-        profile = cached_profile(model, job_type, config, device, efficiency_model)
-        if not profile.fits_memory(memory_limit_bytes):
-            continue
-        throughput = profile.throughput_samples_per_s
-        if best is None or throughput > best_throughput:
-            best, best_throughput = profile, throughput
-    return best
+        profiles = class_profiles(model, job_type, device, efficiency_model).profiles
+    else:
+        profiles = (
+            cached_profile(model, job_type, config, device, efficiency_model)
+            for config in configs
+        )
+    return _fastest_fitting(profiles, memory_limit_bytes)
 
 
 def isolated_throughput(
@@ -372,18 +435,11 @@ def isolated_throughput(
 
     This is the reference point used both to convert trace GPU-hours into
     sample counts (Section 5.3) and to compute fill-job slowdown (Figure 7b).
+    It reads the class entry's isolated best (:func:`class_profiles`).
     """
-    profile = best_profile(
-        model,
-        job_type,
-        memory_limit_bytes=device.usable_memory_bytes,
-        device=device,
-        efficiency_model=efficiency_model,
-    )
+    profile = class_profiles(model, job_type, device, efficiency_model).isolated
     if profile is None:
-        raise ValueError(
-            f"model {model.name!r} does not fit on an exclusive {device.name}"
-        )
+        raise ValueError(f"model {model.name!r} does not fit on an exclusive {device.name}")
     return profile.throughput_samples_per_s
 
 
@@ -394,15 +450,7 @@ def isolated_tflops(
     efficiency_model: EfficiencyModel = DEFAULT_EFFICIENCY,
 ) -> float:
     """Sustained TFLOP/s of the job when it owns an entire device."""
-    profile = best_profile(
-        model,
-        job_type,
-        memory_limit_bytes=device.usable_memory_bytes,
-        device=device,
-        efficiency_model=efficiency_model,
-    )
+    profile = class_profiles(model, job_type, device, efficiency_model).isolated
     if profile is None:
-        raise ValueError(
-            f"model {model.name!r} does not fit on an exclusive {device.name}"
-        )
+        raise ValueError(f"model {model.name!r} does not fit on an exclusive {device.name}")
     return profile.effective_tflops

@@ -38,7 +38,7 @@ from repro.core.policies import (
 from repro.core.scheduler import FillJob, FillJobScheduler
 from repro.models.base import ModelSpec
 from repro.models.configs import ExecutionConfig, JobType, candidate_configs
-from repro.models.profiles import profile_model
+from repro.models.profiles import ModelProfile, profile_model
 from repro.sim.multi_tenant import MultiTenantSimulator
 from repro.sim.scenario import ScenarioSpec, build_tenants
 
@@ -54,21 +54,23 @@ def reference_estimate(
     Profiles every configuration in ``configs`` (default: the job type's
     candidates) from scratch, plans each one that fits in the bubbles'
     usable memory with the scalar planner, in order, and keeps the first
-    with the strictly highest effective samples/s.  Nothing is cached.
+    with the strictly highest effective samples/s.  The isolated
+    throughput is the maximum over the candidates that fit the whole
+    device, profiled from scratch too.  Nothing is cached.
     """
-    if configs is None:
-        configs = candidate_configs(job_type)
+
+    def fresh(exec_config: ExecutionConfig) -> ModelProfile:
+        return profile_model(model, job_type, exec_config, executor.device, executor.efficiency)
+
+    candidates = [fresh(c) for c in candidate_configs(job_type)]
+    fitting = [p for p in candidates if p.fits_memory(executor.device.usable_memory_bytes)]
+    isolated = max((p.throughput_samples_per_s for p in fitting), default=0.0)
+    profiles = candidates if configs is None else [fresh(c) for c in configs]
     usable_memory = executor.usable_memory_bytes
-    isolated: Optional[float] = None
     best: Optional[FillExecutionEstimate] = None
-    for exec_config in configs:
-        profile = profile_model(
-            model, job_type, exec_config, executor.device, executor.efficiency
-        )
+    for profile in profiles:
         if profile.device_footprint_bytes > usable_memory:
             continue
-        if isolated is None:
-            isolated = executor._isolated_throughput(model, job_type)
         try:
             plan = plan_fill_job(profile.graph, executor.cycle, executor.config)
         except PlanError:

@@ -78,8 +78,8 @@ class FillJobTraceBuilder:
     # -- helpers ---------------------------------------------------------------
 
     def _isolated_throughput(self, model_name: str, job_type: JobType) -> float:
-        # Profiles come from the shared profile memo, so each job class is
-        # profiled once per process, not once per builder.
+        # One class lookup in the shared profile memo: each job class is
+        # profiled once per process, not once per builder or per job.
         return isolated_throughput(
             build_model(model_name), job_type, self.device, self.efficiency
         )

@@ -7,20 +7,22 @@ import dataclasses
 import pytest
 
 from repro.core.executor import FillJobExecutor, clear_shared_caches
-from repro.hardware.device import A100_80GB, V100_16GB
+from repro.hardware.device import A100_40GB, A100_80GB, V100_16GB
 from repro.models import profiles
 from repro.models.base import NodeRole
-from repro.models.configs import ExecutionConfig, JobType
+from repro.models.configs import ExecutionConfig, JobType, candidate_configs
 from repro.models.profiles import (
     best_profile,
     cached_profile,
+    class_profiles,
     isolated_throughput,
     isolated_tflops,
     profile_model,
 )
-from repro.models.registry import build_model
+from repro.models.registry import FILL_JOB_MODELS, build_model
 from repro.pipeline.bubbles import BubbleCycle
 from repro.utils.units import GIB
+from repro.workloads.fill_jobs import category_for_model
 
 
 class TestProfileStructure:
@@ -135,8 +137,8 @@ class TestIsolatedExecution:
 
 
 class TestProfileMemo:
-    """The process-wide profile memo: cleared with the shared caches, keyed
-    by spec identity, and bounded."""
+    """The process-wide profile memo: one entry per job class on a device,
+    cleared with the shared caches, keyed by spec identity, and bounded."""
 
     @pytest.fixture()
     def profile_calls(self, monkeypatch):
@@ -159,13 +161,13 @@ class TestProfileMemo:
         model = dataclasses.replace(build_model("bert-base"))
         FillJobExecutor(cycle).build_estimate(model, JobType.BATCH_INFERENCE)
         first = len(profile_calls)
-        assert first > 0
+        assert first == len(candidate_configs(JobType.BATCH_INFERENCE))
         FillJobExecutor(cycle).build_estimate(
             model, JobType.BATCH_INFERENCE, configs=[ExecutionConfig(batch_size=8)]
         )
         assert len(profile_calls) == first  # served by the memo
         clear_shared_caches()
-        assert not profiles._PROFILES
+        assert not profiles._CLASSES
         FillJobExecutor(cycle).build_estimate(model, JobType.BATCH_INFERENCE)
         assert len(profile_calls) == 2 * first
 
@@ -180,16 +182,66 @@ class TestProfileMemo:
         assert len(b.graph) == len(a.graph) - 1
         assert cached_profile(spec, JobType.BATCH_INFERENCE, config) is a
         assert cached_profile(twin, JobType.BATCH_INFERENCE, config) is b
-        assert len(profile_calls) == 2
+        assert len(profiles._CLASSES) == 2
+        assert len(profile_calls) == 2 * len(candidate_configs(JobType.BATCH_INFERENCE))
 
     def test_memo_flushes_at_its_entry_bound(self, profile_calls, monkeypatch):
-        monkeypatch.setattr(profiles, "_MAX_PROFILES", 3)
+        # The shipped bound holds no more profiles than the old 4,096-entry
+        # per-configuration memo did.
+        largest = max(len(candidate_configs(job_type)) for job_type in JobType)
+        assert profiles._MAX_CLASSES * largest <= 4096
+        monkeypatch.setattr(profiles, "_MAX_CLASSES", 3)
+        specs = [dataclasses.replace(build_model("bert-base")) for _ in range(4)]
+        for spec in specs[:3]:
+            class_profiles(spec, JobType.BATCH_INFERENCE)
+        assert len(profiles._CLASSES) == 3
+        class_profiles(specs[3], JobType.BATCH_INFERENCE)
+        assert len(profiles._CLASSES) == 1  # flushed, then the new entry
+        class_profiles(specs[0], JobType.BATCH_INFERENCE)
+        # The flushed class was profiled again.
+        assert len(profile_calls) == 5 * len(candidate_configs(JobType.BATCH_INFERENCE))
+
+    def test_a_configuration_outside_the_candidates_is_never_memoised(self, profile_calls):
         model = dataclasses.replace(build_model("bert-base"))
-        configs = [ExecutionConfig(batch_size=b) for b in (1, 2, 4, 8)]
-        for config in configs[:3]:
-            cached_profile(model, JobType.BATCH_INFERENCE, config)
-        assert len(profiles._PROFILES) == 3
-        cached_profile(model, JobType.BATCH_INFERENCE, configs[3])
-        assert len(profiles._PROFILES) == 1  # flushed, then the new entry
-        cached_profile(model, JobType.BATCH_INFERENCE, configs[0])
-        assert len(profile_calls) == 5  # the flushed entry was profiled again
+        config = ExecutionConfig(batch_size=8, offload_optimizer=True)
+        assert config not in candidate_configs(JobType.BATCH_INFERENCE)
+        first = cached_profile(model, JobType.BATCH_INFERENCE, config)
+        second = cached_profile(model, JobType.BATCH_INFERENCE, config)
+        assert first is not second and first.config == config
+        assert len(profile_calls) == 2
+        assert not profiles._CLASSES
+
+
+class TestClassProfiles:
+    """Every class entry equals its candidates profiled from scratch, bit for
+    bit, and its isolated best is the fastest candidate that fits the device."""
+
+    @pytest.mark.parametrize("device", [V100_16GB, A100_40GB], ids=lambda d: d.name)
+    def test_entry_matches_profiling_from_scratch(self, device):
+        clear_shared_caches()
+        checked = 0
+        for name in sorted(FILL_JOB_MODELS):
+            model = build_model(name)
+            for job_type in category_for_model(name).job_types():
+                entry = class_profiles(model, job_type, device)
+                configs = candidate_configs(job_type)
+                fresh = [profile_model(model, job_type, c, device) for c in configs]
+                assert [p.config for p in entry.profiles] == configs
+                for got, want in zip(entry.profiles, fresh):
+                    assert float.hex(got.graph.total_duration) == float.hex(
+                        want.graph.total_duration
+                    ), (name, job_type, got.config)
+                    assert float.hex(got.device_footprint_bytes) == float.hex(
+                        want.device_footprint_bytes
+                    ), (name, job_type, got.config)
+                fitting = [
+                    p.throughput_samples_per_s
+                    for p in fresh
+                    if p.device_footprint_bytes <= device.usable_memory_bytes
+                ]
+                assert float.hex(isolated_throughput(model, job_type, device)) == float.hex(
+                    max(fitting)
+                ), (name, job_type)
+                checked += 1
+        assert checked > 0
+        clear_shared_caches()
