@@ -1,3 +1,3 @@
 """Package version."""
 
-__version__ = "8.1.0"
+__version__ = "8.2.0"

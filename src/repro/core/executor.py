@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import PipeFillConfig
@@ -127,7 +127,8 @@ def _record(estimate: Optional["FillExecutionEstimate"]) -> Optional[Dict[str, A
     record: Dict[str, Any] = {name: getattr(estimate, name) for name in _RECORD_FLOATS}
     record["model"] = estimate.model_name
     record["job_type"] = estimate.job_type.value
-    record["exec_config"] = asdict(estimate.exec_config)
+    config = estimate.exec_config  # flat: its fields are ints and bools
+    record["exec_config"] = {name: getattr(config, name) for name in _CONFIG_TYPES}
     return record
 
 
@@ -368,7 +369,8 @@ class FillJobExecutor:
     ) -> Optional[FillExecutionEstimate]:
         """Run Algorithm 1 on one configuration (``None`` when it cannot plan).
 
-        Uses the vectorized packer: the plan is identical to the scalar
+        Uses :func:`~repro.core.plan.pack_fill_job` over the graph's node
+        tuples: the plan is identical to the scalar
         :func:`~repro.core.plan.plan_fill_job`'s, with node tuples
         materialized lazily.  The reference search keeps the scalar
         planner, so the differential oracles and golden digests prove the

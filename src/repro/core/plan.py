@@ -19,10 +19,9 @@ the scheduler.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.config import PipeFillConfig
 from repro.models.base import ComputationalGraph, GraphNode
@@ -271,21 +270,23 @@ def plan_fill_job(
     )
 
 
-# -- vectorized fast path -----------------------------------------------------------
+# -- the executor's packer -----------------------------------------------------
 #
 # plan_fill_job above is the reference implementation: it materializes the
 # replicated graph (every node cloned and renamed per iteration) and packs it
-# node by node.  For large plans that materialization dominates the cold-start
-# cost of a simulation -- hundreds of thousands of GraphNode clones whose only
-# purpose is to be summed into per-bubble durations.  pack_fill_job below runs
-# the *same* Algorithm-1 loop over flat numpy duration/memory arrays instead:
+# node by node.  Cloning hundreds of thousands of GraphNodes only to sum their
+# durations would dominate a cold plan search, so pack_fill_job below runs the
+# *same* Algorithm-1 loop over the base graph's node duration and memory
+# tuples, without the replicated graph:
 #
-# * The per-bubble inner loop becomes a windowed ``np.cumsum`` + first-violation
-#   scan.  ``np.cumsum`` accumulates strictly left-to-right, so ``c[j]`` is
-#   bit-for-bit the scalar loop's ``packed_duration + nodes[j].duration`` at
-#   step ``j`` (the scalar loop resets its accumulator to 0.0 per bubble visit,
-#   and so does each window), and the packed partition duration ``c[L-1]``
-#   equals ``GraphPartition.duration``'s fresh ``sum()`` over the same nodes.
+# * Replicated node ``k`` is base node ``k % n``: a visit reads the durations
+#   from ``next_node % n`` on, wrapping around the graph (``itertools.cycle``).
+# * Each visit takes one ``itertools.accumulate`` running sum and stops at the
+#   first sum above the bubble's usable seconds (after cutting the visit before
+#   the first node the bubble's memory cannot hold, if any).  The sums run left
+#   to right from the visit's first node, so each is bit-for-bit the scalar
+#   loop's ``packed_duration + nodes[j].duration`` (restarted at 0.0 per visit)
+#   and the last one kept equals ``GraphPartition.duration``'s ``sum()``.
 # * Nodes are never cloned: the result is a :class:`PackedPlan` that records
 #   only per-visit (node count, packed duration) and materializes real
 #   ``GraphPartition`` tuples -- with the exact ``iter{i}/{name}`` clone names
@@ -300,7 +301,8 @@ class PackedPlan:
     """An :class:`ExecutionPlan` computed without materializing its nodes.
 
     Duck-types the plan API consumed by the executor and the tests
-    (``partitions``, ``bubbles``, ``num_cycles``, the derived metrics);
+    (``partitions``, ``bubbles``, ``num_cycles``, the derived metrics).  It
+    keeps one node count and one packed duration per bubble visit, as lists;
     ``partitions`` builds the real :class:`GraphPartition` tuple lazily on
     first access, so estimate construction never pays for node clones it
     does not read.
@@ -324,8 +326,8 @@ class PackedPlan:
         bubbles: Tuple[Bubble, ...],
         iterations: int,
         cycle_period: float,
-        visit_counts: np.ndarray,
-        visit_durations: np.ndarray,
+        visit_counts: List[int],
+        visit_durations: List[float],
     ) -> None:
         self.bubbles = bubbles
         self.iterations = iterations
@@ -347,7 +349,7 @@ class PackedPlan:
             num_bubbles = len(self.bubbles)
             parts: List[GraphPartition] = []
             node_idx = 0
-            for k, count in enumerate(self._visit_counts.tolist()):
+            for k, count in enumerate(self._visit_counts):
                 nodes = []
                 for _ in range(count):
                     iteration, j = divmod(node_idx, n)
@@ -373,24 +375,24 @@ class PackedPlan:
         materializing it.
         """
         num_bubbles = len(self.bubbles)
-        counts = self._visit_counts
-        for k, duration in enumerate(self._visit_durations.tolist()):
-            if counts[k]:
+        visits = zip(self._visit_counts, self._visit_durations)
+        for k, (count, duration) in enumerate(visits):
+            if count:
                 yield k % num_bubbles, duration
 
     # -- the ExecutionPlan metric API -------------------------------------------
 
     @property
     def num_cycles(self) -> int:
-        if not len(self._visit_counts):
+        if not self._visit_counts:
             return 0
         return (len(self._visit_counts) - 1) // len(self.bubbles) + 1
 
     @property
     def planned_work_seconds(self) -> float:
-        # tolist() yields Python floats; the sequential sum reproduces
-        # ExecutionPlan.planned_work_seconds' addition order exactly.
-        return sum(self._visit_durations.tolist())
+        # The sequential sum reproduces ExecutionPlan.planned_work_seconds'
+        # addition order exactly.
+        return sum(self._visit_durations)
 
     @property
     def planned_flops(self) -> float:
@@ -415,79 +417,6 @@ class PackedPlan:
         return [p for p in self.partitions if p.cycle_index == cycle_index]
 
 
-def _pack_visit_lengths(
-    durations: np.ndarray,
-    memories: np.ndarray,
-    usable_durations: Sequence[float],
-    usable_memory: Sequence[float],
-    *,
-    max_cycles: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The Algorithm-1 packing loop over flat arrays.
-
-    Returns per-bubble-visit ``(node counts, packed durations)``; raises the
-    same :class:`PlanError`\\ s (same messages, same trigger conditions) as
-    the scalar loop in :func:`plan_fill_job`.
-    """
-    num_nodes = len(durations)
-    num_bubbles = len(usable_durations)
-    visit_counts: List[int] = []
-    visit_durations: List[float] = []
-    next_node = 0
-    bubble_idx = 0
-    empty_streak = 0
-    window = 32
-    while next_node < num_nodes:
-        cycle_index = bubble_idx // num_bubbles
-        if cycle_index >= max_cycles:
-            raise PlanError(
-                f"plan exceeded {max_cycles} bubble cycles; the fill job is too "
-                "large for this bubble cycle"
-            )
-        i = bubble_idx % num_bubbles
-        capacity = usable_durations[i]
-        mem_cap = usable_memory[i]
-        # Widen the window until it contains the first violation (or the end
-        # of the node sequence); the cumsum restarts at 0.0 per visit exactly
-        # like the scalar loop's packed_duration accumulator.
-        length = 0
-        packed = 0.0
-        w = window
-        while True:
-            end = min(next_node + w, num_nodes)
-            c = np.cumsum(durations[next_node:end])
-            viol = c > capacity
-            viol |= memories[next_node:end] > mem_cap
-            hit = int(viol.argmax())
-            if viol[hit]:
-                length = hit
-            elif end < num_nodes:
-                w *= 2
-                continue
-            else:
-                length = end - next_node
-            if length:
-                packed = float(c[length - 1])
-            break
-        window = max(16, 2 * length)
-        visit_counts.append(length)
-        visit_durations.append(packed)
-        next_node += length
-        if length == 0:
-            empty_streak += 1
-            if empty_streak >= num_bubbles:
-                raise PlanError(
-                    "no progress packing the fill job; a node does not fit any bubble"
-                )
-        else:
-            empty_streak = 0
-        bubble_idx += 1
-    return (
-        np.asarray(visit_counts, dtype=np.int64),
-        np.asarray(visit_durations, dtype=np.float64),
-    )
-
-
 def pack_fill_job(
     graph: ComputationalGraph,
     cycle: BubbleCycle,
@@ -495,57 +424,100 @@ def pack_fill_job(
     *,
     max_cycles: int = 10_000,
 ) -> PackedPlan:
-    """Vectorized :func:`plan_fill_job`: same plan, nodes materialized lazily.
+    """:func:`plan_fill_job` over the graph's node tuples: same plan, nodes
+    materialized lazily.
 
     Raises exactly the :class:`PlanError`\\ s the scalar path raises, with
     the same messages, so the two are interchangeable to callers.
     """
     config = config or PipeFillConfig()
-    bubbles = tuple(
-        b
-        for b in cycle.fillable_bubbles
-        if config.usable_bubble_seconds(b.duration) > 0.0
-    )
+    bubbles: List[Bubble] = []
+    capacities: List[Tuple[float, float]] = []  # (usable seconds, usable bytes)
+    for bubble in cycle.bubbles:
+        if bubble.fillable:
+            seconds = config.usable_bubble_seconds(bubble.duration)
+            if seconds > 0.0:
+                bubbles.append(bubble)
+                capacities.append(
+                    (seconds, config.usable_bubble_memory(bubble.free_memory_bytes))
+                )
     if not bubbles:
         raise PlanError(
             f"bubble cycle of stage {cycle.stage_id} has no fillable bubbles "
             f"longer than {config.min_fill_bubble_seconds}s"
         )
 
-    usable_durations = [config.usable_bubble_seconds(b.duration) for b in bubbles]
-    usable_memory = [config.usable_bubble_memory(b.free_memory_bytes) for b in bubbles]
-    total_usable = sum(usable_durations)
+    durations = graph.node_durations
+    memories = graph.node_memory_bytes
+    peak_memory = graph.peak_memory_bytes
+    # Feasibility: every node must fit in at least one bubble.  A bubble that
+    # holds the longest node and the largest one holds them all; only without
+    # one is each node checked, and the first that fits nowhere is reported,
+    # like the scalar pre-check.
+    longest = max(durations)
+    if not any(longest <= s and peak_memory <= m for s, m in capacities):
+        for node in graph.nodes:
+            if not any(
+                node.duration <= s and node.memory_bytes <= m for s, m in capacities
+            ):
+                raise PlanError(
+                    f"graph node {node.name!r} (duration {node.duration:.4f}s, "
+                    f"memory {node.memory_bytes:.3e} B) does not fit in any bubble of "
+                    f"stage {cycle.stage_id}'s cycle"
+                )
 
-    base_durations = np.array([n.duration for n in graph.nodes], dtype=np.float64)
-    base_memories = np.array([n.memory_bytes for n in graph.nodes], dtype=np.float64)
-
-    # Feasibility: every node must fit in at least one bubble (first offender
-    # reported, like the scalar pre-check).
-    fits_any = (
-        (base_durations[:, None] <= np.asarray(usable_durations)[None, :])
-        & (base_memories[:, None] <= np.asarray(usable_memory)[None, :])
-    ).any(axis=1)
-    if not fits_any.all():
-        node = graph.nodes[int(np.argmin(fits_any))]
-        raise PlanError(
-            f"graph node {node.name!r} (duration {node.duration:.4f}s, "
-            f"memory {node.memory_bytes:.3e} B) does not fit in any bubble of "
-            f"stage {cycle.stage_id}'s cycle"
-        )
-
-    iterations = _replication_count(graph.total_duration, total_usable)
-    durations = np.tile(base_durations, iterations)
-    memories = np.tile(base_memories, iterations)
-    visit_counts, visit_durations = _pack_visit_lengths(
-        durations,
-        memories,
-        usable_durations,
-        usable_memory,
-        max_cycles=max_cycles,
+    iterations = _replication_count(
+        graph.total_duration, sum(s for s, _ in capacities)
     )
+    n = len(durations)
+    num_nodes = n * iterations
+    num_bubbles = len(capacities)
+    visit_counts: List[int] = []
+    visit_durations: List[float] = []
+    next_node = 0  # index of the first not-yet-packed replicated node
+    bubble_idx = 0
+    empty_streak = 0
+    while next_node < num_nodes:
+        if bubble_idx // num_bubbles >= max_cycles:
+            raise PlanError(
+                f"plan exceeded {max_cycles} bubble cycles; the fill job is too "
+                "large for this bubble cycle"
+            )
+        capacity, mem_cap = capacities[bubble_idx % num_bubbles]
+        j = next_node % n
+        limit = num_nodes - next_node
+        if peak_memory > mem_cap:
+            # The visit ends before the first node this bubble's memory cannot
+            # hold; one exists, so the walk stops within n nodes.
+            fitting = 0
+            while memories[(j + fitting) % n] <= mem_cap:
+                fitting += 1
+            limit = min(limit, fitting)
+        count = 0
+        packed = 0.0
+        sums = itertools.accumulate(
+            itertools.islice(itertools.cycle(durations), j, j + limit)
+        )
+        for total in sums:
+            if total > capacity:
+                break
+            count += 1
+            packed = total
+        visit_counts.append(count)
+        visit_durations.append(packed)
+        next_node += count
+        if count:
+            empty_streak = 0
+        else:
+            empty_streak += 1
+            if empty_streak >= num_bubbles:
+                raise PlanError(
+                    "no progress packing the fill job; a node does not fit any bubble"
+                )
+        bubble_idx += 1
     return PackedPlan(
         graph=graph,
-        bubbles=bubbles,
+        bubbles=tuple(bubbles),
         iterations=iterations,
         cycle_period=cycle.period,
         visit_counts=visit_counts,

@@ -266,9 +266,20 @@ class ComputationalGraph:
             raise ValueError("a computational graph must have at least one node")
 
     # The totals are read on every estimate, plan and throughput comparison,
-    # so each is summed once per graph, left to right, and kept in the
-    # instance dict.  They are not dataclass fields: equality, hashing and
-    # repr see only ``model_name`` and ``nodes``.
+    # and the node tuples on every plan, so each is built once per graph
+    # (sums left to right) and kept in the instance dict.  They are not
+    # dataclass fields: equality, hashing and repr see only ``model_name``
+    # and ``nodes``.
+
+    @functools.cached_property
+    def node_durations(self) -> tuple[float, ...]:
+        """Every node's duration, in graph order."""
+        return tuple(node.duration for node in self.nodes)
+
+    @functools.cached_property
+    def node_memory_bytes(self) -> tuple[float, ...]:
+        """Every node's memory requirement, in graph order."""
+        return tuple(node.memory_bytes for node in self.nodes)
 
     @functools.cached_property
     def total_duration(self) -> float:
@@ -283,7 +294,7 @@ class ComputationalGraph:
     @property
     def peak_memory_bytes(self) -> float:
         """Largest single-node memory requirement."""
-        return max(node.memory_bytes for node in self.nodes)
+        return max(self.node_memory_bytes)
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -16,8 +16,9 @@ by nearest Table 1 model within each domain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -93,12 +94,17 @@ class ModelHubDistribution:
         if unknown:
             raise ValueError(f"unknown fill-job models: {sorted(unknown)}")
 
+    @functools.cached_property
+    def _choices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted model names and normalised probabilities, built on the first draw."""
+        names = sorted(self.probabilities)
+        probs = np.array([self.probabilities[n] for n in names])
+        return np.array(names), probs / probs.sum()
+
     def sample(self, rng: RngLike = None, size: Optional[int] = None):
         """Sample model name(s) according to the distribution."""
         gen = ensure_rng(rng)
-        names = sorted(self.probabilities)
-        probs = np.array([self.probabilities[n] for n in names])
-        probs = probs / probs.sum()
+        names, probs = self._choices
         if size is None:
             return str(gen.choice(names, p=probs))
         return [str(x) for x in gen.choice(names, p=probs, size=size)]

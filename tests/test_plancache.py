@@ -13,6 +13,7 @@ Logs copied or concatenated from other machines are read like any other.
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -29,10 +30,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Experiment, result_digest
-from repro.core.executor import FillJobExecutor, clear_shared_caches
+from repro.core.executor import (
+    FillExecutionEstimate,
+    FillJobExecutor,
+    _record,
+    clear_shared_caches,
+)
 from repro.core.system import PipeFillSystem
 from repro.exec import ChaosPlan
-from repro.models.configs import JobType
+from repro.models.configs import JobType, candidate_configs
 from repro.models.registry import build_model
 from repro.pipeline.bubbles import BubbleCycle
 from repro.pipeline.parallelism import ParallelConfig
@@ -595,6 +601,17 @@ class TestRecordsAreData:
             build_model("bert-base"), JobType.BATCH_INFERENCE
         )
         assert plancache.stats()["hits"] == 1 and again == fresh
+
+    @pytest.mark.parametrize("job_type", list(JobType), ids=lambda j: j.value)
+    def test_record_holds_every_candidate_config_as_asdict_would(self, job_type):
+        """The flat ``exec_config`` of a record equals ``dataclasses.asdict``
+        of the configuration, for every configuration a search can choose."""
+        for config in candidate_configs(job_type):
+            estimate = FillExecutionEstimate(
+                "bert-base", job_type, config, 1.0, 2.0, 0.5, 3.0, 4.0
+            )
+            record = _record(estimate)
+            assert record["exec_config"] == dataclasses.asdict(config)
 
     @settings(max_examples=200, deadline=None)
     @given(value=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))

@@ -17,7 +17,8 @@ from repro.models.configs import ExecutionConfig, JobType
 from repro.models.efficiency import EfficiencyModel
 from repro.models.profiles import ModelProfile
 from repro.models.registry import build_model
-from repro.pipeline.bubbles import BubbleCycle
+from repro.pipeline.bubbles import Bubble, BubbleCycle
+from repro.pipeline.instructions import BubbleKind
 from repro.pipeline.parallelism import bubble_fraction
 from repro.pipeline.schedules import GPipeSchedule, OneFOneBSchedule
 from repro.sim.events import EventKind, EventQueue
@@ -32,14 +33,14 @@ memories = st.floats(min_value=1e6, max_value=4 * GIB, allow_nan=False)
 
 
 @st.composite
-def graphs(draw, max_nodes: int = 8):
+def graphs(draw, max_nodes: int = 8, max_memory: float = 2 * GIB):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     nodes = tuple(
         GraphNode(
             name=f"n{i}",
             role=NodeRole.FORWARD,
             duration=draw(st.floats(min_value=0.001, max_value=0.3)),
-            memory_bytes=draw(st.floats(min_value=1e6, max_value=2 * GIB)),
+            memory_bytes=draw(st.floats(min_value=1e6, max_value=max_memory)),
             flops=draw(st.floats(min_value=1e9, max_value=1e13)),
         )
         for i in range(n)
@@ -54,6 +55,41 @@ def bubble_cycles(draw, max_bubbles: int = 4):
     free = draw(st.floats(min_value=2 * GIB, max_value=8 * GIB))
     period = sum(ds) + draw(st.floats(min_value=0.5, max_value=5.0))
     return BubbleCycle.from_durations(ds, free, period)
+
+
+@st.composite
+def per_bubble_memory_cycles(draw, max_bubbles: int = 4):
+    """Cycles whose bubbles each expose their own free memory (1-5 GiB)."""
+    n = draw(st.integers(min_value=1, max_value=max_bubbles))
+    bubbles = tuple(
+        Bubble(
+            kind=BubbleKind.FWD_BWD,
+            stage_id=0,
+            index=i,
+            duration=draw(st.floats(min_value=0.2, max_value=2.0)),
+            free_memory_bytes=draw(st.floats(min_value=1 * GIB, max_value=5 * GIB)),
+        )
+        for i in range(n)
+    )
+    period = sum(b.duration for b in bubbles) + draw(st.floats(min_value=0.5, max_value=5.0))
+    return BubbleCycle(stage_id=0, bubbles=bubbles, period=period)
+
+
+def _graph(*nodes):
+    """A graph of ``(duration, memory_bytes)`` nodes."""
+    return ComputationalGraph(
+        model_name="example",
+        nodes=tuple(
+            GraphNode(
+                name=f"n{i}",
+                role=NodeRole.FORWARD,
+                duration=duration,
+                memory_bytes=memory,
+                flops=1e9,
+            )
+            for i, (duration, memory) in enumerate(nodes)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,26 +156,30 @@ class TestPlanProperties:
             plan.planned_flops, plan.iterations * graph.total_flops, rel_tol=1e-9
         )
 
-    @given(graph=graphs(), cycle=bubble_cycles())
+    @given(graph=graphs(max_memory=4 * GIB), cycle=per_bubble_memory_cycles())
     @example(  # nodes that fill a bubble's time and memory exactly
-        graph=ComputationalGraph(
-            model_name="exact",
-            nodes=tuple(
-                GraphNode(
-                    name=f"n{i}",
-                    role=NodeRole.FORWARD,
-                    duration=0.25,
-                    memory_bytes=2 * GIB,
-                    flops=1e9,
-                )
-                for i in range(3)
-            ),
-        ),
+        graph=_graph(*[(0.25, 2 * GIB)] * 3),
         cycle=BubbleCycle.from_durations([0.5, 0.75], 2 * GIB, period=2.0),
     )
-    @settings(max_examples=60, deadline=None)
+    @example(  # the longest node fits only the first bubble, the largest only the second
+        graph=_graph((0.8, 0.5 * GIB), (0.1, 3 * GIB)),
+        cycle=BubbleCycle(
+            stage_id=0,
+            bubbles=(
+                Bubble(BubbleKind.FWD_BWD, 0, 0, duration=1.0, free_memory_bytes=1 * GIB),
+                Bubble(BubbleKind.FWD_BWD, 0, 1, duration=0.3, free_memory_bytes=4 * GIB),
+            ),
+            period=2.0,
+        ),
+    )
+    @example(  # visits that start mid-graph and wrap over several whole iterations
+        graph=_graph((0.03, GIB), (0.05, GIB), (0.07, GIB)),
+        cycle=BubbleCycle.from_durations([0.5, 0.75], 2 * GIB, period=2.0),
+    )
+    @settings(max_examples=200, deadline=None)
     def test_packed_plan_matches_reference_planner(self, graph, cycle):
-        """The executor's fast packer builds exactly the reference plan."""
+        """The executor's fast packer builds exactly the reference plan,
+        also where a bubble's own free memory ends a visit."""
         try:
             reference = plan_fill_job(graph, cycle, _PERMISSIVE)
         except PlanError as exc:
@@ -151,9 +191,7 @@ class TestPlanProperties:
         assert packed.iterations == reference.iterations
         assert packed.num_cycles == reference.num_cycles
         assert packed.bubbles == reference.bubbles
-        visits = list(
-            zip(packed._visit_counts.tolist(), packed._visit_durations.tolist())
-        )
+        visits = list(zip(packed._visit_counts, packed._visit_durations))
         assert visits == [(len(p.nodes), p.duration) for p in reference.partitions]
         assert packed.planned_work_seconds == reference.planned_work_seconds
 
